@@ -52,6 +52,14 @@ def _field(doc: dict, name: str, types: Union[type, tuple], where: str = "") -> 
     return v
 
 
+def _optional(doc: dict, name: str, types: type, what: str, where: str = "") -> Any:
+    """A field that may be absent or null, else of the given type."""
+    v = doc.get(name)
+    if v is not None and (not isinstance(v, types) or isinstance(v, bool)):
+        raise FileFormatError(f"field '{where}{name}': must be {what} or null")
+    return v
+
+
 # -- truth tables -------------------------------------------------------------
 
 
@@ -86,6 +94,7 @@ def table_from_text(text: str) -> tuple[TruthTable, Optional[str]]:
 # -- netlists -----------------------------------------------------------------
 
 _KIND_BY_NAME = {k.value: k for k in GateType}
+_FABRIC_KINDS = (None, "decoder", "mux")
 
 
 def netlist_to_text(nl: Netlist) -> str:
@@ -116,9 +125,7 @@ def netlist_from_text(text: str) -> Netlist:
         if not isinstance(entry, dict):
             raise FileFormatError(f"field 'nets[{i}]': must be an object")
         nid = _field(entry, "id", str, f"nets[{i}].")
-        radix = entry.get("radix")
-        if radix is not None and (not isinstance(radix, int) or isinstance(radix, bool)):
-            raise FileFormatError(f"field 'nets[{i}].radix': must be integer or null")
+        radix = _optional(entry, "radix", int, "integer", f"nets[{i}].")
         if nid in nets:
             raise FileFormatError(f"field 'nets[{i}].id': duplicate {nid!r}")
         nets[nid] = Net(nid, radix)
@@ -138,8 +145,9 @@ def netlist_from_text(text: str) -> Netlist:
                     f"field 'gates[{i}].pins.{port}': must be a net id string")
         if gid in gates:
             raise FileFormatError(f"field 'gates[{i}].id': duplicate {gid!r}")
-        gates[gid] = Gate(gid, _KIND_BY_NAME[kind_name], dict(pins),
-                          entry.get("param"), entry.get("radix"))
+        param = _optional(entry, "param", int, "integer", f"gates[{i}].")
+        radix = _optional(entry, "radix", int, "integer", f"gates[{i}].")
+        gates[gid] = Gate(gid, _KIND_BY_NAME[kind_name], dict(pins), param, radix)
 
     def str_list(name: str) -> list[str]:
         vals = _field(doc, name, list)
@@ -154,6 +162,11 @@ def netlist_from_text(text: str) -> Netlist:
             raise FileFormatError(f"field 'state_groups[{i}]': must be a string array")
         groups.append(tuple(grp))
 
+    fabric_kind = doc.get("fabric_kind")
+    if fabric_kind not in _FABRIC_KINDS:
+        raise FileFormatError(
+            f"field 'fabric_kind': expected null, 'decoder' or 'mux', got {fabric_kind!r}")
+
     nl = Netlist(
         gates=gates,
         nets=nets,
@@ -162,8 +175,8 @@ def netlist_from_text(text: str) -> Netlist:
         latch_order=str_list("latch_order"),
         state_latches=str_list("state_latches"),
         state_groups=groups,
-        clock=doc.get("clock"),
-        fabric_kind=doc.get("fabric_kind"),
+        clock=_optional(doc, "clock", str, "a net id string"),
+        fabric_kind=fabric_kind,
     )
     try:
         validate(nl)

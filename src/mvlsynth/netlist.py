@@ -119,6 +119,8 @@ class Netlist:
     clock: Optional[str] = None     # net driven by the sequential stepper
     fabric_kind: Optional[str] = None    # "decoder" | "mux" for fabrics
     _order: list[str] = field(default_factory=list, repr=False)
+    # the simulator's compiled program, built on first simulation
+    _program: Optional[object] = field(default=None, repr=False, compare=False)
 
     def net_of_input(self, gid: str) -> str:
         return self.gates[gid].pins["y"]

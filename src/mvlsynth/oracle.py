@@ -8,6 +8,7 @@ otherwise seeded random sampling with the seed recorded in the report.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -16,7 +17,7 @@ from .netlist import Netlist
 from .sim import Fault, SimFaultError, SimState, eval_vectors, load_config, \
     reset_state, step_sequential
 from .tables import ConfigBitstream, FsmSpec, TruthTable
-from .values import RadixLike, as_radix, tt_digits, tt_index
+from .values import RadixLike, as_radix, tt_index
 
 DEFAULT_CAP = 6561  # 3^8: largest space still swept exhaustively
 DEFAULT_SEED = 20240917
@@ -83,16 +84,18 @@ def check_equivalence(nl: Netlist, tt: TruthTable,
     if config is not None:
         load_config(nl, config, state)
 
-    space = n**tt.arity
-    if space <= cap:
-        vectors = [tt_digits(k, tt.radix, tt.arity) for k in range(space)]
-        exhaustive, used_seed = True, None
-    else:
-        rng = random.Random(seed)
-        vectors = [tuple(rng.randrange(n) for _ in range(tt.arity))
-                   for _ in range(cap)]
-        exhaustive, used_seed = False, seed
+    if n**tt.arity <= cap:
+        # Every row in row order (MS-first digits): vector k is row k, so
+        # the mismatches come out sorted without an index per vector.
+        vectors = list(itertools.product(range(n), repeat=tt.arity))
+        results = eval_vectors(nl, vectors, state)
+        mismatches = [Mismatch(vec, (want,), got) for vec, want, got
+                      in zip(vectors, tt.entries, results) if got != (want,)]
+        return EquivalenceReport(len(vectors), tuple(mismatches))
 
+    rng = random.Random(seed)
+    vectors = [tuple(rng.randrange(n) for _ in range(tt.arity))
+               for _ in range(cap)]
     results = eval_vectors(nl, vectors, state)
     mismatches = []
     for vec, got in zip(vectors, results):
@@ -100,8 +103,7 @@ def check_equivalence(nl: Netlist, tt: TruthTable,
         if got != expected:
             mismatches.append(Mismatch(vec, expected, got))
     mismatches.sort(key=lambda mm: tt_index(mm.inputs, tt.radix))
-    return EquivalenceReport(len(vectors), tuple(mismatches),
-                             exhaustive, used_seed)
+    return EquivalenceReport(len(vectors), tuple(mismatches), False, seed)
 
 
 def reference_half_adder(radix: RadixLike) -> tuple[TruthTable, TruthTable]:

@@ -1,7 +1,13 @@
 """End-to-end command-line workflows through main(argv)."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import mvlsynth
 from mvlsynth import fileio
 from mvlsynth.cli import main
 from mvlsynth.tables import FsmSpec, TruthTable
@@ -165,3 +171,22 @@ def test_usage_errors(ws, capsys):
     assert main([]) == 2
     assert main(["synth", _p(ws, "sum.json"), "-o", _p(ws, "x.json"),
                  "--strategy", "bogus"]) == 2
+
+
+def test_mistyped_netlist_field_exits_2(ws, capsys):
+    main(["synth", _p(ws, "sum.json"), "-o", _p(ws, "sum.nl.json")])
+    capsys.readouterr()
+    doc = json.loads((ws / "sum.nl.json").read_text())
+    doc["clock"] = [1]
+    (ws / "bad.nl.json").write_text(json.dumps(doc))
+    assert main(["stats", _p(ws, "bad.nl.json")]) == 2
+    assert "field 'clock'" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mvlsynth.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "mvlsynth", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert "usage: mvlsynth" in done.stdout

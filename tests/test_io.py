@@ -1,5 +1,8 @@
 """File formats: byte-stable round trips, error reporting, DOT export."""
 
+import json
+import re
+
 import pytest
 
 from mvlsynth import fileio
@@ -125,6 +128,35 @@ def test_netlist_document_checks():
     dangling = text.replace('"d": "x"', '"d": "ghost"', 1)
     with pytest.raises(FileFormatError, match="invalid netlist"):
         netlist_from_text(dangling)
+
+
+def _set_tlg(key, value):
+    def edit(doc):
+        next(g for g in doc["gates"] if g["gate"] == "tlg")[key] = value
+    return edit
+
+
+def _set_top(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_set_tlg("param", "1"), "gates[1].param"),
+    (_set_tlg("param", 1.5), "gates[1].param"),
+    (_set_tlg("param", True), "gates[1].param"),
+    (_set_tlg("radix", "3"), "gates[1].radix"),
+    (_set_tlg("radix", 2.0), "gates[1].radix"),
+    (_set_tlg("radix", False), "gates[1].radix"),
+    (_set_top("clock", [1]), "clock"),
+    (_set_top("clock", 7), "clock"),
+    (_set_top("fabric_kind", "lut"), "fabric_kind"),
+    (_set_top("fabric_kind", ["mux"]), "fabric_kind"),
+])
+def test_netlist_field_types(edit, field):
+    doc = json.loads(netlist_to_text(build_decoder_1(3)))
+    edit(doc)
+    with pytest.raises(FileFormatError, match=rf"field '{re.escape(field)}'"):
+        netlist_from_text(json.dumps(doc))
 
 
 def test_fsm_document_checks():

@@ -2,7 +2,10 @@
 
 import pytest
 
-from mvlsynth.sim import (FaultKind, SimFaultError, SimState,
+from mvlsynth import fileio
+from mvlsynth.cli import main
+from mvlsynth.netlist import GateType, NetlistBuilder
+from mvlsynth.sim import (Fault, FaultKind, SimFaultError, SimState,
                           eval_combinational, reset_state)
 from mvlsynth.synth import build_nary_dff, build_nary_dlatch
 
@@ -99,3 +102,33 @@ def test_reset_validates_digits():
         reset_state(nl, [3])
     with pytest.raises(ValueError):
         reset_state(nl, [0, 0])
+
+
+def _self_inverting_latch():
+    """Radix-3 D-latch whose data is its own output, n-ary inverted."""
+    b = NetlistBuilder()
+    g = b.add_input("g", 3)
+    en = b.tlg("en_tlg", g, 0)
+    enb = b.not_("en_not", en)
+    m, q = b.net(3), b.net(3)
+    b.add_gate("lat", GateType.NARY_DLATCH, {"d": m, "q": q}, radix=3)
+    b.switch("sw_d", b.nary_inverter("inv", q, 3), en, m)
+    b.switch("sw_h", q, enb, m)
+    b.add_state_group(["lat"])
+    b.add_output("q", m)
+    return b.finish()
+
+
+def test_latch_that_never_settles_is_an_oscillation_fault(tmp_path, capsys):
+    nl = _self_inverting_latch()
+    out, _ = eval_combinational(nl, [1], reset_state(nl, [1]))
+    assert out == (1,)                       # 1 inverts to itself: at rest
+    state = reset_state(nl, [0])
+    with pytest.raises(SimFaultError) as err:
+        eval_combinational(nl, [1], state)   # 0, 2, 0, ... past the bound
+    assert err.value.fault == Fault(FaultKind.OSCILLATION, "lat", (1,))
+    assert state.faults == [err.value.fault]
+
+    fileio.save_netlist(tmp_path / "osc.json", nl)
+    assert main(["sim", str(tmp_path / "osc.json"), "1", "--reset", "0"]) == 1
+    assert capsys.readouterr().out == "fault: oscillation on lat at inputs (1,)\n"

@@ -7,11 +7,12 @@ import pytest
 from mvlsynth.oracle import (DEFAULT_CAP, EquivalenceReport, Mismatch,
                              check_equivalence, check_fsm_equivalence,
                              oracle_eval, random_table, reference_half_adder)
+from mvlsynth.sim import Fault, SimState, eval_vectors, load_config
 from mvlsynth.synth import (Strategy, build_fabric_decoder, build_nary_dff,
                             compile_fsm, derive_config, synth_decoder_based,
                             synth_mux_based, synth_tables)
 from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
-from mvlsynth.values import Radix
+from mvlsynth.values import Radix, tt_digits, tt_index
 
 
 SUM3 = TruthTable.make(3, 2, (0, 1, 2, 1, 2, 0, 2, 0, 1))
@@ -88,6 +89,44 @@ def test_corrupted_bitstream_is_caught():
     report = check_equivalence(fabric, SUM3, config=bits.flipped(4))
     assert not report.passed
     assert len(report.mismatches) >= 1
+
+
+def _report_by_lookup(nl, tt, config, cap, seed):
+    """The report built the long way: each vector's expected value looked up
+    by its index, mismatches sorted by index afterwards."""
+    n, space = tt.radix.n, tt.radix.n**tt.arity
+    if space <= cap:
+        vectors = [tt_digits(k, tt.radix, tt.arity) for k in range(space)]
+    else:
+        rng = random.Random(seed)
+        vectors = [tuple(rng.randrange(n) for _ in range(tt.arity))
+                   for _ in range(cap)]
+    results = eval_vectors(nl, vectors, load_config(nl, config, SimState()))
+    mismatches = [Mismatch(vec, (oracle_eval(tt, vec),), got)
+                  for vec, got in zip(vectors, results)
+                  if got != (oracle_eval(tt, vec),)]
+    mismatches.sort(key=lambda mm: tt_index(mm.inputs, tt.radix))
+    return EquivalenceReport(len(vectors), tuple(mismatches), space <= cap,
+                             None if space <= cap else seed)
+
+
+@pytest.mark.parametrize("cap", [DEFAULT_CAP, 20])
+def test_report_matches_indexed_lookup(cap):
+    # exhaustive (27 rows under the cap) and sampled (20 draws); flipped
+    # bits make faults, a changed table entry a wrong level
+    tt = random_table(3, 3, random.Random(5))
+    fabric = build_fabric_decoder(3, 3)
+    bits = derive_config(tt, fabric).flipped(4).flipped(30).flipped(61)
+    other = list(tt.entries)
+    for row in range(1, 27, 4):
+        other[row] = (other[row] + 1) % 3
+    other = TruthTable(tt.radix, tt.arity, tuple(other))
+    report = check_equivalence(fabric, other, config=bits, cap=cap, seed=9)
+    assert report == _report_by_lookup(fabric, other, bits, cap, 9)
+    assert report.exhaustive == (cap == DEFAULT_CAP)
+    assert len(report.mismatches) > 1
+    if report.exhaustive:
+        assert {type(mm.got) for mm in report.mismatches} == {Fault, tuple}
 
 
 def test_rejects_unsuitable_netlists():

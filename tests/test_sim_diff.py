@@ -1,0 +1,227 @@
+"""Differential test: the compiled bit-parallel simulator against the frozen
+list-of-slots reference in reference_sim.py.
+
+Both run on the same netlists and inputs with fixed seeds; they must agree
+on every result, the raised fault's (kind, ref, vector), the fault log in
+order, and the latch contents after every step. The reference's bare
+RuntimeError for latches that never settle is the new OSCILLATION fault,
+which the new simulator also appends to the log.
+"""
+
+import copy
+import itertools
+import random
+
+import pytest
+
+import reference_sim as ref
+from mvlsynth import sim
+from mvlsynth.netlist import GateType, NetlistBuilder
+from mvlsynth.oracle import random_table
+from mvlsynth.sim import FaultKind, SimFaultError, SimState, load_config, reset_state
+from mvlsynth.synth import (Strategy, build_fabric_decoder, build_fabric_mux,
+                            build_nary_dff, build_nary_dlatch, compile_fsm,
+                            synth_tables)
+from mvlsynth.tables import ConfigBitstream, FsmSpec
+
+
+def _outcome(call, state):
+    """(what happened, fault log) for one call, in comparable form. The
+    reference logs no oscillation, so those entries are left out."""
+    try:
+        got = ("ok", call(state))
+    except SimFaultError as e:
+        f = e.fault
+        if f.kind is FaultKind.OSCILLATION:
+            assert state.faults[-1] == f
+            got = ("oscillation",)
+        else:
+            got = ("fault", (f.kind, f.ref, f.vector))
+    except RuntimeError as e:
+        assert str(e) == "latch settling did not converge"
+        got = ("oscillation",)
+    return got, [f for f in state.faults if f.kind is not FaultKind.OSCILLATION]
+
+
+def _same(call_new, call_ref, new_state, ref_state):
+    got = _outcome(call_new, new_state)
+    want = _outcome(call_ref, ref_state)
+    assert got == want
+    assert new_state.latches == ref_state.latches
+    return got[0][0]
+
+
+def _all_vectors(nl, rng, cap=64):
+    spans = [2 if r is None else r for r in nl.input_radixes()]
+    space = list(itertools.product(*(range(s) for s in spans)))
+    return space if len(space) <= cap else rng.sample(space, cap)
+
+
+def _batch(nl, vectors, state=None):
+    """Compare one batch; returns how many faults it logged."""
+    state = state or SimState()
+    _same(lambda s: sim.eval_vectors(nl, vectors, s),
+          lambda s: ref.eval_vectors(nl, vectors, s),
+          state, copy.deepcopy(state))
+    return len(state.faults)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_random_tables(strategy, n):
+    rng = random.Random(100 * n + len(strategy.value))
+    for arity in (1, 2):
+        tts = [random_table(n, arity, rng) for _ in range(2)]
+        nl = synth_tables(tts, strategy)
+        _batch(nl, _all_vectors(nl, rng))
+
+
+@pytest.mark.parametrize("build", [
+    build_fabric_decoder,
+    lambda n, m: build_fabric_mux(n, m, tree=True),
+    lambda n, m: build_fabric_mux(n, m, tree=False),
+], ids=["decoder", "mux-tree", "mux-flat"])
+def test_fabrics_with_random_bitstreams(build):
+    rng = random.Random(7)
+    for n, m in ((2, 1), (2, 2), (3, 1), (3, 2)):
+        nl = build(n, m)
+        vectors = _all_vectors(nl, rng)
+        for density in (0.0, 0.1, 0.3, 0.5, 1.0):
+            bits = tuple(int(rng.random() < density) for _ in nl.latch_order)
+            _batch(nl, vectors, load_config(nl, ConfigBitstream(bits)))
+
+
+def _random_mesh(rng, latches=0):
+    """Switch meshes with contention, floating nets and poison chains.
+
+    Every gate reads nets made before it; latch outputs are made first so
+    that latch inputs can depend on them.
+    """
+    b = NetlistBuilder()
+    n = rng.choice([2, 3, 4])
+    rad, bins = [], [b.const(rng.randrange(2), None)]
+    for i in range(rng.randint(1, 3)):
+        if rng.random() < 0.7:
+            rad.append(b.add_input(f"x{i}", n))
+        else:
+            bins.append(b.add_input(f"b{i}", None))
+    rad.append(b.const(rng.randrange(n), n))
+    for i in range(rng.randint(0, 2)):
+        bins.append(b.config_latch(f"cfg{i}"))
+    qs = [b.net(n) for _ in range(latches)]
+    rad.extend(qs)
+    for i in range(rng.randint(4, 16)):
+        pick = rng.random()
+        if pick < 0.2:
+            bins.append(b.tlg(f"t{i}", rng.choice(rad), rng.randint(-1, n - 1)))
+        elif pick < 0.3:
+            bins.append(b.not_(f"n{i}", rng.choice(bins)))
+        elif pick < 0.45:
+            ins = [rng.choice(bins) for _ in range(rng.randint(2, 3))]
+            gate = b.and_ if rng.random() < 0.5 else b.or_
+            bins.append(gate(f"g{i}", ins))
+        elif pick < 0.55:
+            rad.append(b.nary_inverter(f"inv{i}", rng.choice(rad), n))
+        else:
+            y = b.net(n)
+            for k in range(rng.randint(1, 3)):
+                b.switch(f"sw{i}_{k}", rng.choice(rad), rng.choice(bins), y)
+            rad.append(y)
+    for i, q in enumerate(qs):
+        b.add_gate(f"lat{i}", GateType.NARY_DLATCH,
+                   {"d": rng.choice(rad), "q": q}, radix=n)
+        b.add_state_group([f"lat{i}"])
+    for i in range(rng.randint(1, 3)):
+        b.add_output(f"o{i}", rng.choice(rad + bins))
+    return b.finish()
+
+
+def _random_config(nl, rng):
+    bits = tuple(rng.randrange(2) for _ in nl.latch_order)
+    return load_config(nl, ConfigBitstream(bits))
+
+
+def test_switch_meshes():
+    rng = random.Random(11)
+    faults = 0
+    for _ in range(300):
+        nl = _random_mesh(rng)
+        faults += _batch(nl, _all_vectors(nl, rng), _random_config(nl, rng))
+    assert faults  # the meshes do reach the fault paths
+
+
+def _steps(nl, state, vectors):
+    """Step one state through both simulators, comparing after each step."""
+    ref_state = copy.deepcopy(state)
+    kinds = []
+    for vec in vectors:
+        kinds.append(_same(lambda s: sim.eval_combinational(nl, vec, s)[0],
+                           lambda s: ref.eval_combinational(nl, vec, s)[0],
+                           state, ref_state))
+    return kinds
+
+
+def test_latch_meshes_with_poison_chains():
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(250):
+        nl = _random_mesh(rng, latches=rng.randint(1, 3))
+        state = _random_config(nl, rng)
+        if rng.random() < 0.9:
+            reset_state(nl, [rng.randrange(nl.gates[g[0]].radix)
+                             for g in nl.state_groups], state)
+        spans = [2 if r is None else r for r in nl.input_radixes()]
+        vectors = [tuple(rng.randrange(s) for s in spans) for _ in range(4)]
+        seen.update(_steps(nl, state, vectors))
+    assert seen == {"ok", "fault", "oscillation"}
+
+
+def test_two_poisons_meeting_at_a_latch():
+    # the latch input has two conducting drivers, each carrying a different
+    # floating fault: one through its data, one through its control
+    b = NetlistBuilder()
+    g = b.add_input("g", None)
+    never = b.const(0, None)
+    f1, f2, m, q = (b.net(3) for _ in range(4))
+    b.switch("off1", b.const(0, 3), never, f1)
+    b.switch("off2", b.const(0, 3), never, f2)
+    b.switch("s1", b.nary_inverter("inv", f1, 3), g, m)
+    b.switch("s2", b.const(1, 3), b.tlg("t", f2, 0), m)
+    b.add_gate("lat", GateType.NARY_DLATCH, {"d": m, "q": q}, radix=3)
+    b.add_state_group(["lat"])
+    b.add_output("y", q)
+    nl = b.finish()
+    assert _steps(nl, reset_state(nl, [0]), [(1,), (0,)]) == ["fault"] * 2
+
+
+def test_fsms_with_and_without_reset():
+    rng = random.Random(13)
+    for i in range(12):
+        n = rng.choice([2, 3])
+        sa, ia = rng.randint(1, 2), rng.randint(0, 1)
+        def tables(count):
+            return tuple(random_table(n, sa + ia, rng) for _ in range(count))
+        spec = FsmSpec(tables(1)[0].radix, sa, ia, tables(sa),
+                       tables(1) if rng.random() < 0.5 else None)
+        nl = compile_fsm(spec, list(Strategy)[i % 3])
+        state = SimState()
+        if i % 4:
+            reset_state(nl, [rng.randrange(n) for _ in range(sa)], state)
+        ref_state = copy.deepcopy(state)
+        for _ in range(6):
+            vec = tuple(rng.randrange(n) for _ in range(ia))
+            _same(lambda s: sim.step_sequential(nl, vec, s)[0],
+                  lambda s: ref.step_sequential(nl, vec, s)[0],
+                  state, ref_state)
+
+
+@pytest.mark.parametrize("build", [build_nary_dlatch, build_nary_dff])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_storage_under_random_gate_sequences(build, n):
+    rng = random.Random(n)
+    nl = build(n)
+    for reset in range(n):
+        vectors = [(rng.randrange(n), rng.randrange(n)) for _ in range(25)]
+        assert set(_steps(nl, reset_state(nl, [reset] * len(nl.state_groups)),
+                          vectors)) == {"ok"}
+    assert set(_steps(nl, SimState(), [(0, 1)])) == {"fault"}
