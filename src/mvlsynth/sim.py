@@ -449,12 +449,11 @@ def _settle(nl: Netlist, prog: _Program, vector: tuple[int, ...],
         cone = _Cone(nl, v, vector) if first else None
         changed = None
         for gid, _, d in prog.latches:
-            if cone is not None:
-                new = cone.consume(nl.gates[gid].pins["d"])
-                if isinstance(new, Fault):
-                    state.faults.append(new)
-                    raise SimFaultError(new)
-            new = _level(v, d)
+            new = (_level(v, d) if cone is None
+                   else cone.consume(nl.gates[gid].pins["d"]))
+            if isinstance(new, Fault):
+                state.faults.append(new)
+                raise SimFaultError(new)
             if latches[gid] != new:
                 latches[gid] = new
                 changed = changed or gid
