@@ -207,7 +207,12 @@ def _levelize(nl: Netlist) -> list[str]:
 
 def validate(nl: Netlist) -> None:
     """Full structural check: connectivity, drivers, signal kinds, cycles."""
+    for net in nl.nets.values():
+        if net.radix is not None and net.radix < 2:
+            raise NetlistError(f"net {net.nid}: radix {net.radix} is below 2")
     for g in nl.gates.values():
+        if g.kind in (GateType.NARY_INVERTER, GateType.NARY_DLATCH) and g.radix is None:
+            raise NetlistError(f"{g.gid}: {g.kind.value} needs a radix")
         sigs = gate_ports(g)
         names = {s.name for s in sigs}
         if set(g.pins) != names:
@@ -273,8 +278,17 @@ def validate(nl: Netlist) -> None:
     for gid in nl.outputs:
         if nl.gates[gid].kind is not GateType.OUTPUT:
             raise NetlistError(f"output list entry {gid} is not an output port")
-    if nl.clock is not None and nl.clock not in nl.nets:
-        raise NetlistError(f"clock net {nl.clock} does not exist")
+    if nl.clock is not None:
+        if nl.clock not in nl.nets:
+            raise NetlistError(f"clock net {nl.clock} does not exist")
+        ds = drivers[nl.clock]
+        if nl.gates[ds[0]].kind is not GateType.INPUT or ds[0] in nl.inputs:
+            raise NetlistError(
+                f"clock net {nl.clock} is not driven by a dedicated input port")
+    for g in nl.gates.values():
+        if (g.kind is GateType.INPUT and g.gid not in nl.inputs
+                and g.pins["y"] != nl.clock):
+            raise NetlistError(f"input port {g.gid} is neither listed nor the clock")
 
     nl.eval_order()  # raises on combinational cycles
 

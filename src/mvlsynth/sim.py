@@ -72,37 +72,19 @@ def _top_level(nl: Netlist, name: str) -> int:
     return 1 if radix is None else radix - 1
 
 
-def _check_input_vector(nl: Netlist, vec: Sequence[int]) -> tuple[int, ...]:
-    if len(vec) != len(nl.inputs):
-        raise ValueError(f"expected {len(nl.inputs)} inputs, got {len(vec)}")
+def _check_vectors(nl: Netlist, vectors) -> list[tuple[int, ...]]:
+    """Range-check input vectors in order; raises on the first bad one."""
+    tops = [(name, _top_level(nl, name)) for name in nl.inputs]
     out = []
-    for name, v in zip(nl.inputs, vec):
-        hi = _top_level(nl, name)
-        if not isinstance(v, int) or not 0 <= v <= hi:
-            raise ValueError(f"input {name}: value {v!r} out of range 0..{hi}")
-        out.append(v)
-    return tuple(out)
+    for vec in vectors:
+        if len(vec) != len(tops):
+            raise ValueError(f"expected {len(tops)} inputs, got {len(vec)}")
+        for (name, hi), v in zip(tops, vec):
+            if not isinstance(v, int) or not 0 <= v <= hi:
+                raise ValueError(f"input {name}: value {v!r} out of range 0..{hi}")
+        out.append(tuple(vec))
+    return out
 
-
-def _check_vectors(nl: Netlist, vectors) -> tuple[list, list[tuple]]:
-    """Validate a batch; returns the vectors and their per-input columns.
-
-    Whole columns are checked at once; any doubt falls back to the
-    per-vector check, which raises on the first bad vector in order.
-    """
-    vectors = list(vectors)
-    cols = list(zip(*vectors))
-    ok = not vectors or (set(map(len, vectors)) == {len(nl.inputs)} and all(
-        _INT_TYPES.issuperset(map(type, col))
-        and min(col) >= 0 and max(col) <= _top_level(nl, name)
-        for name, col in zip(nl.inputs, cols)))
-    if not ok:
-        vectors = [_check_input_vector(nl, vec) for vec in vectors]
-        cols = list(zip(*vectors))
-    return vectors, cols
-
-
-_INT_TYPES = frozenset((int, bool))
 
 # -- compiled program ---------------------------------------------------------
 
@@ -111,25 +93,21 @@ _INT_TYPES = frozenset((int, bool))
 _SINK, _ZERO, _FULL = 0, 1, 2
 
 # Opcodes. Every op is a 4-tuple (opcode, out, a, b):
-#   _AND2/_OR2     (op, y, input slot, input slot)
-#   _AND/_OR       (op, y, first input slot, other input slots)
-#   _NOT           (op, y, input slot, None)
-#   _SWITCH        (op, first y slot, source slots, control slot)
-#   _SWITCH_CONST  (op, y plane of the constant's level, None, control slot)
-#   _RESOLVE       (op, net id, control slots of all drivers, floating slot)
-#   _FLOAT         (op, net id, floating slot, None)
+#   _AND/_OR    (op, y, first input slot, other input slots)
+#   _NOT        (op, y, input slot, None)
+#   _SWITCH     (op, first y slot, source slots, control slot)
+#   _RESOLVE    (op, net id, control slots of all drivers, floating slot)
+#   _FLOAT      (op, net id, floating slot, None)
 # A switch net of radix N owns N planes, then a floatpass slot, then a
 # floating slot. A conducting switch ORs its source slots into the net's
 # slots from the first y slot on: the data net's planes, plus its floating
-# slot (landing on floatpass) when the data is itself a switch net. With
-# constant data it sets the constant's level wherever it conducts.
+# slot (landing on floatpass) when the data is itself a switch net.
 # _RESOLVE marks vectors where two drivers conduct as contention and
 # derives the floating mask (no driver conducts, or a conducting one passes
 # floating data; vectors with contention are faulted by then, so their
 # bits do not matter); _FLOAT records that mask as faults where the net is
 # consumed.
-(_SWITCH, _SWITCH_CONST, _AND2, _OR2, _AND, _OR, _NOT, _RESOLVE,
- _FLOAT) = range(9)
+_SWITCH, _AND, _OR, _NOT, _RESOLVE, _FLOAT = range(6)
 
 
 class _Program(NamedTuple):
@@ -211,15 +189,14 @@ def _lower(nl: Netlist) -> tuple[_Program, dict[str, tuple[int, ...]]]:
                 planes[pins["y"]] = (_SINK, ups[0] if ups else _ZERO)
             else:
                 y = fresh(pins["y"])[1]
-                ops.append(_gate_op(_OR2, _OR, y, ups))
+                ops.append((_OR, y, ups[0], ups[1:]))
         elif kind is GateType.NOT:
             y = fresh(pins["y"])[1]
             ops.append((_NOT, y, planes[pins["a"]][1], None))
         elif kind is GateType.AND or kind is GateType.OR:
-            ins = [planes[pins[f"a{i}"]][1] for i in range(g.param)]
+            ins = tuple(planes[pins[f"a{i}"]][1] for i in range(g.param))
             y = fresh(pins["y"])[1]
-            ops.append(_gate_op(_AND2, _AND, y, ins) if kind is GateType.AND
-                       else _gate_op(_OR2, _OR, y, ins))
+            ops.append((_AND if kind is GateType.AND else _OR, y, ins[0], ins[1:]))
         elif kind is GateType.NARY_INVERTER:
             planes[pins["y"]] = read(pins["d"], True)[::-1]
         elif kind is GateType.SWITCH:
@@ -227,10 +204,7 @@ def _lower(nl: Netlist) -> tuple[_Program, dict[str, tuple[int, ...]]]:
             y = planes[pins["y"]]
             c = planes[pins["c"]][1]
             controls[pins["y"]].append(c)
-            if d.count(_ZERO) == len(d) - 1 and _FULL in d:  # a constant
-                ops.append((_SWITCH_CONST, y[d.index(_FULL)], None, c))
-            else:
-                ops.append((_SWITCH, y[0], sources.get(pins["d"], d), c))
+            ops.append((_SWITCH, y[0], sources.get(pins["d"], d), c))
         else:
             raise AssertionError(f"unexpected gate in eval order: {g}")
 
@@ -255,12 +229,6 @@ def _lower(nl: Netlist) -> tuple[_Program, dict[str, tuple[int, ...]]]:
         outputs=tuple(planes[nl.net_of_output(gid)] for gid in nl.outputs),
     )
     return program, planes
-
-
-def _gate_op(two: int, many: int, y: int, ins) -> tuple:
-    if len(ins) == 2:
-        return (two, y, ins[0], ins[1])
-    return (many, y, ins[0], tuple(ins[1:]))
 
 
 def _compiled(nl: Netlist) -> _Program:
@@ -311,12 +279,6 @@ def _run(prog: _Program, vectors: list, cols: list[tuple], state: SimState,
             c = v[b]
             for yp, dp in enumerate(a, y):
                 v[yp] |= c & v[dp]
-        elif op == _SWITCH_CONST:
-            v[y] |= v[b]
-        elif op == _AND2:
-            v[y] = v[a] & v[b]
-        elif op == _OR2:
-            v[y] = v[a] | v[b]
         elif op == _AND:
             r = v[a]
             for s in b:
@@ -475,7 +437,7 @@ def eval_vectors(nl: Netlist, vectors: Sequence[Sequence[int]],
     """
     if state is None:
         state = SimState()
-    vectors, cols = _check_vectors(nl, vectors)
+    vectors = _check_vectors(nl, vectors)
     if nl.state_latches and len(vectors) != 1:
         raise ValueError("batch evaluation needs a latch-free netlist")
     if nl.clock is not None:
@@ -484,7 +446,7 @@ def eval_vectors(nl: Netlist, vectors: Sequence[Sequence[int]],
     if nl.state_latches:
         v, first = _settle(nl, prog, tuple(vectors[0]), state, None)
     else:
-        v, first = _run(prog, vectors, cols, state, None)
+        v, first = _run(prog, vectors, list(zip(*vectors)), state, None)
     state.faults.extend(first[b] for b in sorted(first))
     return _results(prog, v, first, len(vectors))
 
@@ -544,7 +506,7 @@ def step_sequential(nl: Netlist, inputs: Sequence[int],
     """
     if nl.clock is None:
         raise ValueError("netlist has no clock; use eval_combinational")
-    vector = _check_input_vector(nl, inputs)
+    vector = _check_vectors(nl, [inputs])[0]
     prog = _compiled(nl)
     _settle(nl, prog, vector, state, 0)
     v, first = _settle(nl, prog, vector, state, 1)

@@ -159,6 +159,41 @@ def test_netlist_field_types(edit, field):
         netlist_from_text(json.dumps(doc))
 
 
+def _inverter_doc():
+    b = NetlistBuilder()
+    b.add_output("y", b.nary_inverter("inv", b.add_input("x", 3), 3))
+    return json.loads(netlist_to_text(b.finish()))
+
+
+def _binary_inverter(doc):
+    for item in doc["nets"] + doc["gates"]:
+        item["radix"] = None
+
+
+def _drop_input(doc):
+    doc["inputs"].remove("i0")
+
+
+@pytest.mark.parametrize("doc, edit, message", [
+    (_inverter_doc, _binary_inverter, "nary_inverter needs a radix"),
+    (_inverter_doc, lambda doc: doc["nets"][0].__setitem__("radix", 1),
+     "radix 1 is below 2"),
+    (lambda: json.loads(netlist_to_text(compile_fsm(COUNTER, Strategy.DECODER))),
+     _set_top("clock", "const_r3_0_w"), "not driven by a dedicated input"),
+    (lambda: json.loads(netlist_to_text(compile_fsm(MOORE, Strategy.DECODER))),
+     _set_top("clock", "i0"), "not driven by a dedicated input"),
+    (lambda: json.loads(netlist_to_text(compile_fsm(MOORE, Strategy.DECODER))),
+     _drop_input, "input port i0 is neither listed nor the clock"),
+], ids=["binary-inverter", "radix-1-net", "clock-on-const",
+        "clock-on-listed-input", "unlisted-input"])
+def test_netlist_structure_the_simulator_relies_on(doc, edit, message):
+    doc = doc()
+    netlist_from_text(json.dumps(doc))
+    edit(doc)
+    with pytest.raises(FileFormatError, match=f"invalid netlist.*{message}"):
+        netlist_from_text(json.dumps(doc))
+
+
 def test_fsm_document_checks():
     text = fsm_to_text(COUNTER)
     with pytest.raises(FileFormatError, match="transition"):
