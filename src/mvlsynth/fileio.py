@@ -12,7 +12,8 @@ import hashlib
 import json
 from typing import Any, Optional, Union
 
-from .netlist import Gate, GateType, Net, Netlist, validate
+from .netlist import (Gate, GateType, Net, Netlist, _driver_map, gate_ports,
+                      validate)
 from .tables import ConfigBitstream, FsmSpec, TruthTable
 from .values import Radix
 
@@ -348,14 +349,7 @@ def export_dot(nl: Netlist) -> str:
     edges from driver to reader labeled with the net id. Output is fully
     determined by the netlist's creation order.
     """
-    from .netlist import gate_ports
-
-    drivers: dict[str, list[str]] = {}
-    for g in nl.gates.values():
-        for sig in gate_ports(g):
-            if not sig.is_input:
-                drivers.setdefault(g.pins[sig.name], []).append(g.gid)
-
+    drivers = _driver_map(nl)
     lines = ["digraph netlist {", "  rankdir=LR;"]
     for g in nl.gates.values():
         shape = _SHAPES.get(g.kind, "box")
@@ -365,7 +359,7 @@ def export_dot(nl: Netlist) -> str:
             if not sig.is_input:
                 continue
             nid = g.pins[sig.name]
-            for src in drivers.get(nid, []):
+            for src in drivers[nid]:
                 lines.append(f'  "{src}" -> "{g.gid}" [label="{nid}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

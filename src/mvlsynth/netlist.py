@@ -61,7 +61,7 @@ class Net:
         return self.radix is None
 
 
-@dataclass
+@dataclass(frozen=True)
 class PortSig:
     name: str
     is_input: bool
@@ -70,9 +70,32 @@ class PortSig:
 
 _ANY = -1
 
+# Shared port signatures and their port-name sets, keyed by (kind, fan-in)
+# for AND/OR and by (kind, radix) for every other kind. Only signatures
+# that built cleanly are stored, so a bad fan-in or an unknown kind raises
+# on every call.
+_PORTS: dict[tuple, tuple[tuple[PortSig, ...], frozenset[str]]] = {}
 
-def gate_ports(g: Gate) -> list[PortSig]:
-    """Port signature of a gate instance (direction and signal kind)."""
+
+def _signature(g: Gate) -> tuple[tuple[PortSig, ...], frozenset[str]]:
+    k = g.kind
+    key = (k, g.fan_in()) if k is GateType.AND or k is GateType.OR else (k, g.radix)
+    sig = _PORTS.get(key)
+    if sig is None:
+        ports = tuple(_build_ports(g))
+        sig = _PORTS[key] = (ports, frozenset(p.name for p in ports))
+    return sig
+
+
+def gate_ports(g: Gate) -> tuple[PortSig, ...]:
+    """Port signature of a gate instance (direction and signal kind).
+
+    The tuple is shared by every gate with the same signature.
+    """
+    return _signature(g)[0]
+
+
+def _build_ports(g: Gate) -> list[PortSig]:
     k = g.kind
     if k is GateType.TLG:
         return [PortSig("d", True, _ANY), PortSig("y", False, None)]
@@ -105,6 +128,14 @@ def gate_ports(g: Gate) -> list[PortSig]:
     raise NetlistError(f"unknown gate kind {k!r}")
 
 
+# A combinational gate as levelize sees it: (gid, input nets, output nets),
+# nets in port order.
+CombGate = tuple[str, list[str], list[str]]
+
+# Gate kinds outside the combinational core: sources, sinks and storage.
+_NOT_COMB = (*STATEFUL, GateType.INPUT, GateType.CONST, GateType.OUTPUT)
+
+
 @dataclass
 class Netlist:
     """Immutable-by-convention gate graph. Build through NetlistBuilder."""
@@ -134,11 +165,29 @@ class Netlist:
     def output_radixes(self) -> list[Optional[int]]:
         return [self.gates[g].radix for g in self.outputs]
 
-    def eval_order(self) -> list[str]:
-        """Topological order of the combinational core (cached)."""
-        if not self._order:
-            self._order.extend(_levelize(self))
+    def eval_order(self, comb: Optional[list[CombGate]] = None) -> list[str]:
+        """Topological order of the combinational core (cached).
+
+        validate passes the combinational gates its port walk collected,
+        and the order is rebuilt from them (dropping the program compiled
+        from the old one); otherwise it is built once from the gates' ports.
+        """
+        if comb is None:
+            if self._order:
+                return self._order
+            comb = [_comb_gate(g) for g in self.gates.values()
+                    if g.kind not in _NOT_COMB]
+        self._program = None
+        self._order[:] = _levelize(self.nets, comb)
         return self._order
+
+
+def _comb_gate(g: Gate) -> CombGate:
+    ins: list[str] = []
+    outs: list[str] = []
+    for sig in gate_ports(g):
+        (ins if sig.is_input else outs).append(g.pins[sig.name])
+    return g.gid, ins, outs
 
 
 def _driver_map(nl: Netlist) -> dict[str, list[str]]:
@@ -150,111 +199,120 @@ def _driver_map(nl: Netlist) -> dict[str, list[str]]:
     return drivers
 
 
-def _levelize(nl: Netlist) -> list[str]:
-    """Kahn order over non-stateful gates; stateful outputs act as sources.
+def _levelize(nets: Iterable[str], comb: list[CombGate]) -> list[str]:
+    """Kahn order over the combinational gates; other drivers act as sources.
 
     A gate becomes ready once every one of its input nets is resolved; a
-    net resolves once all of its schedulable drivers have run. Raises on
+    net resolves once all of its combinational drivers have run. Raises on
     combinational cycles.
     """
-    pending: dict[str, int] = {nid: 0 for nid in nl.nets}
-    schedulable: list[Gate] = []
-    for g in nl.gates.values():
-        if g.kind in STATEFUL or g.kind in (GateType.INPUT, GateType.CONST):
-            continue
-        if g.kind is GateType.OUTPUT:
-            continue
-        schedulable.append(g)
-        for sig in gate_ports(g):
-            if not sig.is_input:
-                pending[g.pins[sig.name]] += 1
+    pending: dict[str, int] = dict.fromkeys(nets, 0)
+    for _, _, outs in comb:
+        for nid in outs:
+            pending[nid] += 1
 
     waiting: dict[str, int] = {}
-    watchers: dict[str, list[Gate]] = {nid: [] for nid in nl.nets}
-    ready: list[Gate] = []
-    for g in schedulable:
+    watchers: dict[str, list[CombGate]] = {}
+    ready: list[CombGate] = []
+    for gate in comb:
         unresolved = 0
-        for sig in gate_ports(g):
-            if sig.is_input and pending[g.pins[sig.name]] > 0:
+        for nid in gate[1]:
+            if pending[nid] > 0:
                 unresolved += 1
-                watchers[g.pins[sig.name]].append(g)
-        waiting[g.gid] = unresolved
+                watchers.setdefault(nid, []).append(gate)
+        waiting[gate[0]] = unresolved
         if unresolved == 0:
-            ready.append(g)
+            ready.append(gate)
 
     order: list[str] = []
     while ready:
-        nxt: list[Gate] = []
-        for g in ready:
-            order.append(g.gid)
-            for sig in gate_ports(g):
-                if sig.is_input:
-                    continue
-                nid = g.pins[sig.name]
+        nxt: list[CombGate] = []
+        for gid, _, outs in ready:
+            order.append(gid)
+            for nid in outs:
                 pending[nid] -= 1
                 if pending[nid] == 0:
-                    for w in watchers[nid]:
-                        waiting[w.gid] -= 1
-                        if waiting[w.gid] == 0:
+                    for w in watchers.get(nid, ()):
+                        waiting[w[0]] -= 1
+                        if waiting[w[0]] == 0:
                             nxt.append(w)
         ready = nxt
 
-    if len(order) != len(schedulable):
-        stuck = sorted(g.gid for g in schedulable if g.gid not in set(order))
+    if len(order) != len(comb):
+        done = set(order)
+        stuck = sorted(gid for gid, _, _ in comb if gid not in done)
         raise NetlistError(f"combinational cycle involving gates: {stuck}")
     return order
 
 
 def validate(nl: Netlist) -> None:
-    """Full structural check: connectivity, drivers, signal kinds, cycles."""
-    for net in nl.nets.values():
+    """Full structural check: connectivity, drivers, signal kinds, cycles.
+
+    One walk over every gate's ports checks them and collects the driver
+    map and the combinational gates that levelize orders.
+    """
+    nets = nl.nets
+    for net in nets.values():
         if net.radix is not None and net.radix < 2:
             raise NetlistError(f"net {net.nid}: radix {net.radix} is below 2")
+    drivers: dict[str, list[str]] = {nid: [] for nid in nets}
+    comb: list[CombGate] = []
     for g in nl.gates.values():
-        if g.kind in (GateType.NARY_INVERTER, GateType.NARY_DLATCH) and g.radix is None:
-            raise NetlistError(f"{g.gid}: {g.kind.value} needs a radix")
-        sigs = gate_ports(g)
-        names = {s.name for s in sigs}
-        if set(g.pins) != names:
-            missing = sorted(names - set(g.pins))
-            extra = sorted(set(g.pins) - names)
+        kind, pins = g.kind, g.pins
+        if kind in (GateType.NARY_INVERTER, GateType.NARY_DLATCH) and g.radix is None:
+            raise NetlistError(f"{g.gid}: {kind.value} needs a radix")
+        sigs, names = _signature(g)
+        if pins.keys() != names:
+            missing = sorted(names - set(pins))
+            extra = sorted(set(pins) - names)
             raise NetlistError(
                 f"{g.gid}: dangling or unknown ports (missing {missing}, extra {extra})"
             )
+        ins: list[str] = []
+        outs: list[str] = []
         for sig in sigs:
-            nid = g.pins[sig.name]
-            if nid not in nl.nets:
+            nid = pins[sig.name]
+            net = nets.get(nid)
+            if net is None:
                 raise NetlistError(f"{g.gid}.{sig.name}: unknown net {nid!r}")
-            net = nl.nets[nid]
-            if sig.radix is None and net.radix is not None:
-                raise NetlistError(
-                    f"{g.gid}.{sig.name}: binary port on radix-{net.radix} net {nid}"
-                )
-            if sig.radix == _ANY and net.radix is None:
-                raise NetlistError(f"{g.gid}.{sig.name}: radix-N port on binary net {nid}")
-            if sig.radix not in (None, _ANY) and net.radix != sig.radix:
+            if sig.radix is None:
+                if net.radix is not None:
+                    raise NetlistError(
+                        f"{g.gid}.{sig.name}: binary port on radix-{net.radix} net {nid}"
+                    )
+            elif sig.radix == _ANY:
+                if net.radix is None:
+                    raise NetlistError(
+                        f"{g.gid}.{sig.name}: radix-N port on binary net {nid}")
+            elif net.radix != sig.radix:
                 raise NetlistError(
                     f"{g.gid}.{sig.name}: radix-{sig.radix} port on net {nid} "
                     f"of radix {net.radix}"
                 )
-        if g.kind is GateType.SWITCH:
-            din, dout = nl.nets[g.pins["d"]], nl.nets[g.pins["y"]]
+            if sig.is_input:
+                ins.append(nid)
+            else:
+                outs.append(nid)
+                drivers[nid].append(g.gid)
+        if kind is GateType.SWITCH:
+            din, dout = nets[pins["d"]], nets[pins["y"]]
             if din.radix != dout.radix:
                 raise NetlistError(
                     f"{g.gid}: switch data radix {din.radix} != output radix {dout.radix}"
                 )
-        if g.kind is GateType.TLG:
-            n = nl.nets[g.pins["d"]].radix
+        elif kind is GateType.TLG:
+            n = nets[pins["d"]].radix
             if g.param is None or not -1 <= g.param <= n - 1:
                 raise NetlistError(
                     f"{g.gid}: threshold {g.param} outside -1..{n - 1} for radix {n}"
                 )
-        if g.kind is GateType.CONST:
+        elif kind is GateType.CONST:
             hi = 1 if g.radix is None else g.radix - 1
             if g.param is None or not 0 <= g.param <= hi:
                 raise NetlistError(f"{g.gid}: constant {g.param} out of range 0..{hi}")
+        if kind not in _NOT_COMB:
+            comb.append((g.gid, ins, outs))
 
-    drivers = _driver_map(nl)
     for nid, ds in drivers.items():
         if not ds:
             raise NetlistError(f"net {nid} has no driver")
@@ -279,7 +337,7 @@ def validate(nl: Netlist) -> None:
         if nl.gates[gid].kind is not GateType.OUTPUT:
             raise NetlistError(f"output list entry {gid} is not an output port")
     if nl.clock is not None:
-        if nl.clock not in nl.nets:
+        if nl.clock not in nets:
             raise NetlistError(f"clock net {nl.clock} does not exist")
         ds = drivers[nl.clock]
         if nl.gates[ds[0]].kind is not GateType.INPUT or ds[0] in nl.inputs:
@@ -290,7 +348,7 @@ def validate(nl: Netlist) -> None:
                 and g.pins["y"] != nl.clock):
             raise NetlistError(f"input port {g.gid} is neither listed nor the clock")
 
-    nl.eval_order()  # raises on combinational cycles
+    nl.eval_order(comb)  # raises on combinational cycles
 
 
 class NetlistBuilder:

@@ -53,7 +53,11 @@ class EquivalenceReport:
 
 
 def oracle_eval(tt: TruthTable, inputs: Sequence[int]) -> int:
-    """Pure table lookup; the ground truth for every combinational check."""
+    """Pure table lookup; the ground truth for every combinational check.
+
+    An alias of TruthTable.lookup, kept while perfbench/spans.py wraps it
+    by name.
+    """
     return tt.lookup(inputs)
 
 

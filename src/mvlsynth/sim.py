@@ -16,8 +16,10 @@ conducting switch drivers are a contention fault outright. A vector's
 result is the first fault it hits in evaluation order: contention when a
 switch net is resolved (just before its first reader, or at the end of the
 pass for nets nothing reads), floating at a net's first consume. Latches
-that never come to rest are an oscillation fault. Faults are never masked
-by default values.
+that never come to rest are an oscillation fault, and reading storage that
+was never set (a state latch not reset, a configuration latch not
+programmed) is an uninitialized-latch fault. Faults are never masked by
+default values.
 """
 
 from __future__ import annotations
@@ -247,6 +249,13 @@ def _record(first: dict[int, Fault], new: int, kind: FaultKind, ref: str,
         new ^= low
 
 
+def _uninitialized(state: SimState, gid: str) -> SimFaultError:
+    """Log that storage element gid was read before it held a value."""
+    fault = Fault(FaultKind.UNINITIALIZED_LATCH, gid)
+    state.faults.append(fault)
+    return SimFaultError(fault)
+
+
 def _run(prog: _Program, vectors: list, cols: list[tuple], state: SimState,
          clock_value: Optional[int]) -> tuple[list[int], dict[int, Fault]]:
     """One bit-parallel sweep; returns the slots and each faulted vector's
@@ -266,8 +275,11 @@ def _run(prog: _Program, vectors: list, cols: list[tuple], state: SimState,
         v[prog.clock[clock_value]] = full
     config = state.config.get
     for gid, s in prog.config:
-        if config(gid, 0):
+        bit = config(gid)
+        if bit:
             v[s] = full
+        elif bit is None:
+            raise _uninitialized(state, gid)
     latches = state.latches
     for gid, q, _ in prog.latches:
         v[q[latches[gid]]] = full
@@ -402,9 +414,7 @@ def _settle(nl: Netlist, prog: _Program, vector: tuple[int, ...],
     latches = state.latches
     for gid in nl.state_latches:
         if gid not in latches:
-            fault = Fault(FaultKind.UNINITIALIZED_LATCH, gid)
-            state.faults.append(fault)
-            raise SimFaultError(fault)
+            raise _uninitialized(state, gid)
     batch, cols = [vector], [(x,) for x in vector]
     for _ in range(len(prog.latches) + 2):
         v, first = _run(prog, batch, cols, state, clock_value)

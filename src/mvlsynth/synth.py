@@ -219,6 +219,8 @@ def synth_tables(tts: Sequence[TruthTable], strategy: Strategy,
     return b.finish()
 
 
+# synth_decoder_based and synth_mux_based are one-line wrappers over
+# synth_tables, kept while perfbench/spans.py wraps them by name.
 def synth_decoder_based(tt: TruthTable) -> Netlist:
     """Realize one table as decode, per-level OR groups, switched constants."""
     return synth_tables([tt], Strategy.DECODER)

@@ -10,7 +10,7 @@ import pytest
 import mvlsynth
 from mvlsynth import fileio
 from mvlsynth.cli import main
-from mvlsynth.tables import FsmSpec, TruthTable
+from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
 from mvlsynth.values import Radix
 
 SUM3 = TruthTable.make(3, 2, (0, 1, 2, 1, 2, 0, 2, 0, 1))
@@ -117,6 +117,20 @@ def test_sim_fabric_requires_bitstream(ws, capsys):
     capsys.readouterr()
     assert main(["sim", _p(ws, "sum.nl.json"), "1,2",
                  "--bitstream", _p(ws, "bits.json")]) == 2
+
+
+def test_sim_never_runs_a_partly_programmed_fabric(ws, capsys):
+    # a fabric runs only under a bitstream that sets every configuration
+    # latch, so the CLI never reaches an unprogrammed one
+    main(["fabric", "--radix", "3", "--arity", "2", "-o", _p(ws, "fab.json")])
+    fab = fileio.load_netlist(ws / "fab.json")
+    short = ConfigBitstream((1,) * (len(fab.latch_order) - 1),
+                            fileio.fingerprint(fab))
+    fileio.save_bitstream(ws / "short.json", short)
+    capsys.readouterr()
+    assert main(["sim", _p(ws, "fab.json"), "1,2",
+                 "--bitstream", _p(ws, "short.json")]) == 2
+    assert "bitstream has 26 bits" in capsys.readouterr().err
 
 
 def test_fsm_compile_and_step(ws, capsys):

@@ -3,10 +3,10 @@
 import pytest
 
 from mvlsynth.oracle import check_equivalence, reference_half_adder
-from mvlsynth.sim import (FaultKind, SimFaultError, SimState,
-                          eval_combinational, load_config)
-from mvlsynth.synth import (build_fabric_decoder, build_fabric_mux,
-                            derive_config, gate_stats)
+from mvlsynth.sim import (Fault, FaultKind, SimFaultError, SimState,
+                          eval_combinational, eval_vectors, load_config)
+from mvlsynth.synth import (Strategy, build_fabric_decoder, build_fabric_mux,
+                            derive_config, gate_stats, synth_tables)
 from mvlsynth.tables import ConfigBitstream, TruthTable
 
 SUM3 = (0, 1, 2, 1, 2, 0, 2, 0, 1)
@@ -84,11 +84,27 @@ def test_all_zero_bits_float_the_output():
     assert err.value.fault.kind is FaultKind.FLOATING_NET
 
 
-def test_unconfigured_fabric_floats():
-    # configuration latches power up at 0: nothing conducts
+def test_unconfigured_fabric_is_an_uninitialized_latch_fault():
+    # an unprogrammed configuration latch holds no value, not 0
+    nl = build_fabric_decoder(3, 2)
+    state = SimState()
     with pytest.raises(SimFaultError) as err:
-        eval_combinational(build_fabric_decoder(3, 2), [0, 0], SimState())
-    assert err.value.fault.kind is FaultKind.FLOATING_NET
+        eval_combinational(nl, [0, 0], state)
+    fault = err.value.fault
+    assert fault == Fault(FaultKind.UNINITIALIZED_LATCH, nl.latch_order[0])
+    assert state.faults == [fault]
+
+
+def test_first_unprogrammed_latch_in_latch_order_is_named():
+    nl = build_fabric_mux(3, 1)
+    state = load_config(nl, derive_config(TruthTable.make(3, 1, (2, 0, 1)), nl))
+    for gid in (nl.latch_order[5], nl.latch_order[2]):
+        del state.config[gid]
+    with pytest.raises(SimFaultError) as err:
+        eval_vectors(nl, [(0,), (1,)], state)
+    assert err.value.fault == Fault(FaultKind.UNINITIALIZED_LATCH,
+                                    nl.latch_order[2])
+    assert state.faults == [err.value.fault]
 
 
 def test_selection_block_one_hot_drives_constant():
@@ -116,8 +132,7 @@ def test_derive_config_dimension_checks():
 
 
 def test_derive_config_rejects_non_fabric():
-    from mvlsynth.synth import synth_decoder_based
-    plain = synth_decoder_based(TruthTable.make(3, 2, SUM3))
+    plain = synth_tables([TruthTable.make(3, 2, SUM3)], Strategy.DECODER)
     with pytest.raises(ValueError):
         derive_config(TruthTable.make(3, 2, SUM3), plain)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from mvlsynth.netlist import (Gate, GateType, Net, Netlist, NetlistBuilder,
-                              NetlistError, validate)
+                              NetlistError, gate_ports, validate)
 
 
 def _passthrough():
@@ -205,3 +205,34 @@ def test_validate_standalone_on_raw_netlist():
     nl.nets["w"] = Net("w", 4)
     with pytest.raises(NetlistError):
         validate(nl)
+
+
+def test_validate_rechecks_cycles_after_an_edit():
+    b = NetlistBuilder()
+    x = b.add_input("x", 3)
+    y0 = b.tlg("t0", x, 0)
+    inv = b.not_("n", y0)
+    b.add_output("y", b.and_("a", [inv, y0]))
+    nl = b.finish()
+    nl.gates["n"].pins["a"] = nl.gates["a"].pins["y"]  # n -> a -> n
+    with pytest.raises(NetlistError, match="combinational cycle"):
+        validate(nl)
+
+
+def test_port_signatures_are_shared():
+    wide = Gate("a", GateType.AND, {}, param=3)
+    assert gate_ports(wide) is gate_ports(Gate("b", GateType.AND, {}, param=3))
+    assert gate_ports(wide) is not gate_ports(Gate("c", GateType.AND, {}, param=2))
+    inv = gate_ports(Gate("i", GateType.NARY_INVERTER, {}, radix=3))
+    assert inv is gate_ports(Gate("j", GateType.NARY_INVERTER, {}, radix=3))
+    assert [s.radix for s in inv] == [3, 3]
+    with pytest.raises(AttributeError):
+        inv[0].radix = 4  # shared, so frozen
+
+
+def test_bad_signatures_raise_on_every_call():
+    for _ in range(2):
+        with pytest.raises(NetlistError, match="fan-in must be >= 1"):
+            gate_ports(Gate("a", GateType.OR, {}, param=0))
+        with pytest.raises(NetlistError, match="unknown gate kind"):
+            gate_ports(Gate("g", "bogus", {}))

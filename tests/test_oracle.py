@@ -9,8 +9,7 @@ from mvlsynth.oracle import (DEFAULT_CAP, EquivalenceReport, Mismatch,
                              oracle_eval, random_table, reference_half_adder)
 from mvlsynth.sim import Fault, SimState, eval_vectors, load_config
 from mvlsynth.synth import (Strategy, build_fabric_decoder, build_nary_dff,
-                            compile_fsm, derive_config, synth_decoder_based,
-                            synth_mux_based, synth_tables)
+                            compile_fsm, derive_config, synth_tables)
 from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
 from mvlsynth.values import Radix, tt_digits, tt_index
 
@@ -37,7 +36,7 @@ def test_reference_half_adder_tables():
 
 
 def test_exhaustive_pass_summary():
-    report = check_equivalence(synth_decoder_based(SUM3), SUM3)
+    report = check_equivalence(synth_tables([SUM3], Strategy.DECODER), SUM3)
     assert report.passed
     assert report.exhaustive
     assert report.total_vectors == 9
@@ -46,7 +45,7 @@ def test_exhaustive_pass_summary():
 
 
 def test_failing_summary_and_mismatch_order():
-    report = check_equivalence(synth_decoder_based(SUM3), CARRY3)
+    report = check_equivalence(synth_tables([SUM3], Strategy.DECODER), CARRY3)
     assert not report.passed
     assert "FAIL" in report.summary()
     keys = [m.inputs for m in report.mismatches]
@@ -59,7 +58,7 @@ def test_failing_summary_and_mismatch_order():
 def test_sampling_kicks_in_above_cap():
     assert DEFAULT_CAP == 6561
     tt = random_table(2, 8, random.Random(1))        # 256 rows
-    nl = synth_mux_based(tt, tree=False)
+    nl = synth_tables([tt], Strategy.MUX_FLAT)
     exact = check_equivalence(nl, tt)
     assert exact.exhaustive and exact.total_vectors == 256
     sampled = check_equivalence(nl, tt, cap=100, seed=7)
@@ -78,7 +77,7 @@ def test_config_argument_matches_latches():
     assert check_equivalence(fabric, SUM3, config=bits).passed
     with pytest.raises(ValueError):
         check_equivalence(fabric, SUM3)              # latches but no config
-    plain = synth_decoder_based(SUM3)
+    plain = synth_tables([SUM3], Strategy.DECODER)
     with pytest.raises(ValueError):
         check_equivalence(plain, SUM3, config=bits)  # config but no latches
 
@@ -102,9 +101,9 @@ def _report_by_lookup(nl, tt, config, cap, seed):
         vectors = [tuple(rng.randrange(n) for _ in range(tt.arity))
                    for _ in range(cap)]
     results = eval_vectors(nl, vectors, load_config(nl, config, SimState()))
-    mismatches = [Mismatch(vec, (oracle_eval(tt, vec),), got)
+    mismatches = [Mismatch(vec, (tt.lookup(vec),), got)
                   for vec, got in zip(vectors, results)
-                  if got != (oracle_eval(tt, vec),)]
+                  if got != (tt.lookup(vec),)]
     mismatches.sort(key=lambda mm: tt_index(mm.inputs, tt.radix))
     return EquivalenceReport(len(vectors), tuple(mismatches), space <= cap,
                              None if space <= cap else seed)
@@ -136,7 +135,7 @@ def test_rejects_unsuitable_netlists():
     with pytest.raises(ValueError):
         check_equivalence(two_out, SUM3)
     with pytest.raises(ValueError):
-        check_equivalence(synth_decoder_based(SUM3),
+        check_equivalence(synth_tables([SUM3], Strategy.DECODER),
                           TruthTable.make(4, 2, (0,) * 16))
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from mvlsynth.netlist import GateType, NetlistBuilder
+from mvlsynth.netlist import GateType, NetlistBuilder, validate
 from mvlsynth.oracle import reference_half_adder
 from mvlsynth.sim import (Fault, FaultKind, SimFaultError, SimState,
                           eval_combinational, eval_vectors, load_config,
@@ -193,3 +193,14 @@ def test_binary_flip_flop_matches_reference():
         else:
             qs = qm
         assert out == (qs,), (d, g)
+
+
+def test_validate_after_an_edit_drops_the_compiled_program():
+    b = NetlistBuilder()
+    x = b.add_input("x", None)
+    b.add_output("y", b.not_("n", x))
+    nl = b.finish()
+    assert eval_vectors(nl, [(0,), (1,)]) == [(1,), (0,)]
+    nl.gates["y"].pins["a"] = x
+    validate(nl)
+    assert eval_vectors(nl, [(0,), (1,)]) == [(0,), (1,)]
