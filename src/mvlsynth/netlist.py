@@ -48,17 +48,15 @@ class Gate:
     def fan_in(self) -> int:
         if self.kind not in (GateType.AND, GateType.OR):
             raise NetlistError(f"{self.gid}: fan_in undefined for {self.kind.value}")
-        return int(self.param)
+        if not isinstance(self.param, int):
+            raise NetlistError(f"{self.gid}: fan-in {self.param!r} is not an integer")
+        return self.param
 
 
 @dataclass
 class Net:
     nid: str
     radix: Optional[int]            # None = binary
-
-    @property
-    def is_binary(self) -> bool:
-        return self.radix is None
 
 
 @dataclass(frozen=True)
@@ -149,8 +147,9 @@ class Netlist:
     state_groups: list[tuple[str, ...]]  # latches sharing one reset digit
     clock: Optional[str] = None     # net driven by the sequential stepper
     fabric_kind: Optional[str] = None    # "decoder" | "mux" for fabrics
-    _order: list[str] = field(default_factory=list, repr=False)
-    # the simulator's compiled program, built on first simulation
+    # the levelized order stored by a passing validate, and the simulator's
+    # program compiled from it on first simulation; validate clears both
+    _order: Optional[list[str]] = field(default=None, repr=False, compare=False)
     _program: Optional[object] = field(default=None, repr=False, compare=False)
 
     def net_of_input(self, gid: str) -> str:
@@ -162,32 +161,15 @@ class Netlist:
     def input_radixes(self) -> list[Optional[int]]:
         return [self.gates[g].radix for g in self.inputs]
 
-    def output_radixes(self) -> list[Optional[int]]:
-        return [self.gates[g].radix for g in self.outputs]
+    def eval_order(self) -> list[str]:
+        """Topological order of the combinational core, as validate stored it.
 
-    def eval_order(self, comb: Optional[list[CombGate]] = None) -> list[str]:
-        """Topological order of the combinational core (cached).
-
-        validate passes the combinational gates its port walk collected,
-        and the order is rebuilt from them (dropping the program compiled
-        from the old one); otherwise it is built once from the gates' ports.
+        A netlist with no stored order (never validated, or its last
+        validate failed) is validated first.
         """
-        if comb is None:
-            if self._order:
-                return self._order
-            comb = [_comb_gate(g) for g in self.gates.values()
-                    if g.kind not in _NOT_COMB]
-        self._program = None
-        self._order[:] = _levelize(self.nets, comb)
+        if self._order is None:
+            validate(self)
         return self._order
-
-
-def _comb_gate(g: Gate) -> CombGate:
-    ins: list[str] = []
-    outs: list[str] = []
-    for sig in gate_ports(g):
-        (ins if sig.is_input else outs).append(g.pins[sig.name])
-    return g.gid, ins, outs
 
 
 def _driver_map(nl: Netlist) -> dict[str, list[str]]:
@@ -249,8 +231,11 @@ def validate(nl: Netlist) -> None:
     """Full structural check: connectivity, drivers, signal kinds, cycles.
 
     One walk over every gate's ports checks them and collects the driver
-    map and the combinational gates that levelize orders.
+    map and the combinational gates that levelize orders. The netlist's
+    stored order and compiled program are dropped on entry, and the new
+    order is stored only if every check passes.
     """
+    nl._order = nl._program = None
     nets = nl.nets
     for net in nets.values():
         if net.radix is not None and net.radix < 2:
@@ -348,7 +333,7 @@ def validate(nl: Netlist) -> None:
                 and g.pins["y"] != nl.clock):
             raise NetlistError(f"input port {g.gid} is neither listed nor the clock")
 
-    nl.eval_order(comb)  # raises on combinational cycles
+    nl._order = _levelize(nets, comb)  # raises on combinational cycles
 
 
 class NetlistBuilder:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .netlist import GateType, Netlist, NetlistBuilder
 from .tables import ConfigBitstream, FsmSpec, TruthTable
@@ -148,16 +148,11 @@ def _function_inputs(b: NetlistBuilder, n: int, m: int) -> list[str]:
 
 def build_decoder_1(radix: RadixLike) -> Netlist:
     """One radix-N input x to N one-hot binary outputs b_0..b_{N-1}."""
-    n = as_radix(radix).n
-    b = NetlistBuilder()
-    x = b.add_input("x", n)
-    for k, net in enumerate(_emit_decoder_1(b, "dec/", x, n)):
-        b.add_output(f"b{k}", net)
-    return b.finish()
+    return build_decoder_m(radix, 1)
 
 
 def build_decoder_m(radix: RadixLike, m: int) -> Netlist:
-    """m radix-N inputs (MS-first) to N^m one-hot outputs; m=1 is build_decoder_1."""
+    """m radix-N inputs (MS-first) to N^m one-hot outputs b_0..b_{N^m-1}."""
     n = as_radix(radix).n
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -192,13 +187,12 @@ def build_mux_m(radix: RadixLike, m: int, tree: bool = True) -> Netlist:
     return b.finish()
 
 
-def synth_tables(tts: Sequence[TruthTable], strategy: Strategy,
-                 share_decoder: bool = True) -> Netlist:
+def synth_tables(tts: Sequence[TruthTable], strategy: Strategy) -> Netlist:
     """Multi-output synthesis over a common input tuple.
 
     All tables must agree on radix and arity. With the decoder strategy the
-    one-hot stage is built once and shared across outputs (share_decoder
-    turns that off). Output ports are y0..y{T-1}, or just y for one table.
+    one-hot stage is built once and shared across outputs. Output ports are
+    y0..y{T-1}, or just y for one table.
     """
     if not tts:
         raise ValueError("need at least one table")
@@ -210,7 +204,7 @@ def synth_tables(tts: Sequence[TruthTable], strategy: Strategy,
     b = NetlistBuilder()
     ins = _function_inputs(b, n, first.arity)
     shared = None
-    if strategy is Strategy.DECODER and share_decoder and len(tts) > 1:
+    if strategy is Strategy.DECODER and len(tts) > 1:
         shared = _emit_decoder_m(b, "dec/", ins, n)
     for t, tt in enumerate(tts):
         prefix = "" if len(tts) == 1 else f"f{t}/"
@@ -279,27 +273,23 @@ def build_fabric_mux(radix: RadixLike, m: int, tree: bool = True) -> Netlist:
     return b.finish()
 
 
-def derive_config(tt: TruthTable, fabric: Union[Netlist, str]) -> ConfigBitstream:
+def derive_config(tt: TruthTable, fabric: Netlist) -> ConfigBitstream:
     """Bits programming a fabric to compute tt, aligned to its latch_order.
 
     Decoder fabric: level k's latch for line i is 1 iff tt maps row i to k.
     Mux fabric: input k's latch for level v is 1 iff tt's row k equals v.
-    Accepts the fabric netlist (dimensions are checked) or just its kind.
+    The fabric's latch count and inputs must match the table.
     """
     n = tt.radix.n
     rows = n**tt.arity
-    if isinstance(fabric, str):
-        kind = fabric
-    else:
-        kind = fabric.fabric_kind
-        if kind is None:
-            raise ValueError("netlist is not a reconfigurable fabric")
-        if len(fabric.latch_order) != n * rows:
-            raise ValueError(
-                f"table needs {n * rows} latches; fabric has "
-                f"{len(fabric.latch_order)}")
-        if fabric.input_radixes() != [n] * tt.arity:
-            raise ValueError("table radix/arity do not match fabric inputs")
+    kind = fabric.fabric_kind
+    if kind is None:
+        raise ValueError("netlist is not a reconfigurable fabric")
+    if len(fabric.latch_order) != n * rows:
+        raise ValueError(
+            f"table needs {n * rows} latches; fabric has {len(fabric.latch_order)}")
+    if fabric.input_radixes() != [n] * tt.arity:
+        raise ValueError("table radix/arity do not match fabric inputs")
     if kind == "decoder":
         bits = [1 if tt.entries[i] == k else 0
                 for k in range(n) for i in range(rows)]
@@ -436,16 +426,9 @@ class GateStats:
     output_count: int = 0
 
     def lines(self) -> list[str]:
-        pairs = [
-            ("tlg", self.tlg_count), ("and", self.and_count),
-            ("or", self.or_count), ("not", self.not_count),
-            ("switch", self.switch_count),
-            ("nary_inverter", self.nary_inverter_count),
-            ("config_latch", self.latch_count),
-            ("nary_dlatch", self.dlatch_count), ("const", self.const_count),
-            ("input", self.input_count), ("output", self.output_count),
-        ]
-        return [f"{name:<14} {count}" for name, count in pairs]
+        """One "kind count" line per gate kind, named by its file-format name."""
+        return [f"{kind.value:<14} {getattr(self, name)}"
+                for kind, name in _STAT_FIELDS.items()]
 
 
 _STAT_FIELDS = {

@@ -16,9 +16,6 @@ class Radix:
         if not isinstance(self.n, int) or self.n < 2:
             raise ValueError(f"radix must be an integer >= 2, got {self.n!r}")
 
-    def levels(self) -> range:
-        return range(self.n)
-
 
 RadixLike = Union[Radix, int]
 
@@ -46,23 +43,17 @@ def nary_invert(v: MvValue) -> MvValue:
     return MvValue(v.radix.n - 1 - v.value, v.radix)
 
 
-def tt_index(digits: Sequence[Union[int, MvValue]], radix: RadixLike) -> int:
+def tt_index(digits: Sequence[int], radix: RadixLike) -> int:
     """Positional index of a digit tuple, most-significant digit first.
 
     digits = (x_{M-1}, ..., x_0) maps to sum of N^j * x_j, the row number
-    used throughout for truth tables and decoder outputs. MvValue digits
-    must all carry the given radix.
+    used throughout for truth tables and decoder outputs.
     """
-    r = as_radix(radix)
-    n = r.n
+    n = as_radix(radix).n
     if not digits:
         raise ValueError("digit tuple must be nonempty")
     k = 0
     for d in digits:
-        if isinstance(d, MvValue):
-            if d.radix != r:
-                raise ValueError(f"mixed radices: {d.radix.n} vs {n}")
-            d = d.value
         if not 0 <= d < n:
             raise ValueError(f"digit {d} out of range for radix {n}")
         k = k * n + d

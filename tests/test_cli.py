@@ -197,6 +197,17 @@ def test_mistyped_netlist_field_exits_2(ws, capsys):
     assert "field 'clock'" in capsys.readouterr().err
 
 
+def test_gate_without_fan_in_exits_2(ws, capsys):
+    main(["synth", _p(ws, "sum.json"), "-o", _p(ws, "sum.nl.json")])
+    capsys.readouterr()
+    doc = json.loads((ws / "sum.nl.json").read_text())
+    gate = next(g for g in doc["gates"] if g["gate"] == "and")
+    gate["param"] = None
+    (ws / "bad.nl.json").write_text(json.dumps(doc))
+    assert main(["stats", _p(ws, "bad.nl.json")]) == 2
+    assert f"{gate['id']}: fan-in None is not an integer" in capsys.readouterr().err
+
+
 def test_python_dash_m_runs_the_cli():
     src = os.path.dirname(os.path.dirname(os.path.abspath(mvlsynth.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

@@ -90,6 +90,8 @@ def test_decode_matches_positional_index_closed_form(n, m):
 def test_single_digit_multi_decoder_is_the_plain_decoder():
     assert netlist_to_text(build_decoder_m(3, 1)) == \
         netlist_to_text(build_decoder_1(3))
+    for n in range(2, 6):
+        assert build_decoder_1(n) == build_decoder_m(n, 1)
 
 
 def test_multi_decoder_structure_counts():

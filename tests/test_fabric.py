@@ -34,7 +34,7 @@ def test_mux_fabric_latch_addressing():
 
 
 def test_decoder_fabric_bits_for_digit_sum():
-    bits = derive_config(TruthTable.make(3, 2, SUM3), "decoder")
+    bits = derive_config(TruthTable.make(3, 2, SUM3), build_fabric_decoder(3, 2))
     rows = [bits.bits[k * 9:(k + 1) * 9] for k in range(3)]
     assert rows[0] == (1, 0, 0, 0, 0, 1, 0, 1, 0)   # level 0 at rows 0, 5, 7
     assert rows[1] == (0, 1, 0, 1, 0, 0, 0, 0, 1)   # level 1 at rows 1, 3, 8
@@ -45,7 +45,7 @@ def test_decoder_fabric_bits_for_digit_sum():
 
 
 def test_mux_fabric_bits_for_digit_sum():
-    bits = derive_config(TruthTable.make(3, 2, SUM3), "mux")
+    bits = derive_config(TruthTable.make(3, 2, SUM3), build_fabric_mux(3, 2))
     blocks = [bits.bits[k * 3:(k + 1) * 3] for k in range(9)]
     assert blocks[5] == (1, 0, 0)                    # row 5 selects level 0
     for k, block in enumerate(blocks):
@@ -54,7 +54,7 @@ def test_mux_fabric_bits_for_digit_sum():
 
 
 def test_mux_fabric_bits_for_constant_two():
-    bits = derive_config(TruthTable.make(3, 2, (2,) * 9), "mux")
+    bits = derive_config(TruthTable.make(3, 2, (2,) * 9), build_fabric_mux(3, 2))
     assert bits.bits == (0, 0, 1) * 9
 
 
@@ -122,8 +122,9 @@ def test_derive_config_dimension_checks():
         derive_config(TruthTable.make(4, 2, (0,) * 16), fab)
     with pytest.raises(ValueError):
         derive_config(TruthTable.make(3, 1, (0, 1, 2)), fab)
-    with pytest.raises(ValueError):
-        derive_config(TruthTable.make(3, 2, SUM3), "neither")
+    fab.fabric_kind = "neither"
+    with pytest.raises(ValueError, match="unknown fabric kind 'neither'"):
+        derive_config(TruthTable.make(3, 2, SUM3), fab)
     # same latch count but wrong shape: radix-4 arity-1 vs radix-2 arity-3
     fab2 = build_fabric_mux(2, 3)
     assert len(fab2.latch_order) == 16

@@ -10,7 +10,7 @@ from mvlsynth.fileio import (FileFormatError, bitstream_from_text,
                              bitstream_to_text, export_dot, fingerprint,
                              fsm_from_text, fsm_to_text, netlist_from_text,
                              netlist_to_text, table_from_text, table_to_text)
-from mvlsynth.netlist import NetlistBuilder
+from mvlsynth.netlist import Gate, GateType, Net, Netlist, NetlistBuilder
 from mvlsynth.synth import (Strategy, build_decoder_1, build_fabric_decoder,
                             build_fabric_mux, compile_fsm, derive_config,
                             synth_tables)
@@ -174,6 +174,10 @@ def _drop_input(doc):
     doc["inputs"].remove("i0")
 
 
+def _null_fan_in(doc):
+    next(g for g in doc["gates"] if g["gate"] == "and")["param"] = None
+
+
 @pytest.mark.parametrize("doc, edit, message", [
     (_inverter_doc, _binary_inverter, "nary_inverter needs a radix"),
     (_inverter_doc, lambda doc: doc["nets"][0].__setitem__("radix", 1),
@@ -184,14 +188,29 @@ def _drop_input(doc):
      _set_top("clock", "i0"), "not driven by a dedicated input"),
     (lambda: json.loads(netlist_to_text(compile_fsm(MOORE, Strategy.DECODER))),
      _drop_input, "input port i0 is neither listed nor the clock"),
+    (lambda: json.loads(netlist_to_text(build_decoder_1(3))),
+     _null_fan_in, "dec/and1: fan-in None is not an integer"),
 ], ids=["binary-inverter", "radix-1-net", "clock-on-const",
-        "clock-on-listed-input", "unlisted-input"])
+        "clock-on-listed-input", "unlisted-input", "null-fan-in"])
 def test_netlist_structure_the_simulator_relies_on(doc, edit, message):
     doc = doc()
     netlist_from_text(json.dumps(doc))
     edit(doc)
     with pytest.raises(FileFormatError, match=f"invalid netlist.*{message}"):
         netlist_from_text(json.dumps(doc))
+
+
+def test_loaded_netlist_equals_its_unvalidated_source():
+    raw = Netlist(
+        gates={"x": Gate("x", GateType.INPUT, {"y": "x"}, radix=3),
+               "t": Gate("t", GateType.TLG, {"d": "x", "y": "w"}, param=1),
+               "y": Gate("y", GateType.OUTPUT, {"a": "w"})},
+        nets={"x": Net("x", 3), "w": Net("w", None)},
+        inputs=["x"], outputs=["y"], latch_order=[], state_latches=[],
+        state_groups=[])
+    loaded = netlist_from_text(netlist_to_text(raw))
+    assert loaded.eval_order() == ["t"]   # loading validates, so levelizes
+    assert loaded == raw
 
 
 def test_fsm_document_checks():

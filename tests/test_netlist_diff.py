@@ -84,7 +84,7 @@ def test_builder_netlists_keep_their_eval_order(family):
     for nl in FAMILIES[family]():
         want = ref._levelize(nl)
         assert nl.eval_order() == want
-        assert _copy(nl).eval_order() == want   # without validate
+        assert _copy(nl).eval_order() == want   # validated on first use
         again = _copy(nl)
         validate(again)
         assert again._order == want

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from mvlsynth.netlist import GateType, NetlistBuilder, validate
+from mvlsynth.netlist import (Gate, GateType, Net, Netlist, NetlistBuilder,
+                              NetlistError, validate)
 from mvlsynth.oracle import reference_half_adder
 from mvlsynth.sim import (Fault, FaultKind, SimFaultError, SimState,
                           eval_combinational, eval_vectors, load_config,
@@ -204,3 +205,33 @@ def test_validate_after_an_edit_drops_the_compiled_program():
     nl.gates["y"].pins["a"] = x
     validate(nl)
     assert eval_vectors(nl, [(0,), (1,)]) == [(0,), (1,)]
+
+
+def test_a_netlist_that_never_passed_validate_is_validated_first():
+    nl = Netlist(
+        gates={"x": Gate("x", GateType.INPUT, {"y": "x"}),
+               "z": Gate("z", GateType.INPUT, {"y": "z"}),   # not in inputs
+               "a": Gate("a", GateType.AND, {"a0": "x", "a1": "z", "y": "w"},
+                         param=2),
+               "y": Gate("y", GateType.OUTPUT, {"a": "w"})},
+        nets={nid: Net(nid, None) for nid in ("x", "z", "w")},
+        inputs=["x"], outputs=["y"], latch_order=[], state_latches=[],
+        state_groups=[])
+    with pytest.raises(NetlistError, match="input port z is neither listed"):
+        eval_vectors(nl, [(1,)])
+
+
+def test_a_failed_revalidation_is_never_simulated():
+    b = NetlistBuilder()
+    x = b.add_input("x", 3)
+    y0 = b.tlg("t0", x, 0)
+    inv = b.not_("n", y0)
+    b.add_output("y", b.and_("a", [inv, y0]))
+    nl = b.finish()
+    assert eval_vectors(nl, [(0,), (2,)]) == [(0,), (0,)]
+    nl.gates["n"].pins["a"] = nl.gates["a"].pins["y"]  # n -> a -> n
+    with pytest.raises(NetlistError, match="combinational cycle"):
+        validate(nl)
+    with pytest.raises(NetlistError,
+                       match=r"combinational cycle involving gates: \['a', 'n'\]"):
+        eval_vectors(nl, [(0,)])

@@ -44,14 +44,11 @@ def test_tt_index_golden_rows():
     assert tt_index([1, 0, 1], 2) == 5
 
 
-def test_tt_index_accepts_wrapped_values():
-    assert tt_index(mv_tuple([1, 2], 3), Radix(3)) == 5
-
-
-def test_tt_index_mixed_radices_rejected():
-    digits = (MvValue(1, Radix(3)), MvValue(1, Radix(4)))
+def test_mv_tuple_wraps_digits_in_range():
+    assert mv_tuple([1, 2], 3) == (MvValue(1, Radix(3)), MvValue(2, Radix(3)))
+    assert mv_tuple([], Radix(4)) == ()
     with pytest.raises(ValueError):
-        tt_index(digits, 3)
+        mv_tuple([1, 3], 3)
 
 
 def test_tt_index_rejects_out_of_range_digit():
