@@ -68,8 +68,6 @@ def _cmd_fabric(args) -> int:
 def _cmd_configure(args) -> int:
     nl = fileio.load_netlist(args.fabric)
     tt, _name = fileio.load_table(args.table)
-    if nl.fabric_kind is None or not nl.latch_order:
-        raise ValueError("netlist is not a reconfigurable fabric")
     bits = derive_config(tt, nl)
     bits = ConfigBitstream(bits.bits, fileio.fingerprint(nl))
     fileio.save_bitstream(args.output, bits)

@@ -330,8 +330,6 @@ def _dot_label(g: Gate) -> str:
         return "NOT"
     if k is GateType.SWITCH:
         return "SW"
-    if k is GateType.NARY_INVERTER:
-        return f"INV N={g.radix}"
     if k is GateType.CONFIG_LATCH:
         return "CFG"
     if k is GateType.NARY_DLATCH:

@@ -24,7 +24,6 @@ class GateType(enum.Enum):
     OR = "or"
     NOT = "not"
     SWITCH = "switch"              # conducts data to output iff control = 1
-    NARY_INVERTER = "nary_inverter"
     CONFIG_LATCH = "config_latch"  # binary storage programmed by a bitstream
     NARY_DLATCH = "nary_dlatch"    # radix-N storage, next value on pin d
     CONST = "const"
@@ -111,8 +110,6 @@ def _build_ports(g: Gate) -> list[PortSig]:
             PortSig("c", True, None),
             PortSig("y", False, _ANY),
         ]
-    if k is GateType.NARY_INVERTER:
-        return [PortSig("d", True, g.radix), PortSig("y", False, g.radix)]
     if k is GateType.CONFIG_LATCH:
         return [PortSig("q", False, None)]
     if k is GateType.NARY_DLATCH:
@@ -244,7 +241,7 @@ def validate(nl: Netlist) -> None:
     comb: list[CombGate] = []
     for g in nl.gates.values():
         kind, pins = g.kind, g.pins
-        if kind in (GateType.NARY_INVERTER, GateType.NARY_DLATCH) and g.radix is None:
+        if kind is GateType.NARY_DLATCH and g.radix is None:
             raise NetlistError(f"{g.gid}: {kind.value} needs a radix")
         sigs, names = _signature(g)
         if pins.keys() != names:
@@ -418,11 +415,6 @@ class NetlistBuilder:
 
     def switch(self, gid: str, d: str, c: str, y: str) -> None:
         self.add_gate(gid, GateType.SWITCH, {"d": d, "c": c, "y": y})
-
-    def nary_inverter(self, gid: str, d: str, radix: int) -> str:
-        y = self.net(radix)
-        self.add_gate(gid, GateType.NARY_INVERTER, {"d": d, "y": y}, radix=radix)
-        return y
 
     def const(self, value: int, radix: Optional[int]) -> str:
         """Constant driver, deduplicated per (value, radix)."""

@@ -128,8 +128,8 @@ def _lower(nl: Netlist) -> tuple[_Program, dict[str, tuple[int, ...]]]:
     """Assign slots and emit the op list; also returns each net's planes.
 
     A net's planes are the slots of its levels, index = level; a binary
-    net is (_SINK, slot). Constants, single-plane comparators and n-ary
-    inverters emit no op: their planes alias existing slots.
+    net is (_SINK, slot). Constants and single-plane comparators emit no
+    op: their planes alias existing slots.
     """
     gates, nets = nl.gates, nl.nets
     order = [gates[gid] for gid in nl.eval_order()]
@@ -199,8 +199,6 @@ def _lower(nl: Netlist) -> tuple[_Program, dict[str, tuple[int, ...]]]:
             ins = tuple(planes[pins[f"a{i}"]][1] for i in range(g.param))
             y = fresh(pins["y"])[1]
             ops.append((_AND if kind is GateType.AND else _OR, y, ins[0], ins[1:]))
-        elif kind is GateType.NARY_INVERTER:
-            planes[pins["y"]] = read(pins["d"], True)[::-1]
         elif kind is GateType.SWITCH:
             d = read(pins["d"], False)
             y = planes[pins["y"]]

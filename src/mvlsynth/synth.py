@@ -75,16 +75,6 @@ def _emit_decoder_m(b: NetlistBuilder, prefix: str, xs: Sequence[str],
     return outs
 
 
-def _emit_mux_1(b: NetlistBuilder, prefix: str, data: Sequence[str],
-                sel: str, n: int) -> str:
-    """n-way selector: decode sel, switch data[v] onto one shared output."""
-    ctl = _emit_decoder_1(b, f"{prefix}dec/", sel, n)
-    y = b.net(n)
-    for v in range(n):
-        b.switch(f"{prefix}sw{v}", data[v], ctl[v], y)
-    return y
-
-
 def _emit_mux_m(b: NetlistBuilder, prefix: str, data: Sequence[str],
                 sels: Sequence[str], n: int, tree: bool) -> str:
     """n^m-way selector over data nets indexed 0..n^m-1 (selects MS-first).
@@ -99,7 +89,8 @@ def _emit_mux_m(b: NetlistBuilder, prefix: str, data: Sequence[str],
         for j in range(m):
             s = sels[m - 1 - j]  # stage j consumes digit of weight j
             layer = [
-                _emit_mux_1(b, f"{prefix}s{j}m{q}/", layer[q * n:(q + 1) * n], s, n)
+                _emit_mux_m(b, f"{prefix}s{j}m{q}/", layer[q * n:(q + 1) * n],
+                            [s], n, tree=False)
                 for q in range(len(layer) // n)
             ]
         return layer[0]
@@ -170,7 +161,7 @@ def build_mux_1(radix: RadixLike) -> Netlist:
     data = [b.add_input(f"i{k}", n) for k in range(n - 1, -1, -1)]
     data.reverse()  # i_0 .. i_{n-1}, ports declared MS-first
     s = b.add_input("s", n)
-    b.add_output("y", _emit_mux_1(b, "", data, s, n))
+    b.add_output("y", _emit_mux_m(b, "", data, [s], n, tree=False))
     return b.finish()
 
 
@@ -418,7 +409,6 @@ class GateStats:
     or_count: int = 0
     not_count: int = 0
     switch_count: int = 0
-    nary_inverter_count: int = 0
     latch_count: int = 0        # configuration bits
     dlatch_count: int = 0       # radix-N storage
     const_count: int = 0
@@ -437,7 +427,6 @@ _STAT_FIELDS = {
     GateType.OR: "or_count",
     GateType.NOT: "not_count",
     GateType.SWITCH: "switch_count",
-    GateType.NARY_INVERTER: "nary_inverter_count",
     GateType.CONFIG_LATCH: "latch_count",
     GateType.NARY_DLATCH: "dlatch_count",
     GateType.CONST: "const_count",

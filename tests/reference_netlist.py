@@ -45,8 +45,6 @@ def gate_ports(g: Gate) -> list[PortSig]:
             PortSig("c", True, None),
             PortSig("y", False, _ANY),
         ]
-    if k is GateType.NARY_INVERTER:
-        return [PortSig("d", True, g.radix), PortSig("y", False, g.radix)]
     if k is GateType.CONFIG_LATCH:
         return [PortSig("q", False, None)]
     if k is GateType.NARY_DLATCH:
@@ -130,7 +128,7 @@ def validate(nl: Netlist) -> None:
         if net.radix is not None and net.radix < 2:
             raise NetlistError(f"net {net.nid}: radix {net.radix} is below 2")
     for g in nl.gates.values():
-        if g.kind in (GateType.NARY_INVERTER, GateType.NARY_DLATCH) and g.radix is None:
+        if g.kind is GateType.NARY_DLATCH and g.radix is None:
             raise NetlistError(f"{g.gid}: {g.kind.value} needs a radix")
         sigs = gate_ports(g)
         names = {s.name for s in sigs}

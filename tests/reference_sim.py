@@ -134,11 +134,6 @@ class _Pass:
                     else:
                         out.append(1 if any(v == 1 for v in row) else 0)
                 self.values[g.pins["y"]] = out
-            elif kind is GateType.NARY_INVERTER:
-                top = g.radix - 1
-                xs = self.consume(g.pins["d"])
-                self.values[g.pins["y"]] = [
-                    top - v if isinstance(v, int) else v for v in xs]
             elif kind is GateType.SWITCH:
                 cs = self.consume(g.pins["c"])
                 ds = self.net_values(g.pins["d"])  # floating data may pass

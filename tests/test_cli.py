@@ -89,6 +89,15 @@ def test_configure_shape_mismatch(ws, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_configure_rejects_a_netlist_that_is_not_a_fabric(ws, capsys):
+    main(["synth", _p(ws, "sum.json"), "-o", _p(ws, "sum.nl.json")])
+    capsys.readouterr()
+    assert main(["configure", _p(ws, "sum.nl.json"), _p(ws, "sum.json"),
+                 "-o", _p(ws, "bits.json")]) == 2
+    assert "netlist is not a reconfigurable fabric" in capsys.readouterr().err
+    assert not (ws / "bits.json").exists()
+
+
 def test_sim_combinational(ws, capsys):
     main(["synth", _p(ws, "sum.json"), "-o", _p(ws, "sum.nl.json")])
     capsys.readouterr()
@@ -167,7 +176,7 @@ def test_stats_and_export_dot(ws, capsys, tmp_path):
     capsys.readouterr()
     assert main(["stats", _p(ws, "sum.nl.json")]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 11
+    assert len(out) == 10
     assert any(line.startswith("switch") for line in out)
     assert main(["export-dot", _p(ws, "sum.nl.json")]) == 0
     assert capsys.readouterr().out.startswith("digraph")
@@ -206,6 +215,18 @@ def test_gate_without_fan_in_exits_2(ws, capsys):
     (ws / "bad.nl.json").write_text(json.dumps(doc))
     assert main(["stats", _p(ws, "bad.nl.json")]) == 2
     assert f"{gate['id']}: fan-in None is not an integer" in capsys.readouterr().err
+
+
+def test_unknown_gate_kind_exits_2(ws, capsys):
+    main(["synth", _p(ws, "sum.json"), "-o", _p(ws, "sum.nl.json")])
+    capsys.readouterr()
+    doc = json.loads((ws / "sum.nl.json").read_text())
+    i = next(i for i, g in enumerate(doc["gates"]) if g["gate"] == "tlg")
+    doc["gates"][i]["gate"] = "nary_inverter"
+    (ws / "bad.nl.json").write_text(json.dumps(doc))
+    assert main(["stats", _p(ws, "bad.nl.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"field 'gates[{i}].gate': unknown kind 'nary_inverter'" in err
 
 
 def test_python_dash_m_runs_the_cli():

@@ -12,8 +12,8 @@ from mvlsynth.fileio import (FileFormatError, bitstream_from_text,
                              netlist_to_text, table_from_text, table_to_text)
 from mvlsynth.netlist import Gate, GateType, Net, Netlist, NetlistBuilder
 from mvlsynth.synth import (Strategy, build_decoder_1, build_fabric_decoder,
-                            build_fabric_mux, compile_fsm, derive_config,
-                            synth_tables)
+                            build_fabric_mux, build_nary_dlatch, compile_fsm,
+                            derive_config, synth_tables)
 from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
 from mvlsynth.values import Radix
 
@@ -151,6 +151,7 @@ def _set_top(key, value):
     (_set_top("clock", 7), "clock"),
     (_set_top("fabric_kind", "lut"), "fabric_kind"),
     (_set_top("fabric_kind", ["mux"]), "fabric_kind"),
+    (_set_tlg("gate", "nary_inverter"), "gates[1].gate"),
 ])
 def test_netlist_field_types(edit, field):
     doc = json.loads(netlist_to_text(build_decoder_1(3)))
@@ -159,15 +160,12 @@ def test_netlist_field_types(edit, field):
         netlist_from_text(json.dumps(doc))
 
 
-def _inverter_doc():
-    b = NetlistBuilder()
-    b.add_output("y", b.nary_inverter("inv", b.add_input("x", 3), 3))
-    return json.loads(netlist_to_text(b.finish()))
+def _dlatch_doc():
+    return json.loads(netlist_to_text(build_nary_dlatch(3)))
 
 
-def _binary_inverter(doc):
-    for item in doc["nets"] + doc["gates"]:
-        item["radix"] = None
+def _binary_dlatch(doc):
+    next(g for g in doc["gates"] if g["gate"] == "nary_dlatch")["radix"] = None
 
 
 def _drop_input(doc):
@@ -179,8 +177,8 @@ def _null_fan_in(doc):
 
 
 @pytest.mark.parametrize("doc, edit, message", [
-    (_inverter_doc, _binary_inverter, "nary_inverter needs a radix"),
-    (_inverter_doc, lambda doc: doc["nets"][0].__setitem__("radix", 1),
+    (_dlatch_doc, _binary_dlatch, "nary_dlatch needs a radix"),
+    (_dlatch_doc, lambda doc: doc["nets"][0].__setitem__("radix", 1),
      "radix 1 is below 2"),
     (lambda: json.loads(netlist_to_text(compile_fsm(COUNTER, Strategy.DECODER))),
      _set_top("clock", "const_r3_0_w"), "not driven by a dedicated input"),
@@ -190,7 +188,7 @@ def _null_fan_in(doc):
      _drop_input, "input port i0 is neither listed nor the clock"),
     (lambda: json.loads(netlist_to_text(build_decoder_1(3))),
      _null_fan_in, "dec/and1: fan-in None is not an integer"),
-], ids=["binary-inverter", "radix-1-net", "clock-on-const",
+], ids=["dlatch-without-radix", "radix-1-net", "clock-on-const",
         "clock-on-listed-input", "unlisted-input", "null-fan-in"])
 def test_netlist_structure_the_simulator_relies_on(doc, edit, message):
     doc = doc()

@@ -7,7 +7,8 @@ from mvlsynth.cli import main
 from mvlsynth.netlist import GateType, NetlistBuilder
 from mvlsynth.sim import (Fault, FaultKind, SimFaultError, SimState,
                           eval_combinational, reset_state)
-from mvlsynth.synth import build_nary_dff, build_nary_dlatch
+from mvlsynth.synth import Strategy, _emit_table, build_nary_dff, build_nary_dlatch
+from mvlsynth.tables import TruthTable
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -105,14 +106,17 @@ def test_reset_validates_digits():
 
 
 def _self_inverting_latch():
-    """Radix-3 D-latch whose data is its own output, n-ary inverted."""
+    """Radix-3 D-latch whose data is its own output, inverted (v -> 2 - v)
+    by the decoder-strategy realization of the table (2, 1, 0)."""
     b = NetlistBuilder()
     g = b.add_input("g", 3)
     en = b.tlg("en_tlg", g, 0)
     enb = b.not_("en_not", en)
     m, q = b.net(3), b.net(3)
     b.add_gate("lat", GateType.NARY_DLATCH, {"d": m, "q": q}, radix=3)
-    b.switch("sw_d", b.nary_inverter("inv", q, 3), en, m)
+    inv = _emit_table(b, "inv/", [q], TruthTable.make(3, 1, (2, 1, 0)),
+                      Strategy.DECODER)
+    b.switch("sw_d", inv, en, m)
     b.switch("sw_h", q, enb, m)
     b.add_state_group(["lat"])
     b.add_output("q", m)

@@ -223,11 +223,11 @@ def test_port_signatures_are_shared():
     wide = Gate("a", GateType.AND, {}, param=3)
     assert gate_ports(wide) is gate_ports(Gate("b", GateType.AND, {}, param=3))
     assert gate_ports(wide) is not gate_ports(Gate("c", GateType.AND, {}, param=2))
-    inv = gate_ports(Gate("i", GateType.NARY_INVERTER, {}, radix=3))
-    assert inv is gate_ports(Gate("j", GateType.NARY_INVERTER, {}, radix=3))
-    assert [s.radix for s in inv] == [3, 3]
+    lat = gate_ports(Gate("l", GateType.NARY_DLATCH, {}, radix=3))
+    assert lat is gate_ports(Gate("k", GateType.NARY_DLATCH, {}, radix=3))
+    assert [s.radix for s in lat] == [3, 3]
     with pytest.raises(AttributeError):
-        inv[0].radix = 4  # shared, so frozen
+        lat[0].radix = 4  # shared, so frozen
 
 
 def test_bad_signatures_raise_on_every_call():

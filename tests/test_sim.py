@@ -56,15 +56,6 @@ def test_tlg_extreme_thresholds():
         assert eval_combinational(nl, [v])[0] == (1, 0)
 
 
-def test_nary_inverter_eval():
-    b = NetlistBuilder()
-    x = b.add_input("x", 4)
-    b.add_output("y", b.nary_inverter("inv", x, 4))
-    nl = b.finish()
-    for v in range(4):
-        assert eval_combinational(nl, [v])[0] == (3 - v,)
-
-
 def _contention_netlist(equal_values):
     b = NetlistBuilder()
     c = b.add_input("c", None)

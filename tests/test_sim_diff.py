@@ -19,10 +19,10 @@ from mvlsynth import sim
 from mvlsynth.netlist import GateType, NetlistBuilder
 from mvlsynth.oracle import random_table
 from mvlsynth.sim import FaultKind, SimFaultError, SimState, load_config, reset_state
-from mvlsynth.synth import (Strategy, build_fabric_decoder, build_fabric_mux,
-                            build_nary_dff, build_nary_dlatch, compile_fsm,
-                            synth_tables)
-from mvlsynth.tables import ConfigBitstream, FsmSpec
+from mvlsynth.synth import (Strategy, _emit_table, build_fabric_decoder,
+                            build_fabric_mux, build_nary_dff, build_nary_dlatch,
+                            compile_fsm, synth_tables)
+from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
 
 
 def _outcome(call, state):
@@ -91,6 +91,12 @@ def test_fabrics_with_random_bitstreams(build):
             _batch(nl, vectors, load_config(nl, ConfigBitstream(bits)))
 
 
+def _inverter(b, prefix, d, n):
+    """Radix-n inverter (v -> n-1-v), as the decoder strategy realizes it."""
+    tt = TruthTable.make(n, 1, range(n - 1, -1, -1))
+    return _emit_table(b, prefix, [d], tt, Strategy.DECODER)
+
+
 def _random_mesh(rng, latches=0):
     """Switch meshes with contention, floating nets and poison chains.
 
@@ -121,7 +127,7 @@ def _random_mesh(rng, latches=0):
             gate = b.and_ if rng.random() < 0.5 else b.or_
             bins.append(gate(f"g{i}", ins))
         elif pick < 0.55:
-            rad.append(b.nary_inverter(f"inv{i}", rng.choice(rad), n))
+            rad.append(_inverter(b, f"inv{i}/", rng.choice(rad), n))
         else:
             y = b.net(n)
             for k in range(rng.randint(1, 3)):
@@ -185,7 +191,7 @@ def test_two_poisons_meeting_at_a_latch():
     f1, f2, m, q = (b.net(3) for _ in range(4))
     b.switch("off1", b.const(0, 3), never, f1)
     b.switch("off2", b.const(0, 3), never, f2)
-    b.switch("s1", b.nary_inverter("inv", f1, 3), g, m)
+    b.switch("s1", _inverter(b, "inv/", f1, 3), g, m)
     b.switch("s2", b.const(1, 3), b.tlg("t", f2, 0), m)
     b.add_gate("lat", GateType.NARY_DLATCH, {"d": m, "q": q}, radix=3)
     b.add_state_group(["lat"])
