@@ -117,6 +117,8 @@ def _cmd_sim(args) -> int:
     elif args.reset is not None:
         raise ValueError("--reset given but the netlist holds no state")
 
+    if args.steps is not None and args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     if nl.inputs:
         if args.steps is not None:
             raise ValueError("--steps applies only to netlists without inputs")

@@ -8,7 +8,9 @@ b belongs to vector b. A binary net is one mask; a radix-N net is N one-hot
 masks, one per level, so TLG(x > t) is the OR of planes t+1..N-1. Radix-N
 storage elements are sources whose contents live in a SimState; storage
 settles by running the same program on a batch of one until the latch
-contents stop changing.
+contents stop changing. The sweep that would confirm a commit is skipped
+when every latch that changed is read only as data by switches that are
+off, as in a master-slave flip-flop, so a clock phase costs one sweep.
 
 A switch-driven net with no conducting switch is floating; a floating value
 is a fault the moment anything consumes it, and two simultaneously
@@ -120,7 +122,10 @@ class _Program(NamedTuple):
     inputs: tuple                   # planes per nl.inputs entry
     clock: Optional[tuple]          # planes of the clock net
     config: tuple                   # (gid, slot) per configuration latch
-    latches: tuple                  # (gid, q planes, d planes), state_latches order
+    latches: tuple                  # (gid, q planes, d planes, readers) in
+                                    # state_latches order; readers: control
+                                    # slots of the switches reading q as
+                                    # data, None if anything else reads q
     outputs: tuple                  # planes per nl.outputs entry
 
 
@@ -169,8 +174,15 @@ def _lower(nl: Netlist) -> tuple[_Program, dict[str, tuple[int, ...]]]:
     ops: list[tuple] = []
     resolved: set[str] = set()
     consumed: set[str] = set()
+    # Per state latch q net: the control slots of the switches that read it
+    # as data, or None once anything else reads it.
+    readers: dict[str, Optional[tuple[int, ...]]] = {
+        gates[gid].pins["q"]: () for gid in nl.state_latches}
 
-    def read(nid: str, consume: bool) -> tuple[int, ...]:
+    def read(nid: str, consume: bool,
+             control: Optional[int] = None) -> tuple[int, ...]:
+        if nid in readers and readers[nid] is not None:
+            readers[nid] = None if control is None else readers[nid] + (control,)
         if nid in controls:
             floating = sources[nid][-1]
             if nid not in resolved:
@@ -200,9 +212,9 @@ def _lower(nl: Netlist) -> tuple[_Program, dict[str, tuple[int, ...]]]:
             y = fresh(pins["y"])[1]
             ops.append((_AND if kind is GateType.AND else _OR, y, ins[0], ins[1:]))
         elif kind is GateType.SWITCH:
-            d = read(pins["d"], False)
-            y = planes[pins["y"]]
             c = planes[pins["c"]][1]
+            d = read(pins["d"], False, c)
+            y = planes[pins["y"]]
             controls[pins["y"]].append(c)
             ops.append((_SWITCH, y[0], sources.get(pins["d"], d), c))
         else:
@@ -224,7 +236,8 @@ def _lower(nl: Netlist) -> tuple[_Program, dict[str, tuple[int, ...]]]:
         config=tuple((gid, planes[gates[gid].pins["q"]][1])
                      for gid in nl.latch_order),
         latches=tuple((gid, planes[gates[gid].pins["q"]],
-                       planes[gates[gid].pins["d"]])
+                       planes[gates[gid].pins["d"]],
+                       readers[gates[gid].pins["q"]])
                       for gid in nl.state_latches),
         outputs=tuple(planes[nl.net_of_output(gid)] for gid in nl.outputs),
     )
@@ -279,7 +292,7 @@ def _run(prog: _Program, vectors: list, cols: list[tuple], state: SimState,
         elif bit is None:
             raise _uninitialized(state, gid)
     latches = state.latches
-    for gid, q, _ in prog.latches:
+    for gid, q, _, _ in prog.latches:
         v[q[latches[gid]]] = full
 
     first: dict[int, Fault] = {}
@@ -408,17 +421,27 @@ def _level(v: list[int], planes: tuple[int, ...]) -> int:
 def _settle(nl: Netlist, prog: _Program, vector: tuple[int, ...],
             state: SimState, clock_value: Optional[int],
             ) -> tuple[list[int], dict[int, Fault]]:
-    """Evaluate with level-sensitive storage: sweep, commit, repeat to rest."""
+    """Evaluate with level-sensitive storage: sweep, commit, repeat to rest.
+
+    A sweep that commits a change is normally followed by another. That
+    confirming sweep is skipped when every latch that changed is read only
+    as data by switches whose control is 0 in this sweep: those switches
+    add nothing whatever the latch holds, so the next sweep would match
+    this one in every slot but the changed latches' own planes, which
+    nothing reads, and would commit no change. The last sweep the
+    oscillation bound allows never skips, so the bound's verdict is kept.
+    """
     latches = state.latches
     for gid in nl.state_latches:
         if gid not in latches:
             raise _uninitialized(state, gid)
     batch, cols = [vector], [(x,) for x in vector]
-    for _ in range(len(prog.latches) + 2):
+    sweeps = len(prog.latches) + 2
+    for sweep in range(1, sweeps + 1):
         v, first = _run(prog, batch, cols, state, clock_value)
         cone = _Cone(nl, v, vector) if first else None
-        changed = None
-        for gid, _, d in prog.latches:
+        changed = []
+        for gid, _, d, readers in prog.latches:
             new = (_level(v, d) if cone is None
                    else cone.consume(nl.gates[gid].pins["d"]))
             if isinstance(new, Fault):
@@ -426,11 +449,13 @@ def _settle(nl: Netlist, prog: _Program, vector: tuple[int, ...],
                 raise SimFaultError(new)
             if latches[gid] != new:
                 latches[gid] = new
-                changed = changed or gid
-        if changed is None:
+                changed.append((gid, readers))
+        if not changed or sweep < sweeps and all(
+                readers is not None and not any(v[c] for c in readers)
+                for _, readers in changed):
             return v, first
     # still moving after the last sweep: name the first latch that changed
-    fault = Fault(FaultKind.OSCILLATION, changed, vector)
+    fault = Fault(FaultKind.OSCILLATION, changed[0][0], vector)
     state.faults.append(fault)
     raise SimFaultError(fault)
 

@@ -54,6 +54,17 @@ def test_verify_sampled(ws, capsys):
     assert "(sampled, seed 3)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_verify_refuses_a_cap_below_one(ws, capsys, cap):
+    main(["synth", _p(ws, "sum.json"), "-o", _p(ws, "sum.nl.json")])
+    capsys.readouterr()
+    assert main(["verify", _p(ws, "sum.nl.json"), _p(ws, "carry.json"),
+                 "--exhaustive-cap", cap]) == 2
+    out = capsys.readouterr()
+    assert "PASS" not in out.out
+    assert f"exhaustive cap must be at least 1, got {cap}" in out.err
+
+
 def test_fabric_configure_verify(ws, capsys):
     assert main(["fabric", "--radix", "3", "--arity", "2",
                  "-o", _p(ws, "fab.json")]) == 0
@@ -150,6 +161,19 @@ def test_fsm_compile_and_step(ws, capsys):
     assert main(["sim", _p(ws, "ctr.nl.json"), "--reset", "0",
                  "--steps", "5"]) == 0
     assert capsys.readouterr().out == "1\n2\n0\n1\n2\n"
+
+
+@pytest.mark.parametrize("steps", ["0", "-2"])
+def test_sim_refuses_steps_below_one(ws, capsys, steps):
+    spec = FsmSpec(Radix(3), 1, 0, (TruthTable.make(3, 1, (1, 2, 0)),))
+    fileio.save_fsm(ws / "ctr.json", spec)
+    main(["fsm", _p(ws, "ctr.json"), "-o", _p(ws, "ctr.nl.json")])
+    capsys.readouterr()
+    assert main(["sim", _p(ws, "ctr.nl.json"), "--reset", "0",
+                 "--steps", steps]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"--steps must be at least 1, got {steps}" in out.err
 
 
 def test_sim_sequential_guards(ws, capsys):

@@ -71,6 +71,15 @@ def test_sampling_kicks_in_above_cap():
     assert again.summary() == sampled.summary()
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_cap_below_one_is_refused(cap):
+    # a cap of 0 once checked no vector and reported "0/0 vectors, PASS",
+    # even against a wrong table
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        check_equivalence(synth_tables([SUM3], Strategy.DECODER), CARRY3,
+                          cap=cap)
+
+
 def test_config_argument_matches_latches():
     fabric = build_fabric_decoder(3, 2)
     bits = derive_config(SUM3, fabric)

@@ -5,15 +5,19 @@ import random
 
 import pytest
 
+import reference_sim as ref
+from mvlsynth import sim
 from mvlsynth.netlist import (Gate, GateType, Net, Netlist, NetlistBuilder,
                               NetlistError, validate)
-from mvlsynth.oracle import reference_half_adder
+from mvlsynth.oracle import (check_fsm_equivalence, random_table,
+                             reference_half_adder)
 from mvlsynth.sim import (Fault, FaultKind, SimFaultError, SimState,
                           eval_combinational, eval_vectors, load_config,
                           reset_state, step_sequential)
-from mvlsynth.synth import (Strategy, build_decoder_1, build_mux_1,
-                            build_nary_dff, synth_tables)
-from mvlsynth.tables import ConfigBitstream
+from mvlsynth.synth import (Strategy, _emit_table, build_decoder_1,
+                            build_mux_1, build_nary_dff, compile_fsm,
+                            synth_tables)
+from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
 
 
 def test_half_adder_pair_rows():
@@ -142,6 +146,126 @@ def test_step_sequential_needs_a_clock():
     nl = build_decoder_1(3)
     with pytest.raises(ValueError):
         step_sequential(nl, [1], SimState())
+
+
+# -- settle sweeps -------------------------------------------------------------
+
+
+def _count_sweeps(monkeypatch) -> list:
+    """Log one entry per simulator sweep (sim._run call) from here on."""
+    sweeps = []
+    run = sim._run
+
+    def counted(*args):
+        sweeps.append(None)
+        return run(*args)
+
+    monkeypatch.setattr(sim, "_run", counted)
+    return sweeps
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_flip_flop_machines_sweep_once_per_clock_phase(strategy, monkeypatch):
+    # a flip-flop latch is read only by its own hold switch and its
+    # partner's load switch, both off in the phase that loads it
+    rng = random.Random(len(strategy.value))
+    sweeps = _count_sweeps(monkeypatch)
+    for sa, ia, outputs in ((1, 1, False), (2, 1, True), (2, 0, False)):
+        n = rng.choice([2, 3])
+        tables = [random_table(n, sa + ia, rng) for _ in range(sa + 1)]
+        spec = FsmSpec(tables[0].radix, sa, ia, tuple(tables[:sa]),
+                       tuple(tables[sa:]) if outputs else None)
+        nl = compile_fsm(spec, strategy)
+        seqs = [[tuple(rng.randrange(n) for _ in range(ia))
+                 for _ in range(12)] for _ in range(3)]
+        sweeps.clear()
+        report = check_fsm_equivalence(nl, spec, [0] * sa, seqs)
+        assert report.passed
+        assert len(sweeps) == 2 * report.total_vectors
+
+
+def test_flip_flop_sweeps_once_per_evaluation(monkeypatch):
+    nl = build_nary_dff(3)
+    state = reset_state(nl, [0])
+    ref_state = reset_state(nl, [0])
+    sweeps = _count_sweeps(monkeypatch)
+    rng = random.Random(6)
+    vectors = [(rng.randrange(3), g) for _ in range(30) for g in (0, 2)]
+    for vec in vectors:
+        assert (eval_combinational(nl, vec, state)[0]
+                == ref.eval_combinational(nl, vec, ref_state)[0])
+    assert state.latches == ref_state.latches
+    assert len(sweeps) == len(vectors)
+
+
+def _clocked_latch(reader: str) -> Netlist:
+    """A latch loaded while the clock is high, whose q net the output reads
+    through `reader`: directly, through a TLG that aliases one of q's
+    planes, or through a switch that conducts while the latch loads."""
+    b = NetlistBuilder()
+    d = b.add_input("d", 3)
+    clk = b.net(3, nid="clk")
+    b.add_gate("clk", GateType.INPUT, {"y": clk}, radix=3)
+    b.clock = clk
+    en = b.tlg("en", clk, 0)
+    enb = b.not_("enb", en)
+    m = b.net(3)
+    q = b.nary_dlatch("lat", m, 3)
+    b.switch("sw_d", d, en, m)
+    b.switch("sw_h", q, enb, m)
+    b.add_state_group(["lat"])
+    if reader == "port":
+        y = q
+    elif reader == "tlg":
+        y = b.tlg("t", q, 1)
+    else:
+        y = b.net(3)
+        b.switch("buf", q, en, y)
+        b.switch("buf0", b.const(0, 3), enb, y)
+    b.add_output("y", y)
+    return b.finish()
+
+
+@pytest.mark.parametrize("reader", ["port", "tlg", "switch-on"])
+def test_a_latch_read_otherwise_gets_its_confirming_sweep(reader, monkeypatch):
+    nl = _clocked_latch(reader)
+    state = reset_state(nl, [0])
+    ref_state = reset_state(nl, [0])
+    sweeps = _count_sweeps(monkeypatch)
+    changes = 0
+    for d in (1, 1, 2, 0, 0, 2, 1, 2):
+        changes += state.latches["lat"] != d
+        assert (step_sequential(nl, (d,), state)[0]
+                == ref.step_sequential(nl, (d,), ref_state)[0])
+        assert state.latches == ref_state.latches == {"lat": d}
+    # one sweep for the holding phase, one for the loading phase, and one
+    # more to confirm each load that changed the latch
+    assert len(sweeps) == 2 * 8 + changes
+
+
+def test_the_last_sweep_allowed_never_skips():
+    # latch a counts 0 -> 3 in three sweeps; b, which nothing reads, changes
+    # only on the fourth, the last one the bound allows for two latches, so
+    # the reference's non-convergence verdict stands
+    b = NetlistBuilder()
+    qa, qb = b.net(4), b.net(4)
+    da = _emit_table(b, "inc/", [qa], TruthTable.make(4, 1, (1, 2, 3, 3)),
+                     Strategy.DECODER)
+    db = _emit_table(b, "top/", [qa], TruthTable.make(4, 1, (0, 0, 0, 1)),
+                     Strategy.DECODER)
+    b.add_gate("a", GateType.NARY_DLATCH, {"d": da, "q": qa}, radix=4)
+    b.add_gate("b", GateType.NARY_DLATCH, {"d": db, "q": qb}, radix=4)
+    b.add_state_group(["a"])
+    b.add_state_group(["b"])
+    b.add_output("y", da)
+    nl = b.finish()
+    with pytest.raises(RuntimeError, match="did not converge"):
+        ref.eval_combinational(nl, [], reset_state(nl, [0, 0]))
+    state = reset_state(nl, [0, 0])
+    with pytest.raises(SimFaultError) as e:
+        eval_combinational(nl, [], state)
+    assert e.value.fault == Fault(FaultKind.OSCILLATION, "b", ())
+    assert state.latches == {"a": 3, "b": 1}
 
 
 # -- binary degeneration ------------------------------------------------------

@@ -167,7 +167,33 @@ def _steps(nl, state, vectors):
     return kinds
 
 
-def test_latch_meshes_with_poison_chains():
+def _settle_endings(monkeypatch):
+    """Collect how the new simulator's settles end: "early" when the last
+    sweep committed a change, "confirmed" when a sweep confirmed a commit."""
+    endings = set()
+    starts = []  # latch contents at the start of each sweep of one settle
+    run, settle = sim._run, sim._settle
+
+    def watched_run(*args):
+        starts.append(dict(args[3].latches))
+        return run(*args)
+
+    def watched_settle(*args):
+        starts.clear()
+        got = settle(*args)
+        if args[3].latches != starts[-1]:
+            endings.add("early")
+        elif len(starts) > 1:
+            endings.add("confirmed")
+        return got
+
+    monkeypatch.setattr(sim, "_run", watched_run)
+    monkeypatch.setattr(sim, "_settle", watched_settle)
+    return endings
+
+
+def test_latch_meshes_with_poison_chains(monkeypatch):
+    endings = _settle_endings(monkeypatch)
     rng = random.Random(12)
     seen = set()
     for _ in range(250):
@@ -180,6 +206,7 @@ def test_latch_meshes_with_poison_chains():
         vectors = [tuple(rng.randrange(s) for s in spans) for _ in range(4)]
         seen.update(_steps(nl, state, vectors))
     assert seen == {"ok", "fault", "oscillation"}
+    assert endings == {"early", "confirmed"}
 
 
 def test_two_poisons_meeting_at_a_latch():
