@@ -61,6 +61,29 @@ def _optional(doc: dict, name: str, types: type, what: str, where: str = "") -> 
     return v
 
 
+def _array(v: Any, path: str, types: Union[type, tuple]) -> list:
+    """v as an array whose every element has the given type.
+
+    A bool never counts as an integer. Errors name the element, as in
+    'transition[0][1]'.
+    """
+    if not isinstance(v, list):
+        raise FileFormatError(f"field '{path}': must be an array")
+    for i, e in enumerate(v):
+        if not isinstance(e, types) or isinstance(e, bool):
+            raise FileFormatError(f"field '{path}[{i}]': wrong type {type(e).__name__}")
+    return v
+
+
+def _table(v: Any, path: str, radix: int, arity: int) -> TruthTable:
+    """The truth table whose entries, in row order, are the array v."""
+    entries = tuple(_array(v, path, int))
+    try:
+        return TruthTable(Radix(radix), arity, entries)
+    except ValueError as e:
+        raise FileFormatError(f"field '{path}': {e}") from e
+
+
 # -- truth tables -------------------------------------------------------------
 
 
@@ -78,18 +101,8 @@ def table_from_text(text: str) -> tuple[TruthTable, Optional[str]]:
     doc = _load(text, "truth_table")
     radix = _field(doc, "radix", int)
     arity = _field(doc, "arity", int)
-    outputs = _field(doc, "outputs", list)
-    name = doc.get("name")
-    if name is not None and not isinstance(name, str):
-        raise FileFormatError("field 'name': must be a string")
-    for i, v in enumerate(outputs):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise FileFormatError(f"field 'outputs[{i}]': must be an integer")
-    try:
-        tt = TruthTable(Radix(radix), arity, tuple(outputs))
-    except ValueError as e:
-        raise FileFormatError(str(e)) from e
-    return tt, name
+    name = _optional(doc, "name", str, "a string")
+    return _table(doc.get("outputs"), "outputs", radix, arity), name
 
 
 # -- netlists -----------------------------------------------------------------
@@ -122,9 +135,7 @@ def netlist_to_text(nl: Netlist) -> str:
 def netlist_from_text(text: str) -> Netlist:
     doc = _load(text, "netlist")
     nets: dict[str, Net] = {}
-    for i, entry in enumerate(_field(doc, "nets", list)):
-        if not isinstance(entry, dict):
-            raise FileFormatError(f"field 'nets[{i}]': must be an object")
+    for i, entry in enumerate(_array(doc.get("nets"), "nets", dict)):
         nid = _field(entry, "id", str, f"nets[{i}].")
         radix = _optional(entry, "radix", int, "integer", f"nets[{i}].")
         if nid in nets:
@@ -132,9 +143,7 @@ def netlist_from_text(text: str) -> Netlist:
         nets[nid] = Net(nid, radix)
 
     gates: dict[str, Gate] = {}
-    for i, entry in enumerate(_field(doc, "gates", list)):
-        if not isinstance(entry, dict):
-            raise FileFormatError(f"field 'gates[{i}]': must be an object")
+    for i, entry in enumerate(_array(doc.get("gates"), "gates", dict)):
         gid = _field(entry, "id", str, f"gates[{i}].")
         kind_name = _field(entry, "gate", str, f"gates[{i}].")
         if kind_name not in _KIND_BY_NAME:
@@ -150,18 +159,8 @@ def netlist_from_text(text: str) -> Netlist:
         radix = _optional(entry, "radix", int, "integer", f"gates[{i}].")
         gates[gid] = Gate(gid, _KIND_BY_NAME[kind_name], dict(pins), param, radix)
 
-    def str_list(name: str) -> list[str]:
-        vals = _field(doc, name, list)
-        for i, v in enumerate(vals):
-            if not isinstance(v, str):
-                raise FileFormatError(f"field '{name}[{i}]': must be a string")
-        return list(vals)
-
-    groups = []
-    for i, grp in enumerate(_field(doc, "state_groups", list)):
-        if not isinstance(grp, list) or not all(isinstance(v, str) for v in grp):
-            raise FileFormatError(f"field 'state_groups[{i}]': must be a string array")
-        groups.append(tuple(grp))
+    groups = [tuple(_array(grp, f"state_groups[{i}]", str)) for i, grp
+              in enumerate(_array(doc.get("state_groups"), "state_groups", list))]
 
     fabric_kind = doc.get("fabric_kind")
     if fabric_kind not in _FABRIC_KINDS:
@@ -171,10 +170,10 @@ def netlist_from_text(text: str) -> Netlist:
     nl = Netlist(
         gates=gates,
         nets=nets,
-        inputs=str_list("inputs"),
-        outputs=str_list("outputs"),
-        latch_order=str_list("latch_order"),
-        state_latches=str_list("state_latches"),
+        inputs=_array(doc.get("inputs"), "inputs", str),
+        outputs=_array(doc.get("outputs"), "outputs", str),
+        latch_order=_array(doc.get("latch_order"), "latch_order", str),
+        state_latches=_array(doc.get("state_latches"), "state_latches", str),
         state_groups=groups,
         clock=_optional(doc, "clock", str, "a net id string"),
         fabric_kind=fabric_kind,
@@ -239,25 +238,12 @@ def fsm_from_text(text: str) -> FsmSpec:
     state_arity = _field(doc, "state_arity", int)
     input_arity = _field(doc, "input_arity", int)
 
-    def tables(name: str, rows: list) -> tuple[TruthTable, ...]:
-        out = []
-        for i, entries in enumerate(rows):
-            if not isinstance(entries, list):
-                raise FileFormatError(f"field '{name}[{i}]': must be an array")
-            try:
-                out.append(TruthTable(Radix(radix), state_arity + input_arity,
-                                      tuple(entries)))
-            except ValueError as e:
-                raise FileFormatError(f"field '{name}[{i}]': {e}") from e
-        return tuple(out)
+    def tables(name: str) -> tuple[TruthTable, ...]:
+        return tuple(_table(row, f"{name}[{i}]", radix, state_arity + input_arity)
+                     for i, row in enumerate(_array(doc.get(name), name, list)))
 
-    transition = tables("transition", _field(doc, "transition", list))
-    output_rows = doc.get("output")
-    output = None
-    if output_rows is not None:
-        if not isinstance(output_rows, list):
-            raise FileFormatError("field 'output': must be an array or null")
-        output = tables("output", output_rows)
+    transition = tables("transition")
+    output = None if doc.get("output") is None else tables("output")
     try:
         return FsmSpec(Radix(radix), state_arity, input_arity, transition, output)
     except ValueError as e:

@@ -34,6 +34,8 @@ class GateType(enum.Enum):
 # Gate kinds whose output value comes from simulator-owned storage rather
 # than from upstream logic. They are excluded from the combinational core.
 STATEFUL = (GateType.CONFIG_LATCH, GateType.NARY_DLATCH)
+# Gate kinds whose param is their fan-in.
+_FAN_IN = (GateType.AND, GateType.OR)
 
 
 @dataclass
@@ -45,7 +47,7 @@ class Gate:
     radix: Optional[int] = None     # None = binary for CONST and ports
 
     def fan_in(self) -> int:
-        if self.kind not in (GateType.AND, GateType.OR):
+        if self.kind not in _FAN_IN:
             raise NetlistError(f"{self.gid}: fan_in undefined for {self.kind.value}")
         if not isinstance(self.param, int):
             raise NetlistError(f"{self.gid}: fan-in {self.param!r} is not an integer")
@@ -76,7 +78,7 @@ _PORTS: dict[tuple, tuple[tuple[PortSig, ...], frozenset[str]]] = {}
 
 def _signature(g: Gate) -> tuple[tuple[PortSig, ...], frozenset[str]]:
     k = g.kind
-    key = (k, g.fan_in()) if k is GateType.AND or k is GateType.OR else (k, g.radix)
+    key = (k, g.fan_in()) if k in _FAN_IN else (k, g.radix)
     sig = _PORTS.get(key)
     if sig is None:
         ports = tuple(_build_ports(g))
@@ -96,7 +98,7 @@ def _build_ports(g: Gate) -> list[PortSig]:
     k = g.kind
     if k is GateType.TLG:
         return [PortSig("d", True, _ANY), PortSig("y", False, None)]
-    if k in (GateType.AND, GateType.OR):
+    if k in _FAN_IN:
         fi = g.fan_in()
         if fi < 1:
             raise NetlistError(f"{g.gid}: fan-in must be >= 1")
@@ -243,6 +245,9 @@ def validate(nl: Netlist) -> None:
         kind, pins = g.kind, g.pins
         if kind is GateType.NARY_DLATCH and g.radix is None:
             raise NetlistError(f"{g.gid}: {kind.value} needs a radix")
+        # before the signature, whose size grows with the declared fan-in
+        if kind in _FAN_IN and type(g.param) is int and g.param > len(pins):
+            raise NetlistError(f"{g.gid}: fan-in {g.param} exceeds its {len(pins)} pins")
         sigs, names = _signature(g)
         if pins.keys() != names:
             missing = sorted(names - set(pins))
@@ -312,12 +317,11 @@ def validate(nl: Netlist) -> None:
     if sorted(grouped) != sorted(nl.state_latches):
         raise NetlistError("state_groups do not partition the state latches")
 
-    for gid in nl.inputs:
-        if nl.gates[gid].kind is not GateType.INPUT:
-            raise NetlistError(f"input list entry {gid} is not an input port")
-    for gid in nl.outputs:
-        if nl.gates[gid].kind is not GateType.OUTPUT:
-            raise NetlistError(f"output list entry {gid} is not an output port")
+    for lst, kind in ((nl.inputs, GateType.INPUT), (nl.outputs, GateType.OUTPUT)):
+        for gid in lst:
+            if gid not in nl.gates or nl.gates[gid].kind is not kind:
+                raise NetlistError(
+                    f"{kind.value} list entry {gid} is not an {kind.value} port")
     if nl.clock is not None:
         if nl.clock not in nets:
             raise NetlistError(f"clock net {nl.clock} does not exist")

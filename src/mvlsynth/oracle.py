@@ -145,14 +145,15 @@ def check_fsm_equivalence(nl: Netlist, spec: FsmSpec, reset: Sequence[int],
             total += 1
             soft = spec.step(soft, ins)
             expected = spec.observe(soft, ins)
-            trace = tuple(tuple(s) for s in seq[:t + 1])
             try:
                 got, state = step_sequential(nl, ins, state)
             except SimFaultError as e:
-                mismatches.append(Mismatch(trace, expected, e.fault))
-                break
+                got = e.fault
             if got != expected:
+                trace = tuple(tuple(s) for s in seq[:t + 1])
                 mismatches.append(Mismatch(trace, expected, got))
+                if isinstance(got, Fault):
+                    break
     return EquivalenceReport(total, tuple(mismatches))
 
 

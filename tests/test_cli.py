@@ -163,6 +163,17 @@ def test_fsm_compile_and_step(ws, capsys):
     assert capsys.readouterr().out == "1\n2\n0\n1\n2\n"
 
 
+@pytest.mark.parametrize("value", [2.5, True, "2", None])
+def test_fsm_with_a_non_integer_entry_exits_2(ws, capsys, value):
+    spec = FsmSpec(Radix(3), 1, 0, (TruthTable.make(3, 1, (1, 2, 0)),))
+    doc = json.loads(fileio.fsm_to_text(spec))
+    doc["transition"][0][2] = value
+    (ws / "bad.json").write_text(json.dumps(doc))
+    assert main(["fsm", _p(ws, "bad.json"), "-o", _p(ws, "bad.nl.json")]) == 2
+    assert "field 'transition[0][2]'" in capsys.readouterr().err
+    assert not (ws / "bad.nl.json").exists()
+
+
 @pytest.mark.parametrize("steps", ["0", "-2"])
 def test_sim_refuses_steps_below_one(ws, capsys, steps):
     spec = FsmSpec(Radix(3), 1, 0, (TruthTable.make(3, 1, (1, 2, 0)),))
@@ -239,6 +250,18 @@ def test_gate_without_fan_in_exits_2(ws, capsys):
     (ws / "bad.nl.json").write_text(json.dumps(doc))
     assert main(["stats", _p(ws, "bad.nl.json")]) == 2
     assert f"{gate['id']}: fan-in None is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["stats", "export-dot"])
+def test_port_list_entry_naming_no_gate_exits_2(ws, capsys, command):
+    main(["synth", _p(ws, "sum.json"), "-o", _p(ws, "sum.nl.json")])
+    capsys.readouterr()
+    doc = json.loads((ws / "sum.nl.json").read_text())
+    doc["outputs"].append("ghost")
+    (ws / "bad.nl.json").write_text(json.dumps(doc))
+    assert main([command, _p(ws, "bad.nl.json")]) == 2
+    assert ("output list entry ghost is not an output port"
+            in capsys.readouterr().err)
 
 
 def test_unknown_gate_kind_exits_2(ws, capsys):

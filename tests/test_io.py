@@ -16,6 +16,7 @@ from mvlsynth.synth import (Strategy, build_decoder_1, build_fabric_decoder,
                             derive_config, synth_tables)
 from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
 from mvlsynth.values import Radix
+from test_netlist_diff import FAMILIES
 
 SUM3 = TruthTable.make(3, 2, (0, 1, 2, 1, 2, 0, 2, 0, 1))
 
@@ -56,6 +57,13 @@ def test_netlist_round_trips():
         assert back.state_groups == nl.state_groups
         assert back.clock == nl.clock
         assert back.fabric_kind == nl.fabric_kind
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_builder_netlists_round_trip(family):
+    for nl in FAMILIES[family]():
+        back = _stable(netlist_to_text(nl), netlist_from_text, netlist_to_text)
+        assert back == nl
 
 
 def test_bitstream_round_trip():
@@ -176,6 +184,10 @@ def _null_fan_in(doc):
     next(g for g in doc["gates"] if g["gate"] == "and")["param"] = None
 
 
+def _rename_output(doc):
+    next(g for g in doc["gates"] if g["id"] == "b0")["id"] = "renamed"
+
+
 @pytest.mark.parametrize("doc, edit, message", [
     (_dlatch_doc, _binary_dlatch, "nary_dlatch needs a radix"),
     (_dlatch_doc, lambda doc: doc["nets"][0].__setitem__("radix", 1),
@@ -188,14 +200,29 @@ def _null_fan_in(doc):
      _drop_input, "input port i0 is neither listed nor the clock"),
     (lambda: json.loads(netlist_to_text(build_decoder_1(3))),
      _null_fan_in, "dec/and1: fan-in None is not an integer"),
+    (lambda: json.loads(netlist_to_text(compile_fsm(MOORE, Strategy.DECODER))),
+     lambda doc: doc["inputs"].append("ghost"),
+     "input list entry ghost is not an input port"),
+    (lambda: json.loads(netlist_to_text(build_decoder_1(3))),
+     _rename_output, "output list entry b0 is not an output port"),
 ], ids=["dlatch-without-radix", "radix-1-net", "clock-on-const",
-        "clock-on-listed-input", "unlisted-input", "null-fan-in"])
+        "clock-on-listed-input", "unlisted-input", "null-fan-in",
+        "unknown-input", "renamed-output"])
 def test_netlist_structure_the_simulator_relies_on(doc, edit, message):
     doc = doc()
     netlist_from_text(json.dumps(doc))
     edit(doc)
     with pytest.raises(FileFormatError, match=f"invalid netlist.*{message}"):
         netlist_from_text(json.dumps(doc))
+
+
+def test_huge_fan_in_is_refused_briefly():
+    doc = json.loads(netlist_to_text(build_decoder_1(3)))
+    next(g for g in doc["gates"] if g["gate"] == "and")["param"] = 10**6
+    with pytest.raises(FileFormatError,
+                       match="dec/and1: fan-in 1000000 exceeds its 3 pins") as e:
+        netlist_from_text(json.dumps(doc))
+    assert len(str(e.value)) < 200
 
 
 def test_loaded_netlist_equals_its_unvalidated_source():
@@ -220,6 +247,16 @@ def test_fsm_document_checks():
         fsm_from_text(text.replace('"state_arity": 1', '"state_arity": null'))
 
 
+@pytest.mark.parametrize("value", [2.5, True, "2", None])
+@pytest.mark.parametrize("table", ["transition", "output"])
+def test_fsm_entries_must_be_integers(table, value):
+    doc = json.loads(fsm_to_text(MOORE))
+    doc[table][0][1] = value
+    with pytest.raises(FileFormatError,
+                       match=rf"field '{table}\[0\]\[1\]': wrong type"):
+        fsm_from_text(json.dumps(doc))
+
+
 def test_file_helpers(tmp_path):
     p = tmp_path / "t.json"
     fileio.save_table(p, SUM3, "s")
@@ -237,6 +274,59 @@ def test_file_helpers(tmp_path):
     p = tmp_path / "m.json"
     fileio.save_fsm(p, MOORE)
     assert fileio.load_fsm(p) == MOORE
+
+
+# -- every field of every document kind, substituted --------------------------
+
+_SUBSTITUTES = (1.5, True, None, "zz", [], {}, -1, 10**6)
+
+
+def _paths(node, path=()):
+    """Every field below node, and the first three elements of each array."""
+    keys = node if isinstance(node, dict) else range(min(3, len(node)))
+    for k in keys:
+        yield path + (k,)
+        if isinstance(node[k], (dict, list)):
+            yield from _paths(node[k], path + (k,))
+
+
+def _bitstream_text():
+    fabric = build_fabric_mux(3, 1)
+    bits = derive_config(TruthTable.make(3, 1, (2, 1, 0)), fabric)
+    return bitstream_to_text(ConfigBitstream(bits.bits, fingerprint(fabric)))
+
+
+DOCUMENTS = {
+    "table": (lambda: table_to_text(SUM3, "sum3"), table_from_text),
+    "fsm": (lambda: fsm_to_text(MOORE), fsm_from_text),
+    "fsm-netlist": (lambda: netlist_to_text(compile_fsm(MOORE, Strategy.DECODER)),
+                    netlist_from_text),
+    "mux-fabric": (lambda: netlist_to_text(build_fabric_mux(3, 1)),
+                   netlist_from_text),
+    "bitstream": (_bitstream_text, bitstream_from_text),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DOCUMENTS))
+def test_every_field_substitution_loads_or_is_refused(kind):
+    to_text, from_text = DOCUMENTS[kind]
+    doc = json.loads(to_text())
+    escaped = []
+    for path in list(_paths(doc)):
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        old = parent[path[-1]]
+        for value in _SUBSTITUTES:
+            parent[path[-1]] = value
+            try:
+                from_text(json.dumps(doc))
+            except FileFormatError:
+                pass
+            except Exception as e:  # the defect this test looks for
+                escaped.append((path, value, f"{type(e).__name__}: {e}"[:120]))
+        parent[path[-1]] = old
+    assert escaped == []
 
 
 # -- DOT export ---------------------------------------------------------------

@@ -166,6 +166,30 @@ def test_port_lists_checked():
         b.finish()
 
 
+@pytest.mark.parametrize("ports", ["inputs", "outputs"])
+def test_port_list_entries_naming_no_gate_rejected(ports):
+    b = _passthrough()
+    getattr(b, ports).append("ghost")
+    with pytest.raises(NetlistError,
+                       match=f"{ports[:-1]} list entry ghost is not an "
+                             f"{ports[:-1]} port"):
+        b.finish()
+
+
+def test_fan_in_above_the_pin_count_rejected():
+    b = _passthrough()
+    one = b.const(1, None)
+    b.and_("g", [one, one])
+    nl = b.finish()
+    nl.gates["g"].param = 3    # one above the inputs: the missing pin is named
+    with pytest.raises(NetlistError, match=r"g: .*missing \['a2'\], extra \[\]"):
+        validate(nl)
+    nl.gates["g"].param = 4
+    with pytest.raises(NetlistError) as info:
+        validate(nl)
+    assert str(info.value) == "g: fan-in 4 exceeds its 3 pins"
+
+
 def test_and_or_single_input_collapses_to_wire():
     b = NetlistBuilder()
     x = b.add_input("x", None)

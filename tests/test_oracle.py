@@ -7,7 +7,8 @@ import pytest
 from mvlsynth.oracle import (DEFAULT_CAP, EquivalenceReport, Mismatch,
                              check_equivalence, check_fsm_equivalence,
                              oracle_eval, random_table, reference_half_adder)
-from mvlsynth.sim import Fault, SimState, eval_vectors, load_config
+from mvlsynth.netlist import Gate, GateType, Net, validate
+from mvlsynth.sim import Fault, FaultKind, SimState, eval_vectors, load_config
 from mvlsynth.synth import (Strategy, build_fabric_decoder, build_nary_dff,
                             compile_fsm, derive_config, synth_tables)
 from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
@@ -174,6 +175,38 @@ def test_fsm_equivalence_catches_wrong_machine():
                                    input_seqs=[[()] * 4])
     assert not report.passed
     assert isinstance(report.mismatches[0], Mismatch)
+
+
+def test_fsm_mismatches_record_the_inputs_through_the_failing_step():
+    acc = FsmSpec(Radix(3), 1, 1, (TruthTable.from_function(
+        3, 2, lambda q, i: (q + i) % 3),))
+    wrong = FsmSpec(Radix(3), 1, 1, (TruthTable.from_function(
+        3, 2, lambda q, i: (q + 2 * i) % 3),))
+    nl = compile_fsm(wrong, Strategy.DECODER)
+    # a second switch onto the next-state net, on while the input is 2:
+    # it contends with the decoded one, so input 2 faults
+    sw = nl.gates["f0/sw0"].pins
+    nl.nets["i0_is_2"] = Net("i0_is_2", None)
+    nl.gates["x/tlg"] = Gate("x/tlg", GateType.TLG,
+                             {"d": "i0", "y": "i0_is_2"}, param=1)
+    nl.gates["x/sw"] = Gate("x/sw", GateType.SWITCH,
+                            {"d": sw["d"], "c": "i0_is_2", "y": sw["y"]})
+    validate(nl)
+    report = check_fsm_equivalence(nl, acc, (0,), [
+        [(1,), (0,), (1,), (1,)],   # states 1 1 2 0, wrong 2 2 1 0
+        [(0,), (2,), (1,)],         # the fault ends it before (1,)
+        [(1,)],
+    ])
+    assert report.total_vectors == 7
+    fault = report.mismatches[3].got
+    assert isinstance(fault, Fault) and fault.kind is FaultKind.CONTENTION
+    assert report.mismatches == (
+        Mismatch(((1,),), (1,), (2,)),
+        Mismatch(((1,), (0,)), (1,), (2,)),
+        Mismatch(((1,), (0,), (1,)), (2,), (1,)),
+        Mismatch(((0,), (2,)), (2,), fault),
+        Mismatch(((1,),), (1,), (2,)),
+    )
 
 
 def test_report_passed_tracks_mismatches():
