@@ -326,6 +326,10 @@ def _dot_label(g: Gate) -> str:
     return g.gid  # ports label as their name
 
 
+def _quote(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(nl: Netlist) -> str:
     """Render the netlist as a directed graph document.
 
@@ -337,13 +341,13 @@ def export_dot(nl: Netlist) -> str:
     lines = ["digraph netlist {", "  rankdir=LR;"]
     for g in nl.gates.values():
         shape = _SHAPES.get(g.kind, "box")
-        lines.append(f'  "{g.gid}" [label="{_dot_label(g)}" shape={shape}];')
+        lines.append(f"  {_quote(g.gid)} [label={_quote(_dot_label(g))} shape={shape}];")
     for g in nl.gates.values():
         for sig in gate_ports(g):
             if not sig.is_input:
                 continue
             nid = g.pins[sig.name]
             for src in drivers[nid]:
-                lines.append(f'  "{src}" -> "{g.gid}" [label="{nid}"];')
+                lines.append(f"  {_quote(src)} -> {_quote(g.gid)} [label={_quote(nid)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

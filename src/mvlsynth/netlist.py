@@ -243,6 +243,8 @@ def validate(nl: Netlist) -> None:
     comb: list[CombGate] = []
     for g in nl.gates.values():
         kind, pins = g.kind, g.pins
+        if g.radix is not None and g.radix < 2:  # -1 would read as _ANY
+            raise NetlistError(f"gate {g.gid}: radix {g.radix} is below 2")
         if kind is GateType.NARY_DLATCH and g.radix is None:
             raise NetlistError(f"{g.gid}: {kind.value} needs a radix")
         # before the signature, whose size grows with the declared fan-in
@@ -322,6 +324,8 @@ def validate(nl: Netlist) -> None:
             if gid not in nl.gates or nl.gates[gid].kind is not kind:
                 raise NetlistError(
                     f"{kind.value} list entry {gid} is not an {kind.value} port")
+        if len(set(lst)) != len(lst):
+            raise NetlistError(f"{kind.value} list repeats an entry")
     if nl.clock is not None:
         if nl.clock not in nets:
             raise NetlistError(f"clock net {nl.clock} does not exist")

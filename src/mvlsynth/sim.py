@@ -5,10 +5,13 @@ on the netlist: every net gets integer slots, and one flat op list follows
 the levelized order of the acyclic core. A run evaluates a whole batch of
 input vectors at once, bit-parallel: a slot holds one Python int whose bit
 b belongs to vector b. A binary net is one mask; a radix-N net is N one-hot
-masks, one per level, so TLG(x > t) is the OR of planes t+1..N-1. Radix-N
-storage elements are sources whose contents live in a SimState; storage
-settles by running the same program on a batch of one until the latch
-contents stop changing. The sweep that would confirm a commit is skipped
+masks, one per level, so TLG(x > t) is the OR of planes t+1..N-1.
+
+Every evaluation is one settle loop: sweep, commit the latch inputs,
+repeat until the latch contents stop changing. A latch-free batch settles
+in one sweep. Radix-N storage elements are sources whose contents live in
+a SimState; a netlist with them settles a batch of one, and a clock phase
+is one more input column. The sweep that would confirm a commit is skipped
 when every latch that changed is read only as data by switches that are
 off, as in a master-slave flip-flop, so a clock phase costs one sweep.
 
@@ -102,15 +105,14 @@ _SINK, _ZERO, _FULL = 0, 1, 2
 #   _SWITCH     (op, first y slot, source slots, control slot)
 #   _RESOLVE    (op, net id, control slots of all drivers, floating slot)
 #   _FLOAT      (op, net id, floating slot, None)
-# A switch net of radix N owns N planes, then a floatpass slot, then a
-# floating slot. A conducting switch ORs its source slots into the net's
-# slots from the first y slot on: the data net's planes, plus its floating
-# slot (landing on floatpass) when the data is itself a switch net.
-# _RESOLVE marks vectors where two drivers conduct as contention and
-# derives the floating mask (no driver conducts, or a conducting one passes
-# floating data; vectors with contention are faulted by then, so their
-# bits do not matter); _FLOAT records that mask as faults where the net is
-# consumed.
+# A switch net of radix N owns N planes, then a floating slot. A conducting
+# switch ORs its source slots into the net's slots from the first y slot
+# on: the data net's planes, plus its floating slot when the data is itself
+# a switch net. Every driver precedes the net's first read, which emits
+# _RESOLVE: it marks vectors where two drivers conduct as contention and
+# adds the vectors where none conducts to the floating mask (vectors with
+# contention are faulted by then, so their bits do not matter); _FLOAT
+# records that mask as faults where the net is consumed.
 _SWITCH, _AND, _OR, _NOT, _RESOLVE, _FLOAT = range(6)
 
 
@@ -119,8 +121,7 @@ class _Program(NamedTuple):
 
     nslots: int
     ops: tuple
-    inputs: tuple                   # planes per nl.inputs entry
-    clock: Optional[tuple]          # planes of the clock net
+    inputs: tuple                   # planes per nl.inputs entry, then the clock's
     config: tuple                   # (gid, slot) per configuration latch
     latches: tuple                  # (gid, q planes, d planes, readers) in
                                     # state_latches order; readers: control
@@ -137,7 +138,6 @@ def _lower(nl: Netlist) -> tuple[_Program, dict[str, tuple[int, ...]]]:
     op: their planes alias existing slots.
     """
     gates, nets = nl.gates, nl.nets
-    order = [gates[gid] for gid in nl.eval_order()]
     nslots = 3
     planes: dict[str, tuple[int, ...]] = {}
 
@@ -160,17 +160,10 @@ def _lower(nl: Netlist) -> tuple[_Program, dict[str, tuple[int, ...]]]:
                         GateType.NARY_DLATCH):
             fresh(g.pins["q" if "q" in g.pins else "y"])
 
-    # Switch nets in first-driver order: their drivers' control slots, and
-    # the source slots a switch reading the net as data ORs onward.
+    # Per switch net: its drivers' control slots, and the source slots (its
+    # planes and floating slot) a switch reading the net as data ORs onward.
     controls: dict[str, list[int]] = {}
     sources: dict[str, tuple[int, ...]] = {}
-    for g in order:
-        y = g.pins["y"]
-        if g.kind is GateType.SWITCH and y not in controls:
-            slots = alloc(nets[y].radix + 2)
-            planes[y], sources[y] = slots[:-2], slots[:-2] + slots[-1:]
-            controls[y] = []
-
     ops: list[tuple] = []
     resolved: set[str] = set()
     consumed: set[str] = set()
@@ -193,7 +186,8 @@ def _lower(nl: Netlist) -> tuple[_Program, dict[str, tuple[int, ...]]]:
                 ops.append((_FLOAT, nid, floating, None))
         return planes[nid]
 
-    for g in order:
+    for gid in nl.eval_order():
+        g = gates[gid]
         kind, pins = g.kind, g.pins
         if kind is GateType.TLG:
             ups = read(pins["d"], True)[g.param + 1:]
@@ -214,9 +208,12 @@ def _lower(nl: Netlist) -> tuple[_Program, dict[str, tuple[int, ...]]]:
         elif kind is GateType.SWITCH:
             c = planes[pins["c"]][1]
             d = read(pins["d"], False, c)
-            y = planes[pins["y"]]
-            controls[pins["y"]].append(c)
-            ops.append((_SWITCH, y[0], sources.get(pins["d"], d), c))
+            y = pins["y"]
+            if y not in controls:  # its first driver
+                sources[y] = alloc(nets[y].radix + 1)
+                planes[y], controls[y] = sources[y][:-1], []
+            controls[y].append(c)
+            ops.append((_SWITCH, sources[y][0], sources.get(pins["d"], d), c))
         else:
             raise AssertionError(f"unexpected gate in eval order: {g}")
 
@@ -231,8 +228,8 @@ def _lower(nl: Netlist) -> tuple[_Program, dict[str, tuple[int, ...]]]:
     program = _Program(
         nslots=nslots,
         ops=tuple(ops),
-        inputs=tuple(planes[nl.net_of_input(gid)] for gid in nl.inputs),
-        clock=None if nl.clock is None else planes[nl.clock],
+        inputs=tuple(planes[nl.net_of_input(gid)] for gid in nl.inputs)
+        + (() if nl.clock is None else (planes[nl.clock],)),
         config=tuple((gid, planes[gates[gid].pins["q"]][1])
                      for gid in nl.latch_order),
         latches=tuple((gid, planes[gates[gid].pins["q"]],
@@ -267,8 +264,8 @@ def _uninitialized(state: SimState, gid: str) -> SimFaultError:
     return SimFaultError(fault)
 
 
-def _run(prog: _Program, vectors: list, cols: list[tuple], state: SimState,
-         clock_value: Optional[int]) -> tuple[list[int], dict[int, Fault]]:
+def _run(prog: _Program, vectors: list, cols: list[tuple],
+         state: SimState) -> tuple[list[int], dict[int, Fault]]:
     """One bit-parallel sweep; returns the slots and each faulted vector's
     first fault. Slots of a faulted vector hold no meaningful level."""
     full = (1 << len(vectors)) - 1
@@ -282,8 +279,6 @@ def _run(prog: _Program, vectors: list, cols: list[tuple], state: SimState,
             bit <<= 1
         for s, m in zip(planes, masks):
             v[s] = m
-    if prog.clock is not None:
-        v[prog.clock[clock_value]] = full
     config = state.config.get
     for gid, s in prog.config:
         bit = config(gid)
@@ -324,7 +319,7 @@ def _run(prog: _Program, vectors: list, cols: list[tuple], state: SimState,
             if new:
                 already |= new
                 _record(first, new, FaultKind.CONTENTION, y, vectors)
-            v[b] = (full ^ seen) | v[b - 1]
+            v[b] |= full ^ seen
         else:  # _FLOAT
             new = v[a] & ~already
             if new:
@@ -418,10 +413,10 @@ def _level(v: list[int], planes: tuple[int, ...]) -> int:
     return 0
 
 
-def _settle(nl: Netlist, prog: _Program, vector: tuple[int, ...],
-            state: SimState, clock_value: Optional[int],
-            ) -> tuple[list[int], dict[int, Fault]]:
-    """Evaluate with level-sensitive storage: sweep, commit, repeat to rest.
+def _settle(nl: Netlist, prog: _Program, vectors: list, state: SimState,
+            cols: list[tuple]) -> tuple[list[int], dict[int, Fault]]:
+    """Sweep a batch (cols: one column per prog.inputs entry), commit the
+    latch inputs, repeat to rest. A latch netlist settles a batch of one.
 
     A sweep that commits a change is normally followed by another. That
     confirming sweep is skipped when every latch that changed is read only
@@ -435,11 +430,10 @@ def _settle(nl: Netlist, prog: _Program, vector: tuple[int, ...],
     for gid in nl.state_latches:
         if gid not in latches:
             raise _uninitialized(state, gid)
-    batch, cols = [vector], [(x,) for x in vector]
     sweeps = len(prog.latches) + 2
     for sweep in range(1, sweeps + 1):
-        v, first = _run(prog, batch, cols, state, clock_value)
-        cone = _Cone(nl, v, vector) if first else None
+        v, first = _run(prog, vectors, cols, state)
+        cone = _Cone(nl, v, vectors[0]) if first and prog.latches else None
         changed = []
         for gid, _, d, readers in prog.latches:
             new = (_level(v, d) if cone is None
@@ -455,7 +449,7 @@ def _settle(nl: Netlist, prog: _Program, vector: tuple[int, ...],
                 for _, readers in changed):
             return v, first
     # still moving after the last sweep: name the first latch that changed
-    fault = Fault(FaultKind.OSCILLATION, changed[0][0], vector)
+    fault = Fault(FaultKind.OSCILLATION, changed[0][0], vectors[0])
     state.faults.append(fault)
     raise SimFaultError(fault)
 
@@ -476,10 +470,7 @@ def eval_vectors(nl: Netlist, vectors: Sequence[Sequence[int]],
     if nl.clock is not None:
         raise ValueError("netlist has a clock pin; drive it with step_sequential")
     prog = _compiled(nl)
-    if nl.state_latches:
-        v, first = _settle(nl, prog, tuple(vectors[0]), state, None)
-    else:
-        v, first = _run(prog, vectors, list(zip(*vectors)), state, None)
+    v, first = _settle(nl, prog, vectors, state, list(zip(*vectors)))
     state.faults.extend(first[b] for b in sorted(first))
     return _results(prog, v, first, len(vectors))
 
@@ -541,8 +532,9 @@ def step_sequential(nl: Netlist, inputs: Sequence[int],
         raise ValueError("netlist has no clock; use eval_combinational")
     vector = _check_vectors(nl, [inputs])[0]
     prog = _compiled(nl)
-    _settle(nl, prog, vector, state, 0)
-    v, first = _settle(nl, prog, vector, state, 1)
+    for phase in (0, 1):  # the clock is the last input column
+        v, first = _settle(nl, prog, [vector], state,
+                           [(x,) for x in vector + (phase,)])
     result = _results(prog, v, first, 1)[0]
     if isinstance(result, Fault):
         state.faults.append(result)

@@ -264,6 +264,22 @@ def test_port_list_entry_naming_no_gate_exits_2(ws, capsys, command):
             in capsys.readouterr().err)
 
 
+def test_port_list_repeating_an_entry_exits_2(ws, capsys):
+    # both digits of f(a, b) = (b + 1) % 3 on a 1-digit netlist's one input
+    # port would make the last digit win and verify pass
+    fileio.save_table(ws / "inc.json", TruthTable.make(3, 1, (1, 2, 0)))
+    fileio.save_table(ws / "inc2.json",
+                      TruthTable.make(3, 2, [(b + 1) % 3 for a in range(3)
+                                             for b in range(3)]))
+    main(["synth", _p(ws, "inc.json"), "-o", _p(ws, "inc.nl.json")])
+    capsys.readouterr()
+    doc = json.loads((ws / "inc.nl.json").read_text())
+    doc["inputs"] = ["x", "x"]
+    (ws / "bad.nl.json").write_text(json.dumps(doc))
+    assert main(["verify", _p(ws, "bad.nl.json"), _p(ws, "inc2.json")]) == 2
+    assert "input list repeats an entry" in capsys.readouterr().err
+
+
 def test_unknown_gate_kind_exits_2(ws, capsys):
     main(["synth", _p(ws, "sum.json"), "-o", _p(ws, "sum.nl.json")])
     capsys.readouterr()

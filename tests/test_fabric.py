@@ -2,12 +2,14 @@
 
 import pytest
 
+from mvlsynth import sim
 from mvlsynth.oracle import check_equivalence, reference_half_adder
 from mvlsynth.sim import (Fault, FaultKind, SimFaultError, SimState,
                           eval_combinational, eval_vectors, load_config)
 from mvlsynth.synth import (Strategy, build_fabric_decoder, build_fabric_mux,
                             derive_config, gate_stats, synth_tables)
 from mvlsynth.tables import ConfigBitstream, TruthTable
+from test_sim import _contention_netlist, _count_sweeps
 
 SUM3 = (0, 1, 2, 1, 2, 0, 2, 0, 1)
 CARRY3 = (0, 0, 0, 0, 0, 1, 0, 1, 1)
@@ -143,3 +145,21 @@ def test_fabric_rejects_bad_parameters():
         build_fabric_decoder(3, 0)
     with pytest.raises(ValueError):
         build_fabric_mux(1, 2)
+
+
+def test_latch_free_batches_sweep_once_and_build_no_cone(monkeypatch):
+    # faulted vectors in a latch-free batch need no walk back from a latch
+    def no_cone(*args):
+        raise AssertionError("a latch-free batch built a cone")
+    monkeypatch.setattr(sim, "_Cone", no_cone)
+    sweeps = _count_sweeps(monkeypatch)
+    tt = TruthTable.make(3, 2, SUM3)
+    fabric = build_fabric_mux(3, 2)
+    report = check_equivalence(fabric, tt,
+                               config=derive_config(tt, fabric).flipped(1))
+    assert [m.got.kind for m in report.mismatches] == [FaultKind.CONTENTION] * 9
+    assert len(sweeps) == 1
+    results = eval_vectors(_contention_netlist(False), [(1,), (0,)])
+    assert [r.kind for r in results] == [FaultKind.CONTENTION,
+                                         FaultKind.FLOATING_NET]
+    assert len(sweeps) == 2

@@ -351,3 +351,23 @@ def test_dot_edges_and_storage():
     fab = export_dot(build_fabric_decoder(2, 1))
     assert "shape=box3d" in fab
     assert 'label="CFG"' in fab
+
+
+def test_dot_quotes_ids_and_labels():
+    xid, tid, yid = 'x"\\', 'dec/"not0', '\\y"'
+    b = NetlistBuilder()
+    x = b.add_input(xid, 3)      # port id, port label and net id
+    w = b.tlg(tid, x, 0)
+    b.add_output(yid, w)
+    q = r'"((?:[^"\\]|\\.)*)"'   # a quoted string with \-escapes
+    node = re.compile(rf"  {q} \[label={q} shape=(\w+)\];")
+    edge = re.compile(rf"  {q} -> {q} \[label={q}\];")
+    nodes, edges = [], []
+    for line in export_dot(b.finish()).splitlines()[2:-1]:
+        got = node.fullmatch(line) or edge.fullmatch(line)
+        assert got, line
+        (nodes if got.re is node else edges).append(
+            tuple(re.sub(r"\\(.)", r"\1", s) for s in got.groups()))
+    assert nodes == [(xid, xid, "invhouse"), (tid, "TLG t=0", "box"),
+                     (yid, yid, "house")]
+    assert edges == [(xid, tid, xid), (tid, yid, w)]

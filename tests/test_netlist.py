@@ -176,6 +176,25 @@ def test_port_list_entries_naming_no_gate_rejected(ports):
         b.finish()
 
 
+@pytest.mark.parametrize("ports", ["inputs", "outputs"])
+def test_port_list_repeating_an_entry_rejected(ports):
+    b = _passthrough()
+    getattr(b, ports).append(getattr(b, ports)[0])
+    with pytest.raises(NetlistError, match=f"{ports[:-1]} list repeats an entry"):
+        b.finish()
+
+
+@pytest.mark.parametrize("port", ["a", "y"])
+@pytest.mark.parametrize("radix", [-1, 0, 1])
+def test_gate_radix_below_two_rejected(port, radix):
+    # -1 is also the any-radix port marker, which let such a port load
+    nl = _passthrough().finish()
+    nl.gates[port].radix = radix
+    with pytest.raises(NetlistError) as info:
+        validate(nl)
+    assert str(info.value) == f"gate {port}: radix {radix} is below 2"
+
+
 def test_fan_in_above_the_pin_count_rejected():
     b = _passthrough()
     one = b.const(1, None)
