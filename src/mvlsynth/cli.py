@@ -31,16 +31,6 @@ def _strategy(args) -> Strategy:
     return Strategy(args.strategy)
 
 
-def _load_checked_bitstream(path, nl) -> ConfigBitstream:
-    bits = fileio.load_bitstream(path)
-    want = fileio.fingerprint(nl)
-    if bits.fingerprint != want:
-        raise ValueError(
-            f"bitstream fingerprint {bits.fingerprint} does not match the "
-            f"netlist ({want}); refusing to load")
-    return bits
-
-
 # -- commands -----------------------------------------------------------------
 
 
@@ -80,7 +70,7 @@ def _cmd_verify(args) -> int:
     tt, _name = fileio.load_table(args.table)
     config = None
     if args.bitstream is not None:
-        config = _load_checked_bitstream(args.bitstream, nl)
+        config = fileio.load_bitstream(args.bitstream)
     report = check_equivalence(nl, tt, config,
                                cap=args.exhaustive_cap, seed=args.seed)
     print(report.summary())
@@ -105,7 +95,7 @@ def _cmd_sim(args) -> int:
         if args.bitstream is None:
             raise ValueError(
                 "netlist has configuration latches; provide --bitstream")
-        load_config(nl, _load_checked_bitstream(args.bitstream, nl), state)
+        load_config(nl, fileio.load_bitstream(args.bitstream), state)
     elif args.bitstream is not None:
         raise ValueError("--bitstream given but the netlist has no latches")
 

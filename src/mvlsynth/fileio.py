@@ -2,8 +2,9 @@
 
 All documents are JSON with an explicit version field and fixed key order,
 so serialize -> parse -> serialize is byte-stable. Bitstream files carry a
-fingerprint of the target fabric's latch ordering so a stream can never be
-loaded into the wrong (or a reshaped) fabric silently.
+fingerprint of the target fabric's latch ordering, which sim.load_config
+checks, so a saved stream can never be loaded into the wrong (or a
+reshaped) fabric silently, through the library or the command line.
 """
 
 from __future__ import annotations

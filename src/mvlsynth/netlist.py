@@ -404,21 +404,19 @@ class NetlistBuilder:
         return y
 
     def and_(self, gid: str, ins: Sequence[str]) -> str:
-        if len(ins) == 1:
-            return ins[0]
-        y = self.net(None)
-        pins = {f"a{i}": n for i, n in enumerate(ins)}
-        pins["y"] = y
-        self.add_gate(gid, GateType.AND, pins, param=len(ins))
-        return y
+        return self._fan_in_gate(gid, GateType.AND, ins)
 
     def or_(self, gid: str, ins: Sequence[str]) -> str:
+        return self._fan_in_gate(gid, GateType.OR, ins)
+
+    def _fan_in_gate(self, gid: str, kind: GateType, ins: Sequence[str]) -> str:
+        """An AND/OR over ins; a single input is passed through as is."""
         if len(ins) == 1:
             return ins[0]
         y = self.net(None)
         pins = {f"a{i}": n for i, n in enumerate(ins)}
         pins["y"] = y
-        self.add_gate(gid, GateType.OR, pins, param=len(ins))
+        self.add_gate(gid, kind, pins, param=len(ins))
         return y
 
     def switch(self, gid: str, d: str, c: str, y: str) -> None:

@@ -17,7 +17,7 @@ from .netlist import Netlist
 from .sim import Fault, SimFaultError, SimState, eval_vectors, load_config, \
     reset_state, step_sequential
 from .tables import ConfigBitstream, FsmSpec, TruthTable
-from .values import RadixLike, as_radix, tt_index
+from .values import RadixLike, as_radix
 
 DEFAULT_CAP = 6561  # 3^8: largest space still swept exhaustively
 DEFAULT_SEED = 20240917
@@ -90,26 +90,23 @@ def check_equivalence(nl: Netlist, tt: TruthTable,
     if config is not None:
         load_config(nl, config, state)
 
-    if n**tt.arity <= cap:
-        # Every row in row order (MS-first digits): vector k is row k, so
-        # the mismatches come out sorted without an index per vector.
+    exhaustive = n**tt.arity <= cap
+    if exhaustive:
+        # every row in row order (MS-first digits): vector k is row k
         vectors = list(itertools.product(range(n), repeat=tt.arity))
-        results = eval_vectors(nl, vectors, state)
-        mismatches = [Mismatch(vec, (want,), got) for vec, want, got
-                      in zip(vectors, tt.entries, results) if got != (want,)]
-        return EquivalenceReport(len(vectors), tuple(mismatches))
-
-    rng = random.Random(seed)
-    vectors = [tuple(rng.randrange(n) for _ in range(tt.arity))
-               for _ in range(cap)]
+        wants = tt.entries
+    else:
+        # MS-first digit tuples sort in row order, so the mismatches come
+        # out sorted as in the exhaustive sweep
+        rng = random.Random(seed)
+        vectors = sorted(tuple(rng.randrange(n) for _ in range(tt.arity))
+                         for _ in range(cap))
+        wants = [tt.lookup(vec) for vec in vectors]
     results = eval_vectors(nl, vectors, state)
-    mismatches = []
-    for vec, got in zip(vectors, results):
-        expected = (tt.entries[tt_index(vec, tt.radix)],)
-        if got != expected:
-            mismatches.append(Mismatch(vec, expected, got))
-    mismatches.sort(key=lambda mm: tt_index(mm.inputs, tt.radix))
-    return EquivalenceReport(len(vectors), tuple(mismatches), False, seed)
+    mismatches = [Mismatch(vec, (want,), got) for vec, want, got
+                  in zip(vectors, wants, results) if got != (want,)]
+    return EquivalenceReport(len(vectors), tuple(mismatches), exhaustive,
+                             None if exhaustive else seed)
 
 
 def reference_half_adder(radix: RadixLike) -> tuple[TruthTable, TruthTable]:

@@ -33,6 +33,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
+from .fileio import fingerprint
 from .netlist import GateType, Netlist, gate_ports
 from .tables import ConfigBitstream
 
@@ -74,20 +75,16 @@ class SimState:
     faults: list[Fault] = field(default_factory=list)
 
 
-def _top_level(nl: Netlist, name: str) -> int:
-    radix = nl.gates[name].radix
-    return 1 if radix is None else radix - 1
-
-
 def _check_vectors(nl: Netlist, vectors) -> list[tuple[int, ...]]:
     """Range-check input vectors in order; raises on the first bad one."""
-    tops = [(name, _top_level(nl, name)) for name in nl.inputs]
+    gates = nl.gates
+    tops = [(gates[name].radix or 2) - 1 for name in nl.inputs]  # binary: 0..1
     out = []
     for vec in vectors:
         if len(vec) != len(tops):
             raise ValueError(f"expected {len(tops)} inputs, got {len(vec)}")
-        for (name, hi), v in zip(tops, vec):
-            if not isinstance(v, int) or not 0 <= v <= hi:
+        for name, hi, v in zip(nl.inputs, tops, vec):
+            if type(v) is not int or not 0 <= v <= hi:  # a bool is no digit
                 raise ValueError(f"input {name}: value {v!r} out of range 0..{hi}")
         out.append(tuple(vec))
     return out
@@ -427,9 +424,13 @@ def _settle(nl: Netlist, prog: _Program, vectors: list, state: SimState,
     oscillation bound allows never skips, so the bound's verdict is kept.
     """
     latches = state.latches
-    for gid in nl.state_latches:
-        if gid not in latches:
-            raise _uninitialized(state, gid)
+    for gid, q, _, _ in prog.latches:
+        level = latches.get(gid)
+        if type(level) is not int or not 0 <= level < len(q):
+            if gid not in latches:
+                raise _uninitialized(state, gid)
+            raise ValueError(
+                f"latch {gid}: stored level {level!r} not in 0..{len(q) - 1}")
     sweeps = len(prog.latches) + 2
     for sweep in range(1, sweeps + 1):
         v, first = _run(prog, vectors, cols, state)
@@ -494,9 +495,14 @@ def eval_combinational(nl: Netlist, inputs: Sequence[int],
 
 def load_config(nl: Netlist, bits: ConfigBitstream,
                 state: Optional[SimState] = None) -> SimState:
-    """Program the configuration latches, in latch_order."""
+    """Program the configuration latches, in latch_order. A stream that
+    carries a fingerprint must carry this fabric's."""
     if state is None:
         state = SimState()
+    if bits.fingerprint is not None and bits.fingerprint != fingerprint(nl):
+        raise ValueError(
+            f"bitstream fingerprint {bits.fingerprint} does not match the "
+            f"netlist ({fingerprint(nl)}); refusing to load")
     if len(bits.bits) != len(nl.latch_order):
         raise ValueError(
             f"bitstream has {len(bits.bits)} bits; fabric has "
@@ -516,8 +522,8 @@ def reset_state(nl: Netlist, digits: Sequence[int],
     for group, d in zip(nl.state_groups, digits):
         for gid in group:
             radix = nl.gates[gid].radix
-            if not 0 <= d < radix:
-                raise ValueError(f"reset digit {d} out of range for radix {radix}")
+            if type(d) is not int or not 0 <= d < radix:
+                raise ValueError(f"reset digit {d!r} out of range for radix {radix}")
             state.latches[gid] = d
     return state
 

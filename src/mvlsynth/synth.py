@@ -10,7 +10,7 @@ as switch wiring onto a shared net, never as arithmetic.
 from __future__ import annotations
 
 import enum
-import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -128,10 +128,12 @@ def _emit_table(b: NetlistBuilder, prefix: str, ins: Sequence[str],
     return y
 
 
-def _function_inputs(b: NetlistBuilder, n: int, m: int) -> list[str]:
+def _function_inputs(b: NetlistBuilder, n: int, m: int,
+                     port: str = "x") -> list[str]:
+    """m radix-n inputs MS-first: port for one digit, else port{m-1}..port0."""
     if m == 1:
-        return [b.add_input("x", n)]
-    return [b.add_input(f"x{j}", n) for j in range(m - 1, -1, -1)]
+        return [b.add_input(port, n)]
+    return [b.add_input(f"{port}{j}", n) for j in range(m - 1, -1, -1)]
 
 
 # -- public builders ----------------------------------------------------------
@@ -156,24 +158,19 @@ def build_decoder_m(radix: RadixLike, m: int) -> Netlist:
 
 def build_mux_1(radix: RadixLike) -> Netlist:
     """N-to-one selector: output y equals data input i_s for select s."""
-    n = as_radix(radix).n
-    b = NetlistBuilder()
-    data = [b.add_input(f"i{k}", n) for k in range(n - 1, -1, -1)]
-    data.reverse()  # i_0 .. i_{n-1}, ports declared MS-first
-    s = b.add_input("s", n)
-    b.add_output("y", _emit_mux_m(b, "", data, [s], n, tree=False))
-    return b.finish()
+    return build_mux_m(radix, 1, tree=False)
 
 
 def build_mux_m(radix: RadixLike, m: int, tree: bool = True) -> Netlist:
-    """N^m-to-one selector with m select digits; y = i_k at k = index(selects)."""
+    """N^m-to-one selector with m select digits; y = i_k at k = index(selects).
+    Selects are named like synth_tables' inputs: s, or s{m-1}..s0 for m > 1."""
     n = as_radix(radix).n
     if m < 1:
         raise ValueError("m must be >= 1")
     b = NetlistBuilder()
     data = [b.add_input(f"i{k}", n) for k in range(n**m - 1, -1, -1)]
-    data.reverse()
-    sels = [b.add_input(f"s{j}", n) for j in range(m - 1, -1, -1)]
+    data.reverse()  # i_0 .. i_{n^m-1}, ports declared MS-first
+    sels = _function_inputs(b, n, m, "s")
     b.add_output("y", _emit_mux_m(b, "", data, sels, n, tree))
     return b.finish()
 
@@ -296,29 +293,16 @@ def derive_config(tt: TruthTable, fabric: Netlist) -> ConfigBitstream:
 
 
 def _emit_dlatch(b: NetlistBuilder, prefix: str, d: str, load: str,
-                 hold: str, n: int, out: Optional[str] = None) -> tuple[str, str]:
+                 hold: str, n: int, out: Optional[str] = None,
+                 ) -> tuple[str, tuple[str]]:
     """Level-sensitive store: transparent while `load`=1, holding while
     `hold`=1 (callers pass complementary controls). Returns (output net,
-    storage gate id)."""
+    (storage gate id,))."""
     m = out if out is not None else b.net(n)
     q = b.nary_dlatch(f"{prefix}lat", m, n)
     b.switch(f"{prefix}sw_d", d, load, m)
     b.switch(f"{prefix}sw_h", q, hold, m)
-    return m, f"{prefix}lat"
-
-
-def build_nary_dlatch(radix: RadixLike) -> Netlist:
-    """Radix-N D-latch: q follows d while gate g is nonzero, else holds."""
-    n = as_radix(radix).n
-    b = NetlistBuilder()
-    d = b.add_input("d", n)
-    g = b.add_input("g", n)
-    en = b.tlg("en_tlg", g, 0)         # binary enable: g > 0
-    enb = b.not_("en_not", en)
-    q, lat = _emit_dlatch(b, "", d, en, enb, n)
-    b.add_state_group([lat])
-    b.add_output("q", q)
-    return b.finish()
+    return m, (f"{prefix}lat",)
 
 
 def _emit_dff(b: NetlistBuilder, prefix: str, d: str, en: str, enb: str,
@@ -331,24 +315,35 @@ def _emit_dff(b: NetlistBuilder, prefix: str, d: str, en: str, enb: str,
     the slave conducts), which keeps feedback paths through the committed
     element rather than through a combinational switch chain.
     """
-    _, mlat = _emit_dlatch(b, f"{prefix}m/", d, enb, en, n)
+    _, (mlat,) = _emit_dlatch(b, f"{prefix}m/", d, enb, en, n)
     qm = b.gates[mlat].pins["q"]
-    m2, slat = _emit_dlatch(b, f"{prefix}s/", qm, en, enb, n, out)
+    m2, (slat,) = _emit_dlatch(b, f"{prefix}s/", qm, en, enb, n, out)
     return m2, (mlat, slat)
 
 
-def build_nary_dff(radix: RadixLike) -> Netlist:
-    """Radix-N flip-flop: output updates to d only when g rises from 0."""
+def _build_storage(radix: RadixLike, emit) -> Netlist:
+    """Data d and gate g around one storage element emitted by emit (as
+    _emit_dlatch or _emit_dff), with output q and one state group."""
     n = as_radix(radix).n
     b = NetlistBuilder()
     d = b.add_input("d", n)
     g = b.add_input("g", n)
-    en = b.tlg("en_tlg", g, 0)
+    en = b.tlg("en_tlg", g, 0)         # binary enable: g > 0
     enb = b.not_("en_not", en)
-    q, lats = _emit_dff(b, "", d, en, enb, n)
+    q, lats = emit(b, "", d, en, enb, n)
     b.add_state_group(lats)
     b.add_output("q", q)
     return b.finish()
+
+
+def build_nary_dlatch(radix: RadixLike) -> Netlist:
+    """Radix-N D-latch: q follows d while gate g is nonzero, else holds."""
+    return _build_storage(radix, _emit_dlatch)
+
+
+def build_nary_dff(radix: RadixLike) -> Netlist:
+    """Radix-N flip-flop: output updates to d only when g rises from 0."""
+    return _build_storage(radix, _emit_dff)
 
 
 # -- state machines -----------------------------------------------------------
@@ -442,14 +437,11 @@ def gate_stats(nl: Netlist) -> GateStats:
     return GateStats(**counts)
 
 
-_MUX_SEG = re.compile(r"s\d+m\d+")
-
-
 def mux_block_count(nl: Netlist) -> int:
-    """Number of distinct selector blocks in a tree-built netlist."""
-    blocks = set()
-    for gid in nl.gates:
-        for seg in gid.split("/"):
-            if _MUX_SEG.fullmatch(seg):
-                blocks.add(seg)
-    return len(blocks)
+    """Number of N-way selector blocks: switch-driven nets of radix N with
+    exactly N switch drivers. A selector tree over m digits has
+    (N^m - 1)/(N - 1), a flat one none unless m = 1; a decoder realization
+    using all N levels, and each constant bank of a mux fabric, add one."""
+    switched = Counter(g.pins["y"] for g in nl.gates.values()
+                       if g.kind is GateType.SWITCH)
+    return sum(nl.nets[nid].radix == k for nid, k in switched.items())

@@ -3,6 +3,7 @@
 import pytest
 
 from mvlsynth import sim
+from mvlsynth.fileio import fingerprint
 from mvlsynth.oracle import check_equivalence, reference_half_adder
 from mvlsynth.sim import (Fault, FaultKind, SimFaultError, SimState,
                           eval_combinational, eval_vectors, load_config)
@@ -70,6 +71,23 @@ def test_fabric_computes_and_recomputes(build):
     assert first.passed and first.total_vectors == 9
     second = check_equivalence(nl, carry_tt, derive_config(carry_tt, nl))
     assert second.passed
+
+
+def test_a_stream_for_another_fabric_is_refused():
+    # same latch count, the decoder fabric's addressing: without the check
+    # the mux fabric runs it and reads 3/9 vectors, FAIL
+    dec, mux = build_fabric_decoder(3, 2), build_fabric_mux(3, 2)
+    sum_tt = TruthTable.make(3, 2, SUM3)
+    stream = ConfigBitstream(derive_config(sum_tt, dec).bits, fingerprint(dec))
+    for load in (lambda: load_config(mux, stream),
+                 lambda: check_equivalence(mux, sum_tt, stream)):
+        with pytest.raises(ValueError, match="refusing to load"):
+            load()
+    assert check_equivalence(dec, sum_tt, stream).passed
+    # a stream with no fingerprint is not checked
+    bare = ConfigBitstream(stream.bits)
+    assert load_config(mux, bare).config == dict(zip(mux.latch_order, bare.bits))
+    assert check_equivalence(mux, sum_tt, bare).summary() == "3/9 vectors, FAIL"
 
 
 def test_flat_selector_fabric():

@@ -6,9 +6,11 @@ from mvlsynth import fileio
 from mvlsynth.cli import main
 from mvlsynth.netlist import GateType, NetlistBuilder
 from mvlsynth.sim import (Fault, FaultKind, SimFaultError, SimState,
-                          eval_combinational, reset_state)
-from mvlsynth.synth import Strategy, _emit_table, build_nary_dff, build_nary_dlatch
-from mvlsynth.tables import TruthTable
+                          eval_combinational, reset_state, step_sequential)
+from mvlsynth.synth import (Strategy, _emit_table, build_nary_dff,
+                            build_nary_dlatch, compile_fsm)
+from mvlsynth.tables import FsmSpec, TruthTable
+from mvlsynth.values import Radix
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -103,6 +105,34 @@ def test_reset_validates_digits():
         reset_state(nl, [3])
     with pytest.raises(ValueError):
         reset_state(nl, [0, 0])
+
+
+@pytest.mark.parametrize("digit", [1.5, True, "1"])
+@pytest.mark.parametrize("build", [build_nary_dlatch, build_nary_dff])
+def test_reset_digits_must_be_integers(build, digit):
+    with pytest.raises(ValueError, match="reset digit"):
+        reset_state(build(3), [digit])
+
+
+@pytest.mark.parametrize("level", [-1, 3, 2.0, True, None])
+@pytest.mark.parametrize("build", [build_nary_dlatch, build_nary_dff])
+def test_a_stored_level_that_is_not_a_level_is_refused(build, level):
+    # -1 used to read as the top level, True as 1
+    nl = build(3)
+    state = reset_state(nl, [0])
+    gid = nl.state_latches[-1]
+    state.latches[gid] = level
+    with pytest.raises(ValueError, match=f"latch {gid}: stored level"):
+        eval_combinational(nl, [1, 0], state)
+
+
+def test_a_clocked_machine_refuses_a_stored_level_that_is_not_a_level():
+    spec = FsmSpec(Radix(3), 1, 0, (TruthTable.make(3, 1, (1, 2, 0)),))
+    nl = compile_fsm(spec, Strategy.DECODER)
+    state = reset_state(nl, [0])
+    state.latches[nl.state_latches[0]] = 3
+    with pytest.raises(ValueError, match="stored level 3 not in 0..2"):
+        step_sequential(nl, (), state)
 
 
 def _self_inverting_latch():

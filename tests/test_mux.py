@@ -6,8 +6,10 @@ import random
 import pytest
 
 from mvlsynth.sim import eval_combinational, eval_vectors
-from mvlsynth.synth import (build_mux_1, build_mux_m, gate_stats,
-                            mux_block_count)
+from mvlsynth.synth import (Strategy, build_fabric_decoder, build_fabric_mux,
+                            build_mux_1, build_mux_m, gate_stats,
+                            mux_block_count, synth_tables)
+from mvlsynth.tables import TruthTable
 from mvlsynth.values import tt_digits, tt_index
 
 
@@ -71,6 +73,25 @@ def test_tree_block_counts():
     assert mux_block_count(build_mux_m(2, 4, tree=True)) == 15
     assert mux_block_count(build_mux_m(3, 1, tree=True)) == 1
     assert mux_block_count(build_mux_m(3, 2, tree=False)) == 0
+
+
+def test_block_count_reads_the_structure():
+    # a block is a radix-N net with N switch drivers, wherever it occurs
+    assert mux_block_count(build_mux_m(3, 1, tree=False)) == 1
+    sum3 = TruthTable.make(3, 2, (0, 1, 2, 1, 2, 0, 2, 0, 1))
+    assert mux_block_count(synth_tables([sum3], Strategy.DECODER)) == 1
+    assert mux_block_count(build_fabric_mux(3, 2)) == 9 + 4
+    assert mux_block_count(build_fabric_decoder(3, 2)) == 1
+
+
+@pytest.mark.parametrize("tree", [True, False])
+def test_one_select_digit_is_named_s(tree):
+    assert build_mux_m(3, 1, tree=tree).inputs == ["i2", "i1", "i0", "s"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_mux_1_is_the_flat_one_digit_mux_m(n):
+    assert build_mux_1(n) == build_mux_m(n, 1, tree=False)
 
 
 def test_tree_comparator_count():

@@ -48,6 +48,14 @@ def test_input_validation():
         eval_combinational(nl, [-1])
 
 
+def test_a_bool_is_not_an_input_digit():
+    nl = build_decoder_1(3)
+    with pytest.raises(ValueError, match="input x: value True"):
+        eval_combinational(nl, [True])
+    with pytest.raises(ValueError, match="input x: value False"):
+        eval_vectors(nl, [(1,), (False,)])
+
+
 def test_tlg_extreme_thresholds():
     b = NetlistBuilder()
     x = b.add_input("x", 3)
