@@ -9,12 +9,11 @@ reshaped) fabric silently, through the library or the command line.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any, Optional, Union
 
-from .netlist import (Gate, GateType, Net, Netlist, _driver_map, gate_ports,
-                      validate)
+from .netlist import (Gate, GateType, Net, Netlist, _driver_map, fingerprint,
+                      gate_ports, validate)
 from .tables import ConfigBitstream, FsmSpec, TruthTable
 from .values import Radix
 
@@ -187,12 +186,6 @@ def netlist_from_text(text: str) -> Netlist:
 
 
 # -- bitstreams ---------------------------------------------------------------
-
-
-def fingerprint(nl: Netlist) -> str:
-    """Identity of a fabric's configuration addressing: hash of latch_order."""
-    digest = hashlib.sha256("\n".join(nl.latch_order).encode()).hexdigest()
-    return f"sha256:{digest}"
 
 
 def bitstream_to_text(bits: ConfigBitstream) -> str:

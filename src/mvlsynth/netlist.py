@@ -10,6 +10,7 @@ at most one conducts at a time).
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -169,6 +170,12 @@ class Netlist:
         if self._order is None:
             validate(self)
         return self._order
+
+
+def fingerprint(nl: Netlist) -> str:
+    """Identity of a fabric's configuration addressing: hash of latch_order."""
+    digest = hashlib.sha256("\n".join(nl.latch_order).encode()).hexdigest()
+    return f"sha256:{digest}"
 
 
 def _driver_map(nl: Netlist) -> dict[str, list[str]]:

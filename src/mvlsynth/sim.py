@@ -15,16 +15,19 @@ is one more input column. The sweep that would confirm a commit is skipped
 when every latch that changed is read only as data by switches that are
 off, as in a master-slave flip-flop, so a clock phase costs one sweep.
 
-A switch-driven net with no conducting switch is floating; a floating value
-is a fault the moment anything consumes it, and two simultaneously
-conducting switch drivers are a contention fault outright. A vector's
-result is the first fault it hits in evaluation order: contention when a
-switch net is resolved (just before its first reader, or at the end of the
-pass for nets nothing reads), floating at a net's first consume. Latches
-that never come to rest are an oscillation fault, and reading storage that
-was never set (a state latch not reset, a configuration latch not
-programmed) is an uninitialized-latch fault. Faults are never masked by
-default values.
+A switch net is N planes like any radix-N net. Every radix-N source sets
+exactly one plane per vector and a conducting switch copies its data's
+planes, so a vector is floating on a switch net when none of its planes is
+set: no switch conducts, or the one that does carries a floating value. A
+floating value is a fault the moment anything consumes it, and two
+simultaneously conducting switch drivers are a contention fault outright.
+A vector's result is the first fault it hits in evaluation order:
+contention when a switch net is resolved (just before its first reader, or
+at the end of the pass for nets nothing reads), floating at a net's first
+consume. Latches that never come to rest are an oscillation fault, and
+reading storage that was never set (a state latch not reset, a
+configuration latch not programmed) is an uninitialized-latch fault.
+Faults are never masked by default values.
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .fileio import fingerprint
-from .netlist import GateType, Netlist, gate_ports
+from .netlist import GateType, Netlist, fingerprint, gate_ports
 from .tables import ConfigBitstream
 
 
@@ -99,17 +101,14 @@ _SINK, _ZERO, _FULL = 0, 1, 2
 # Opcodes. Every op is a 4-tuple (opcode, out, a, b):
 #   _AND/_OR    (op, y, first input slot, other input slots)
 #   _NOT        (op, y, input slot, None)
-#   _SWITCH     (op, first y slot, source slots, control slot)
-#   _RESOLVE    (op, net id, control slots of all drivers, floating slot)
-#   _FLOAT      (op, net id, floating slot, None)
-# A switch net of radix N owns N planes, then a floating slot. A conducting
-# switch ORs its source slots into the net's slots from the first y slot
-# on: the data net's planes, plus its floating slot when the data is itself
-# a switch net. Every driver precedes the net's first read, which emits
-# _RESOLVE: it marks vectors where two drivers conduct as contention and
-# adds the vectors where none conducts to the floating mask (vectors with
-# contention are faulted by then, so their bits do not matter); _FLOAT
-# records that mask as faults where the net is consumed.
+#   _SWITCH     (op, first y slot, data planes, control slot)
+#   _RESOLVE    (op, net id, control slots of all drivers, None)
+#   _FLOAT      (op, net id, planes, None)
+# A switch net of radix N owns N planes. A conducting switch ORs its data
+# net's planes into them. Every driver precedes the net's first read, which
+# emits _RESOLVE: it only marks vectors where two drivers conduct as
+# contention. _FLOAT records as floating the vectors in which none of the
+# net's planes is set, where the net is consumed.
 _SWITCH, _AND, _OR, _NOT, _RESOLVE, _FLOAT = range(6)
 
 
@@ -157,10 +156,8 @@ def _lower(nl: Netlist) -> tuple[_Program, dict[str, tuple[int, ...]]]:
                         GateType.NARY_DLATCH):
             fresh(g.pins["q" if "q" in g.pins else "y"])
 
-    # Per switch net: its drivers' control slots, and the source slots (its
-    # planes and floating slot) a switch reading the net as data ORs onward.
+    # Per switch net: its drivers' control slots.
     controls: dict[str, list[int]] = {}
-    sources: dict[str, tuple[int, ...]] = {}
     ops: list[tuple] = []
     resolved: set[str] = set()
     consumed: set[str] = set()
@@ -174,13 +171,12 @@ def _lower(nl: Netlist) -> tuple[_Program, dict[str, tuple[int, ...]]]:
         if nid in readers and readers[nid] is not None:
             readers[nid] = None if control is None else readers[nid] + (control,)
         if nid in controls:
-            floating = sources[nid][-1]
             if nid not in resolved:
                 resolved.add(nid)
-                ops.append((_RESOLVE, nid, tuple(controls[nid]), floating))
+                ops.append((_RESOLVE, nid, tuple(controls[nid]), None))
             if consume and nid not in consumed:
                 consumed.add(nid)
-                ops.append((_FLOAT, nid, floating, None))
+                ops.append((_FLOAT, nid, planes[nid], None))
         return planes[nid]
 
     for gid in nl.eval_order():
@@ -207,10 +203,10 @@ def _lower(nl: Netlist) -> tuple[_Program, dict[str, tuple[int, ...]]]:
             d = read(pins["d"], False, c)
             y = pins["y"]
             if y not in controls:  # its first driver
-                sources[y] = alloc(nets[y].radix + 1)
-                planes[y], controls[y] = sources[y][:-1], []
+                fresh(y)
+                controls[y] = []
             controls[y].append(c)
-            ops.append((_SWITCH, sources[y][0], sources.get(pins["d"], d), c))
+            ops.append((_SWITCH, planes[y][0], d, c))
         else:
             raise AssertionError(f"unexpected gate in eval order: {g}")
 
@@ -276,13 +272,15 @@ def _run(prog: _Program, vectors: list, cols: list[tuple],
             bit <<= 1
         for s, m in zip(planes, masks):
             v[s] = m
-    config = state.config.get
+    config = state.config
     for gid, s in prog.config:
-        bit = config(gid)
+        bit = config.get(gid)
+        if type(bit) is not int or not 0 <= bit <= 1:  # a bool is no bit
+            if gid not in config:
+                raise _uninitialized(state, gid)
+            raise ValueError(f"configuration latch {gid}: bit {bit!r} is not 0 or 1")
         if bit:
             v[s] = full
-        elif bit is None:
-            raise _uninitialized(state, gid)
     latches = state.latches
     for gid, q, _, _ in prog.latches:
         v[q[latches[gid]]] = full
@@ -316,9 +314,11 @@ def _run(prog: _Program, vectors: list, cols: list[tuple],
             if new:
                 already |= new
                 _record(first, new, FaultKind.CONTENTION, y, vectors)
-            v[b] |= full ^ seen
         else:  # _FLOAT
-            new = v[a] & ~already
+            r = already
+            for s in a:
+                r |= v[s]
+            new = full ^ r
             if new:
                 already |= new
                 _record(first, new, FaultKind.FLOATING_NET, y, vectors)
@@ -329,11 +329,11 @@ def _levels(v: list[int], planes: tuple[int, ...], nb: int) -> list[int]:
     """Per-vector level of a net, read off its one-hot planes."""
     col = [0] * nb
     for lvl in range(1, len(planes)):
-        bits = bin(v[planes[lvl]])[:1:-1]  # bit b at index b
-        i = bits.find("1")
-        while i >= 0:
-            col[i] = lvl
-            i = bits.find("1", i + 1)
+        m = v[planes[lvl]]
+        while m:
+            low = m & -m
+            col[low.bit_length() - 1] = lvl
+            m ^= low
     return col
 
 
@@ -375,7 +375,7 @@ class _Cone:
             return self.memo[nid]
         gates = self.drivers.get(nid)
         if gates is None:  # a source
-            got = _level(self.v, self.planes[nid])
+            got = _levels(self.v, self.planes[nid], 1)[0]
         elif gates[0].kind is GateType.SWITCH:
             live = []
             for g in gates:
@@ -397,17 +397,9 @@ class _Cone:
             got = next((x for x in map(self.consume, ins)
                         if isinstance(x, Fault)), None)
             if got is None:
-                got = _level(self.v, self.planes[nid])
+                got = _levels(self.v, self.planes[nid], 1)[0]
         self.memo[nid] = got
         return got
-
-
-def _level(v: list[int], planes: tuple[int, ...]) -> int:
-    """Level of a net in a batch of one."""
-    for lvl in range(len(planes) - 1, 0, -1):
-        if v[planes[lvl]]:
-            return lvl
-    return 0
 
 
 def _settle(nl: Netlist, prog: _Program, vectors: list, state: SimState,
@@ -437,7 +429,7 @@ def _settle(nl: Netlist, prog: _Program, vectors: list, state: SimState,
         cone = _Cone(nl, v, vectors[0]) if first and prog.latches else None
         changed = []
         for gid, _, d, readers in prog.latches:
-            new = (_level(v, d) if cone is None
+            new = (_levels(v, d, 1)[0] if cone is None
                    else cone.consume(nl.gates[gid].pins["d"]))
             if isinstance(new, Fault):
                 state.faults.append(new)

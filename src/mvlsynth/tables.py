@@ -24,10 +24,13 @@ class TruthTable:
         n = self.radix.n
         if self.arity < 1:
             raise ValueError("arity must be >= 1")
-        if len(self.entries) != n**self.arity:
+        rows = len(self.entries)
+        # n**arity > rows once 2**arity > rows: a huge arity is refused
+        # without computing its power
+        if self.arity > rows.bit_length() or rows != n**self.arity:
             raise ValueError(
-                f"expected {n ** self.arity} entries for radix {n} arity "
-                f"{self.arity}, got {len(self.entries)}"
+                f"expected {n}**{self.arity} entries for radix {n} arity "
+                f"{self.arity}, got {rows}"
             )
         for e in self.entries:
             if not 0 <= e < n:
@@ -105,8 +108,8 @@ class ConfigBitstream:
 
     def __post_init__(self):
         for b in self.bits:
-            if b not in (0, 1):
-                raise ValueError(f"bitstream values must be 0 or 1, got {b}")
+            if type(b) is not int or not 0 <= b <= 1:  # a bool is no bit
+                raise ValueError(f"bitstream values must be 0 or 1, got {b!r}")
 
     def flipped(self, index: int) -> "ConfigBitstream":
         """Copy with one bit inverted (mutation testing helper)."""

@@ -1,5 +1,7 @@
 """Reconfigurable fabrics and bitstream derivation."""
 
+import re
+
 import pytest
 
 from mvlsynth import sim
@@ -125,6 +127,19 @@ def test_first_unprogrammed_latch_in_latch_order_is_named():
     assert err.value.fault == Fault(FaultKind.UNINITIALIZED_LATCH,
                                     nl.latch_order[2])
     assert state.faults == [err.value.fault]
+
+
+@pytest.mark.parametrize("bit", [2, -1, "0", True, False, 1.0, 0.0, None])
+def test_a_configuration_bit_that_is_not_0_or_1_is_refused(bit):
+    # set by hand: load_config only takes a ConfigBitstream's 0s and 1s
+    nl = build_fabric_decoder(3, 1)
+    state = load_config(nl, derive_config(TruthTable.make(3, 1, (2, 0, 1)), nl))
+    gid = nl.latch_order[4]
+    state.config[gid] = bit
+    with pytest.raises(ValueError,
+                       match=re.escape(f"latch {gid}: bit {bit!r} is not 0 or 1")):
+        eval_vectors(nl, [(0,), (1,), (2,)], state)
+    assert state.faults == []
 
 
 def test_selection_block_one_hot_drives_constant():

@@ -225,6 +225,14 @@ def test_huge_fan_in_is_refused_briefly():
     assert len(str(e.value)) < 200
 
 
+def test_huge_arity_is_refused_briefly():
+    doc = json.loads(table_to_text(SUM3))
+    doc["arity"] = 10**7  # 3**arity alone would take seconds to compute
+    with pytest.raises(FileFormatError,
+                       match=r"'outputs': expected 3\*\*10000000 entries .* got 9"):
+        table_from_text(json.dumps(doc))
+
+
 def test_loaded_netlist_equals_its_unvalidated_source():
     raw = Netlist(
         gates={"x": Gate("x", GateType.INPUT, {"y": "x"}, radix=3),

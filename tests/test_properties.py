@@ -1,0 +1,85 @@
+"""Loader properties: whatever JSON value is put wherever in a valid table,
+FSM, netlist or bitstream document, its loader returns or raises
+FileFormatError, never any other exception."""
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mvlsynth.fileio import (FileFormatError, bitstream_from_text,
+                             bitstream_to_text, fingerprint, fsm_from_text,
+                             fsm_to_text, netlist_from_text, netlist_to_text,
+                             table_from_text, table_to_text)
+from mvlsynth.synth import (Strategy, build_fabric_decoder, build_fabric_mux,
+                            compile_fsm, derive_config)
+from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
+from mvlsynth.values import Radix
+
+SUM3 = TruthTable.make(3, 2, (0, 1, 2, 1, 2, 0, 2, 0, 1))
+MOORE = FsmSpec(Radix(3), 1, 1,
+                (TruthTable.make(3, 2, tuple((s + i) % 3 for s in range(3)
+                                             for i in range(3))),),
+                (TruthTable.make(3, 2, tuple(2 - s for s in range(3)
+                                             for _ in range(3))),))
+
+
+def _bitstream_text():
+    fabric = build_fabric_decoder(3, 1)
+    bits = derive_config(TruthTable.make(3, 1, (2, 1, 0)), fabric)
+    return bitstream_to_text(ConfigBitstream(bits.bits, fingerprint(fabric)))
+
+
+DOCUMENTS = {
+    "table": (table_to_text(SUM3, "sum3"), table_from_text),
+    "fsm": (fsm_to_text(MOORE), fsm_from_text),
+    "fsm-netlist": (netlist_to_text(compile_fsm(MOORE, Strategy.DECODER)),
+                    netlist_from_text),
+    "mux-fabric": (netlist_to_text(build_fabric_mux(3, 1)), netlist_from_text),
+    "bitstream": (_bitstream_text(), bitstream_from_text),
+}
+
+
+def _paths(node, path=()):
+    """Every position in a document, the root included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for k in node if isinstance(node, dict) else range(len(node)):
+            yield from _paths(node[k], path + (k,))
+
+
+def _leaves(node):
+    """The document's own scalars: ids and levels that name real things."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [x for child in node for x in _leaves(child)]
+    return [node]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+
+
+@pytest.mark.parametrize("kind", sorted(DOCUMENTS))
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_value_anywhere_loads_or_is_refused(kind, data):
+    text, from_text = DOCUMENTS[kind]
+    doc = json.loads(text)
+    path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+    value = data.draw(_JSON | st.sampled_from(_leaves(doc)), label="value")
+    if path:
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    try:
+        from_text(json.dumps(doc))
+    except FileFormatError:
+        pass

@@ -122,6 +122,13 @@ def test_fsm_spec_output_tables():
     assert spec.observe((0,), ()) == (2,)
 
 
+@pytest.mark.parametrize("bit", [True, False, 1.0, 0.0])
+def test_bitstream_refuses_all_but_the_ints_0_and_1(bit):
+    # such a stream would save as text its own loader refuses
+    with pytest.raises(ValueError, match=f"must be 0 or 1, got {bit!r}"):
+        ConfigBitstream((0, bit, 1))
+
+
 def test_bitstream_validation_and_flip():
     bits = ConfigBitstream((0, 1, 1))
     assert bits.flipped(0).bits == (1, 1, 1)
