@@ -27,16 +27,12 @@ def _parse_digits(text: str, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what}: expected comma-separated digits, got {text!r}")
 
 
-def _strategy(args) -> Strategy:
-    return Strategy(args.strategy)
-
-
 # -- commands -----------------------------------------------------------------
 
 
 def _cmd_synth(args) -> int:
     tt, _name = fileio.load_table(args.table)
-    nl = synth_tables([tt], _strategy(args))
+    nl = synth_tables([tt], Strategy(args.strategy))
     fileio.save_netlist(args.output, nl)
     for line in gate_stats(nl).lines():
         print(line)
@@ -44,7 +40,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_fabric(args) -> int:
-    strategy = _strategy(args)
+    strategy = Strategy(args.strategy)
     if strategy is Strategy.DECODER:
         nl = build_fabric_decoder(args.radix, args.arity)
     else:
@@ -81,7 +77,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_fsm(args) -> int:
     spec = fileio.load_fsm(args.spec)
-    nl = compile_fsm(spec, _strategy(args))
+    nl = compile_fsm(spec, Strategy(args.strategy))
     fileio.save_netlist(args.output, nl)
     for line in gate_stats(nl).lines():
         print(line)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -126,9 +127,9 @@ def _build_ports(g: Gate) -> list[PortSig]:
     raise NetlistError(f"unknown gate kind {k!r}")
 
 
-# A combinational gate as levelize sees it: (gid, input nets, output nets),
-# nets in port order.
-CombGate = tuple[str, list[str], list[str]]
+# A combinational gate as levelize sees it: (gid, input nets in port order,
+# output net). Every combinational kind has exactly one output, y.
+CombGate = tuple[str, list[str], str]
 
 # Gate kinds outside the combinational core: sources, sinks and storage.
 _NOT_COMB = (*STATEFUL, GateType.INPUT, GateType.CONST, GateType.OUTPUT)
@@ -187,50 +188,40 @@ def _driver_map(nl: Netlist) -> dict[str, list[str]]:
     return drivers
 
 
-def _levelize(nets: Iterable[str], comb: list[CombGate]) -> list[str]:
+def _levelize(comb: list[CombGate]) -> list[str]:
     """Kahn order over the combinational gates; other drivers act as sources.
 
     A gate becomes ready once every one of its input nets is resolved; a
-    net resolves once all of its combinational drivers have run. Raises on
+    net resolves once all of its combinational drivers have run. Ready
+    gates join one queue, which is walked as it grows. Raises on
     combinational cycles.
     """
-    pending: dict[str, int] = dict.fromkeys(nets, 0)
-    for _, _, outs in comb:
-        for nid in outs:
-            pending[nid] += 1
-
-    waiting: dict[str, int] = {}
-    watchers: dict[str, list[CombGate]] = {}
-    ready: list[CombGate] = []
-    for gate in comb:
+    pending = Counter(y for _, _, y in comb)
+    waiting: list[int] = []                 # unresolved inputs, per gate
+    watchers: dict[str, list[int]] = {}     # gates waiting on each net
+    queue: list[CombGate] = []
+    for i, gate in enumerate(comb):
         unresolved = 0
         for nid in gate[1]:
-            if pending[nid] > 0:
+            if nid in pending:
                 unresolved += 1
-                watchers.setdefault(nid, []).append(gate)
-        waiting[gate[0]] = unresolved
-        if unresolved == 0:
-            ready.append(gate)
+                watchers.setdefault(nid, []).append(i)
+        waiting.append(unresolved)
+        if not unresolved:
+            queue.append(gate)
 
-    order: list[str] = []
-    while ready:
-        nxt: list[CombGate] = []
-        for gid, _, outs in ready:
-            order.append(gid)
-            for nid in outs:
-                pending[nid] -= 1
-                if pending[nid] == 0:
-                    for w in watchers.get(nid, ()):
-                        waiting[w[0]] -= 1
-                        if waiting[w[0]] == 0:
-                            nxt.append(w)
-        ready = nxt
+    for _, _, y in queue:
+        pending[y] -= 1
+        if not pending[y]:
+            for w in watchers.get(y, ()):
+                waiting[w] -= 1
+                if not waiting[w]:
+                    queue.append(comb[w])
 
-    if len(order) != len(comb):
-        done = set(order)
-        stuck = sorted(gid for gid, _, _ in comb if gid not in done)
+    if len(queue) != len(comb):
+        stuck = sorted(gid for (gid, _, _), w in zip(comb, waiting) if w)
         raise NetlistError(f"combinational cycle involving gates: {stuck}")
-    return order
+    return [gid for gid, _, _ in queue]
 
 
 def validate(nl: Netlist) -> None:
@@ -265,7 +256,6 @@ def validate(nl: Netlist) -> None:
                 f"{g.gid}: dangling or unknown ports (missing {missing}, extra {extra})"
             )
         ins: list[str] = []
-        outs: list[str] = []
         for sig in sigs:
             nid = pins[sig.name]
             net = nets.get(nid)
@@ -288,7 +278,6 @@ def validate(nl: Netlist) -> None:
             if sig.is_input:
                 ins.append(nid)
             else:
-                outs.append(nid)
                 drivers[nid].append(g.gid)
         if kind is GateType.SWITCH:
             din, dout = nets[pins["d"]], nets[pins["y"]]
@@ -307,7 +296,7 @@ def validate(nl: Netlist) -> None:
             if g.param is None or not 0 <= g.param <= hi:
                 raise NetlistError(f"{g.gid}: constant {g.param} out of range 0..{hi}")
         if kind not in _NOT_COMB:
-            comb.append((g.gid, ins, outs))
+            comb.append((g.gid, ins, pins["y"]))
 
     for nid, ds in drivers.items():
         if not ds:
@@ -345,7 +334,7 @@ def validate(nl: Netlist) -> None:
                 and g.pins["y"] != nl.clock):
             raise NetlistError(f"input port {g.gid} is neither listed nor the clock")
 
-    nl._order = _levelize(nets, comb)  # raises on combinational cycles
+    nl._order = _levelize(comb)  # raises on combinational cycles
 
 
 class NetlistBuilder:

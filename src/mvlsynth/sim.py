@@ -33,6 +33,7 @@ Faults are never masked by default values.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -184,9 +185,7 @@ def _lower(nl: Netlist) -> tuple[_Program, dict[str, tuple[int, ...]]]:
         kind, pins = g.kind, g.pins
         if kind is GateType.TLG:
             ups = read(pins["d"], True)[g.param + 1:]
-            if g.param < 0:  # every level is above -1
-                planes[pins["y"]] = (_SINK, _FULL)
-            elif len(ups) <= 1:
+            if len(ups) <= 1:
                 planes[pins["y"]] = (_SINK, ups[0] if ups else _ZERO)
             else:
                 y = fresh(pins["y"])[1]
@@ -325,15 +324,23 @@ def _run(prog: _Program, vectors: list, cols: list[tuple],
     return v, first
 
 
+# The set bit positions of each byte value, low bit first.
+_BITS = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(256))
+
+
 def _levels(v: list[int], planes: tuple[int, ...], nb: int) -> list[int]:
-    """Per-vector level of a net, read off its one-hot planes."""
+    """Per-vector level of a net, read off its one-hot planes a byte at a
+    time, so the cost is linear in the batch."""
     col = [0] * nb
+    nbytes = (nb + 7) >> 3
     for lvl in range(1, len(planes)):
         m = v[planes[lvl]]
-        while m:
-            low = m & -m
-            col[low.bit_length() - 1] = lvl
-            m ^= low
+        if m:
+            base = 0
+            for byte in m.to_bytes(nbytes, "little"):
+                for bit in _BITS[byte]:
+                    col[base + bit] = lvl
+                base += 8
     return col
 
 
@@ -412,8 +419,13 @@ def _settle(nl: Netlist, prog: _Program, vectors: list, state: SimState,
     as data by switches whose control is 0 in this sweep: those switches
     add nothing whatever the latch holds, so the next sweep would match
     this one in every slot but the changed latches' own planes, which
-    nothing reads, and would commit no change. The last sweep the
-    oscillation bound allows never skips, so the bound's verdict is kept.
+    nothing reads, and would commit no change.
+
+    A sweep is a function of the inputs and the latch contents, so latch
+    contents that recur after a changing sweep never settle. The loop
+    sweeps on until the latches settle or, at sweep len(latches) + 2 or
+    later, their contents recur: that is an oscillation fault. A transient
+    can thus last up to the product of the latch radixes in sweeps.
     """
     latches = state.latches
     for gid, q, _, _ in prog.latches:
@@ -423,8 +435,8 @@ def _settle(nl: Netlist, prog: _Program, vectors: list, state: SimState,
                 raise _uninitialized(state, gid)
             raise ValueError(
                 f"latch {gid}: stored level {level!r} not in 0..{len(q) - 1}")
-    sweeps = len(prog.latches) + 2
-    for sweep in range(1, sweeps + 1):
+    bound, seen = len(prog.latches) + 2, set()
+    for sweep in itertools.count(1):
         v, first = _run(prog, vectors, cols, state)
         cone = _Cone(nl, v, vectors[0]) if first and prog.latches else None
         changed = []
@@ -437,14 +449,17 @@ def _settle(nl: Netlist, prog: _Program, vectors: list, state: SimState,
             if latches[gid] != new:
                 latches[gid] = new
                 changed.append((gid, readers))
-        if not changed or sweep < sweeps and all(
+        if not changed or all(
                 readers is not None and not any(v[c] for c in readers)
                 for _, readers in changed):
             return v, first
-    # still moving after the last sweep: name the first latch that changed
-    fault = Fault(FaultKind.OSCILLATION, changed[0][0], vectors[0])
-    state.faults.append(fault)
-    raise SimFaultError(fault)
+        contents = tuple(latches[gid] for gid, _, _, _ in prog.latches)
+        if sweep >= bound and contents in seen:
+            # name the first latch that changed in this sweep
+            fault = Fault(FaultKind.OSCILLATION, changed[0][0], vectors[0])
+            state.faults.append(fault)
+            raise SimFaultError(fault)
+        seen.add(contents)
 
 
 def eval_vectors(nl: Netlist, vectors: Sequence[Sequence[int]],

@@ -27,10 +27,6 @@ class Strategy(enum.Enum):
     MUX_FLAT = "mux-flat"    # single decoder driving one switch per row
 
     @property
-    def is_mux(self) -> bool:
-        return self is not Strategy.DECODER
-
-    @property
     def tree(self) -> bool:
         return self is Strategy.MUX_TREE
 
@@ -112,7 +108,7 @@ def _emit_table(b: NetlistBuilder, prefix: str, ins: Sequence[str],
     selector driven by the inputs.
     """
     n = tt.radix.n
-    if strategy.is_mux:
+    if strategy is not Strategy.DECODER:
         data = [b.const(v, n) for v in tt.entries]
         return _emit_mux_m(b, prefix, data, ins, n, strategy.tree)
     lines = shared_decode

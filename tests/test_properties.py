@@ -1,8 +1,15 @@
-"""Loader properties: whatever JSON value is put wherever in a valid table,
-FSM, netlist or bitstream document, its loader returns or raises
-FileFormatError, never any other exception."""
+"""Input-surface properties.
 
+Loaders: whatever JSON value is put wherever in a valid table, FSM,
+netlist or bitstream document, its loader returns or raises
+FileFormatError, never any other exception. Netlists: a builder netlist
+with one of test_netlist_diff's mutations either fails validate with
+NetlistError or simulates to levels and faults, never another exception.
+"""
+
+import functools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +18,14 @@ from mvlsynth.fileio import (FileFormatError, bitstream_from_text,
                              bitstream_to_text, fingerprint, fsm_from_text,
                              fsm_to_text, netlist_from_text, netlist_to_text,
                              table_from_text, table_to_text)
+from mvlsynth.netlist import NetlistError, validate
+from mvlsynth.sim import (Fault, SimFaultError, SimState, eval_vectors,
+                          load_config, reset_state, step_sequential)
 from mvlsynth.synth import (Strategy, build_fabric_decoder, build_fabric_mux,
                             compile_fsm, derive_config)
 from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
 from mvlsynth.values import Radix
+from test_netlist_diff import FAMILIES, MUTATIONS, _copy
 
 SUM3 = TruthTable.make(3, 2, (0, 1, 2, 1, 2, 0, 2, 0, 1))
 MOORE = FsmSpec(Radix(3), 1, 1,
@@ -83,3 +94,51 @@ def test_any_value_anywhere_loads_or_is_refused(kind, data):
         from_text(json.dumps(doc))
     except FileFormatError:
         pass
+
+
+# -- mutated netlists ----------------------------------------------------------
+
+
+@functools.cache
+def _builder_netlists():
+    return [nl for family in sorted(FAMILIES) for nl in FAMILIES[family]()]
+
+
+def _simulate(nl, rng):
+    """Simulate a validated netlist as its storage allows: a batch when it
+    is latch-free, one vector when it has latches, two clock steps when it
+    is clocked. Returns the results, or the fault that stopped the run."""
+    state = SimState()
+    if nl.latch_order:
+        load_config(nl, ConfigBitstream(tuple(rng.randrange(2)
+                                              for _ in nl.latch_order)), state)
+    if nl.state_latches:
+        reset_state(nl, [rng.randrange(nl.gates[group[0]].radix)
+                         for group in nl.state_groups], state)
+    tops = [nl.gates[gid].radix or 2 for gid in nl.inputs]
+    count = 1 if nl.state_latches else rng.randint(1, 9)
+    vectors = [tuple(rng.randrange(top) for top in tops) for _ in range(count)]
+    try:
+        if nl.clock is None:
+            return eval_vectors(nl, vectors, state)
+        return [step_sequential(nl, vector, state)[0] for vector in vectors * 2]
+    except SimFaultError as e:
+        return [e.fault]
+
+
+@settings(derandomize=True, database=None, max_examples=800, deadline=None)
+@given(data=st.data(), mutation=st.sampled_from(MUTATIONS),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_mutated_netlist_is_refused_or_simulates(data, mutation, seed):
+    rng = random.Random(seed)
+    nl = _copy(data.draw(st.sampled_from(_builder_netlists()), label="netlist"))
+    if mutation(nl, rng) is False:
+        return
+    try:
+        validate(nl)
+    except NetlistError:
+        return
+    tops = [nl.gates[gid].radix or 2 for gid in nl.outputs]
+    for result in _simulate(nl, rng):
+        assert isinstance(result, Fault) or all(
+            type(x) is int and 0 <= x < top for x, top in zip(result, tops))

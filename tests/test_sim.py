@@ -156,6 +156,24 @@ def test_step_sequential_needs_a_clock():
         step_sequential(nl, [1], SimState())
 
 
+@pytest.mark.parametrize("nb", [1, 8, 9, 6561, 19683])
+def test_levels_reads_planes_like_a_bit_by_bit_scan(nb):
+    rng = random.Random(nb)
+    for radix in (2, 3, 5):
+        # one column of random levels, one whose top planes are all zero,
+        # and one with no plane set at all, as on a faulted vector
+        for top in (radix, 1, 0):
+            col = [rng.randrange(top) if top else 0 for _ in range(nb)]
+            v = [0, 0, 0] + [sum(1 << b for b in range(nb)
+                                 if top and col[b] == lvl)
+                             for lvl in range(radix)]
+            planes = tuple(range(3, 3 + radix))
+            naive = [next((lvl for lvl in range(1, radix)
+                           if v[planes[lvl]] >> b & 1), 0)
+                     for b in range(nb)]
+            assert sim._levels(v, planes, nb) == naive == col
+
+
 # -- settle sweeps -------------------------------------------------------------
 
 
@@ -251,29 +269,50 @@ def test_a_latch_read_otherwise_gets_its_confirming_sweep(reader, monkeypatch):
     assert len(sweeps) == 2 * 8 + changes
 
 
-def test_the_last_sweep_allowed_never_skips():
-    # latch a counts 0 -> 3 in three sweeps; b, which nothing reads, changes
-    # only on the fourth, the last one the bound allows for two latches, so
-    # the reference's non-convergence verdict stands
+def _latch_pair(table_a, table_b):
+    """Two radix-4 latches with no gate pin: a loads table_a of itself, b
+    loads table_b of a; the output reads a's data net."""
     b = NetlistBuilder()
     qa, qb = b.net(4), b.net(4)
-    da = _emit_table(b, "inc/", [qa], TruthTable.make(4, 1, (1, 2, 3, 3)),
+    da = _emit_table(b, "fa/", [qa], TruthTable.make(4, 1, table_a),
                      Strategy.DECODER)
-    db = _emit_table(b, "top/", [qa], TruthTable.make(4, 1, (0, 0, 0, 1)),
+    db = _emit_table(b, "fb/", [qa], TruthTable.make(4, 1, table_b),
                      Strategy.DECODER)
     b.add_gate("a", GateType.NARY_DLATCH, {"d": da, "q": qa}, radix=4)
     b.add_gate("b", GateType.NARY_DLATCH, {"d": db, "q": qb}, radix=4)
     b.add_state_group(["a"])
     b.add_state_group(["b"])
     b.add_output("y", da)
-    nl = b.finish()
+    return b.finish()
+
+
+def test_latches_that_settle_after_the_bound_are_no_oscillation():
+    # latch a counts 0 -> 3 in three sweeps and b, fed a == 3, changes only
+    # on the fourth, the bound for two latches. No latch state recurs, so
+    # the loop sweeps on and the fifth sweep finds them at rest. The
+    # reference still stops at the bound.
+    nl = _latch_pair((1, 2, 3, 3), (0, 0, 0, 1))
     with pytest.raises(RuntimeError, match="did not converge"):
         ref.eval_combinational(nl, [], reset_state(nl, [0, 0]))
     state = reset_state(nl, [0, 0])
+    assert eval_combinational(nl, [], state)[0] == (3,)
+    assert state.latches == {"a": 3, "b": 1}
+    assert state.faults == []
+
+
+def test_a_true_oscillator_faults_at_the_bound():
+    # a inverts itself (0, 3, 0, ...) and b copies a, so the latch state
+    # recurs on the third sweep and the fourth, the bound, names a
+    nl = _latch_pair((3, 2, 1, 0), (0, 1, 2, 3))
+    ref_state = reset_state(nl, [0, 0])
+    with pytest.raises(RuntimeError, match="did not converge"):
+        ref.eval_combinational(nl, [], ref_state)
+    state = reset_state(nl, [0, 0])
     with pytest.raises(SimFaultError) as e:
         eval_combinational(nl, [], state)
-    assert e.value.fault == Fault(FaultKind.OSCILLATION, "b", ())
-    assert state.latches == {"a": 3, "b": 1}
+    assert e.value.fault == Fault(FaultKind.OSCILLATION, "a", ())
+    assert state.faults == [e.value.fault]
+    assert state.latches == ref_state.latches == {"a": 0, "b": 3}
 
 
 # -- binary degeneration ------------------------------------------------------
