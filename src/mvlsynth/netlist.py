@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class NetlistError(ValueError):
@@ -40,7 +39,7 @@ STATEFUL = (GateType.CONFIG_LATCH, GateType.NARY_DLATCH)
 _FAN_IN = (GateType.AND, GateType.OR)
 
 
-@dataclass
+@dataclass(slots=True)
 class Gate:
     gid: str
     kind: GateType
@@ -51,19 +50,18 @@ class Gate:
     def fan_in(self) -> int:
         if self.kind not in _FAN_IN:
             raise NetlistError(f"{self.gid}: fan_in undefined for {self.kind.value}")
-        if not isinstance(self.param, int):
+        if type(self.param) is not int:  # a bool is no fan-in
             raise NetlistError(f"{self.gid}: fan-in {self.param!r} is not an integer")
         return self.param
 
 
-@dataclass
+@dataclass(slots=True)
 class Net:
     nid: str
     radix: Optional[int]            # None = binary
 
 
-@dataclass(frozen=True)
-class PortSig:
+class PortSig(NamedTuple):
     name: str
     is_input: bool
     radix: Optional[int]            # None = binary, -1 = any single radix
@@ -71,16 +69,18 @@ class PortSig:
 
 _ANY = -1
 
-# Shared port signatures and their port-name sets, keyed by (kind, fan-in)
-# for AND/OR and by (kind, radix) for every other kind. Only signatures
-# that built cleanly are stored, so a bad fan-in or an unknown kind raises
-# on every call.
+
+# Shared port signatures and their port-name sets, keyed by (id(kind),
+# fan-in) for AND/OR and by (id(kind), radix) for every other kind: a
+# GateType member is a singleton, and hashing the member itself runs
+# Enum.__hash__ in Python. Only signatures that built cleanly are stored,
+# so a bad fan-in or an unknown kind raises on every call.
 _PORTS: dict[tuple, tuple[tuple[PortSig, ...], frozenset[str]]] = {}
 
 
 def _signature(g: Gate) -> tuple[tuple[PortSig, ...], frozenset[str]]:
     k = g.kind
-    key = (k, g.fan_in()) if k in _FAN_IN else (k, g.radix)
+    key = (id(k), g.fan_in() if k in _FAN_IN else g.radix)
     sig = _PORTS.get(key)
     if sig is None:
         ports = tuple(_build_ports(g))
@@ -127,12 +127,24 @@ def _build_ports(g: Gate) -> list[PortSig]:
     raise NetlistError(f"unknown gate kind {k!r}")
 
 
-# A combinational gate as levelize sees it: (gid, input nets in port order,
-# output net). Every combinational kind has exactly one output, y.
-CombGate = tuple[str, list[str], str]
+# A combinational gate as levelize and the compiler see it: one flat tuple
+# (gate, y, *ins) of the gate, the number of its output net y and the
+# numbers of its input nets in port order. Every combinational kind has
+# exactly one output, y. Flat tuples keep small the records a netlist
+# holds until its first lowering.
+CombGate = tuple
 
 # Gate kinds outside the combinational core: sources, sinks and storage.
 _NOT_COMB = (*STATEFUL, GateType.INPUT, GateType.CONST, GateType.OUTPUT)
+
+
+class Levelized(NamedTuple):
+    """What one structural walk of a valid netlist yields. Nets are
+    numbered in nl.nets order."""
+
+    sources: list[tuple[Gate, int]]     # inputs, constants and storage with
+                                        # their output net, in gate order
+    comb: list[CombGate]                # in eval order
 
 
 @dataclass
@@ -148,9 +160,11 @@ class Netlist:
     state_groups: list[tuple[str, ...]]  # latches sharing one reset digit
     clock: Optional[str] = None     # net driven by the sequential stepper
     fabric_kind: Optional[str] = None    # "decoder" | "mux" for fabrics
-    # the levelized order stored by a passing validate, and the simulator's
-    # program compiled from it on first simulation; validate clears both
+    # A passing validate stores the eval order, and hands the simulator its
+    # levelized records, which the first simulation consumes to compile the
+    # program it caches here. validate clears all three first.
     _order: Optional[list[str]] = field(default=None, repr=False, compare=False)
+    _records: Optional[Levelized] = field(default=None, repr=False, compare=False)
     _program: Optional[object] = field(default=None, repr=False, compare=False)
 
     def net_of_input(self, gid: str) -> str:
@@ -188,7 +202,7 @@ def _driver_map(nl: Netlist) -> dict[str, list[str]]:
     return drivers
 
 
-def _levelize(comb: list[CombGate]) -> list[str]:
+def _levelize(comb: list[CombGate], nnets: int) -> list[CombGate]:
     """Kahn order over the combinational gates; other drivers act as sources.
 
     A gate becomes ready once every one of its input nets is resolved; a
@@ -196,126 +210,182 @@ def _levelize(comb: list[CombGate]) -> list[str]:
     gates join one queue, which is walked as it grows. Raises on
     combinational cycles.
     """
-    pending = Counter(y for _, _, y in comb)
+    pending = [0] * nnets                   # unrun drivers, per net
+    for gate in comb:
+        pending[gate[1]] += 1
     waiting: list[int] = []                 # unresolved inputs, per gate
-    watchers: dict[str, list[int]] = {}     # gates waiting on each net
+    watchers: list[Optional[list[int]]] = [None] * nnets  # per net
     queue: list[CombGate] = []
     for i, gate in enumerate(comb):
         unresolved = 0
-        for nid in gate[1]:
-            if nid in pending:
+        for x in gate[2:]:
+            if pending[x]:
                 unresolved += 1
-                watchers.setdefault(nid, []).append(i)
+                if watchers[x] is None:
+                    watchers[x] = [i]
+                else:
+                    watchers[x].append(i)
         waiting.append(unresolved)
         if not unresolved:
             queue.append(gate)
 
-    for _, _, y in queue:
+    for gate in queue:
+        y = gate[1]
         pending[y] -= 1
         if not pending[y]:
-            for w in watchers.get(y, ()):
+            for w in watchers[y] or ():
                 waiting[w] -= 1
                 if not waiting[w]:
                     queue.append(comb[w])
 
     if len(queue) != len(comb):
-        stuck = sorted(gid for (gid, _, _), w in zip(comb, waiting) if w)
+        stuck = sorted(gate[0].gid for gate, w in zip(comb, waiting) if w)
         raise NetlistError(f"combinational cycle involving gates: {stuck}")
-    return [gid for gid, _, _ in queue]
+    return queue
 
 
-def validate(nl: Netlist) -> None:
-    """Full structural check: connectivity, drivers, signal kinds, cycles.
+def _port_error(g: Gate, name: str, want: Optional[int], net: Optional[int],
+                radixes: list[Optional[int]]) -> NetlistError:
+    """Why port name of g, of radix want, cannot connect to its net, given
+    the net's number (None if there is no such net)."""
+    nid = g.pins[name]
+    if net is None:
+        return NetlistError(f"{g.gid}.{name}: unknown net {nid!r}")
+    if want is None:
+        return NetlistError(
+            f"{g.gid}.{name}: binary port on radix-{radixes[net]} net {nid}")
+    if want == _ANY:
+        return NetlistError(f"{g.gid}.{name}: radix-N port on binary net {nid}")
+    return NetlistError(
+        f"{g.gid}.{name}: radix-{want} port on net {nid} of radix {radixes[net]}")
 
-    One walk over every gate's ports checks them and collects the driver
-    map and the combinational gates that levelize orders. The netlist's
-    stored order and compiled program are dropped on entry, and the new
-    order is stored only if every check passes.
+
+def _bad_radix(radix: object) -> str:
+    if type(radix) is not int:  # a bool is no radix
+        return f"radix {radix!r} is not an integer"
+    return f"radix {radix} is below 2"
+
+
+def _bad_param(g: Gate, what: str, bound: str) -> NetlistError:
+    if g.param is None or type(g.param) is int:
+        return NetlistError(f"{g.gid}: {what} {g.param} {bound}")
+    return NetlistError(f"{g.gid}: {what} {g.param!r} is not an integer")
+
+
+def levelized(nl: Netlist) -> Levelized:
+    """Check every structural rule and order the combinational core.
+
+    One walk over every gate's ports checks them, numbers their nets and
+    collects the drivers, the storage, the sources and the combinational
+    records that levelize orders. The first violation raises NetlistError.
+    When a netlist breaks several rules, the one reported is the first in
+    this order: net radixes, each gate in turn, the drivers of each net,
+    the storage lists, the port lists, the clock, unlisted input ports,
+    combinational cycles.
     """
-    nl._order = nl._program = None
+    # GateType members as locals: on Python 3.11 a GateType.X read goes
+    # through the enum class and costs about ten times a local read.
+    TLG, SWITCH, CONST = GateType.TLG, GateType.SWITCH, GateType.CONST
+    INPUT, OUTPUT = GateType.INPUT, GateType.OUTPUT
+    CONFIG_LATCH, NARY_DLATCH = GateType.CONFIG_LATCH, GateType.NARY_DLATCH
     nets = nl.nets
-    for net in nets.values():
-        if net.radix is not None and net.radix < 2:
-            raise NetlistError(f"net {net.nid}: radix {net.radix} is below 2")
-    drivers: dict[str, list[str]] = {nid: [] for nid in nets}
+    number: dict[str, int] = {}
+    radixes: list[Optional[int]] = []
+    for i, (nid, net) in enumerate(nets.items()):
+        r = net.radix
+        if r is not None and (type(r) is not int or r < 2):
+            raise NetlistError(f"net {net.nid}: {_bad_radix(r)}")
+        number[nid] = i
+        radixes.append(r)
+    driver: list[Optional[str]] = [None] * len(radixes)  # first, per net
+    shared: list[tuple[int, str]] = []      # each further driver, with its net
+    sources: list[tuple[Gate, int]] = []
     comb: list[CombGate] = []
+    config: list[str] = []                  # CONFIG_LATCH ids, in gate order
+    state: list[str] = []                   # NARY_DLATCH ids, in gate order
+    ports: list[Gate] = []                  # INPUT gates
     for g in nl.gates.values():
-        kind, pins = g.kind, g.pins
-        if g.radix is not None and g.radix < 2:  # -1 would read as _ANY
-            raise NetlistError(f"gate {g.gid}: radix {g.radix} is below 2")
-        if kind is GateType.NARY_DLATCH and g.radix is None:
+        kind, pins, radix = g.kind, g.pins, g.radix
+        # a radix below 2 first: -1 would read as _ANY
+        if radix is not None and (type(radix) is not int or radix < 2):
+            raise NetlistError(f"gate {g.gid}: {_bad_radix(radix)}")
+        if kind is NARY_DLATCH and radix is None:
             raise NetlistError(f"{g.gid}: {kind.value} needs a radix")
-        # before the signature, whose size grows with the declared fan-in
-        if kind in _FAN_IN and type(g.param) is int and g.param > len(pins):
-            raise NetlistError(f"{g.gid}: fan-in {g.param} exceeds its {len(pins)} pins")
-        sigs, names = _signature(g)
+        if kind in _FAN_IN:
+            # before the signature, whose size grows with the declared fan-in
+            if type(g.param) is int and g.param > len(pins):
+                raise NetlistError(f"{g.gid}: fan-in {g.param} exceeds its {len(pins)} pins")
+            sig = _PORTS.get((id(kind), g.param)) if type(g.param) is int else None
+        else:
+            sig = _PORTS.get((id(kind), radix))
+        # _signature's cache read inline: the call and fan_in() cost more
+        # than the lookup; a miss builds it, or raises for a bad fan-in
+        sigs, names = sig or _signature(g)
         if pins.keys() != names:
             missing = sorted(names - set(pins))
             extra = sorted(set(pins) - names)
             raise NetlistError(
                 f"{g.gid}: dangling or unknown ports (missing {missing}, extra {extra})"
             )
-        ins: list[str] = []
-        for sig in sigs:
-            nid = pins[sig.name]
-            net = nets.get(nid)
-            if net is None:
-                raise NetlistError(f"{g.gid}.{sig.name}: unknown net {nid!r}")
-            if sig.radix is None:
-                if net.radix is not None:
-                    raise NetlistError(
-                        f"{g.gid}.{sig.name}: binary port on radix-{net.radix} net {nid}"
-                    )
-            elif sig.radix == _ANY:
-                if net.radix is None:
-                    raise NetlistError(
-                        f"{g.gid}.{sig.name}: radix-N port on binary net {nid}")
-            elif net.radix != sig.radix:
-                raise NetlistError(
-                    f"{g.gid}.{sig.name}: radix-{sig.radix} port on net {nid} "
-                    f"of radix {net.radix}"
-                )
-            if sig.is_input:
-                ins.append(nid)
+        ins: list[int] = []
+        out = -1
+        for name, is_input, want in sigs:
+            i = number.get(pins[name])
+            if i is None or radixes[i] != want and (want != _ANY or radixes[i] is None):
+                raise _port_error(g, name, want, i, radixes)
+            if is_input:
+                ins.append(i)
             else:
-                drivers[nid].append(g.gid)
-        if kind is GateType.SWITCH:
-            din, dout = nets[pins["d"]], nets[pins["y"]]
-            if din.radix != dout.radix:
-                raise NetlistError(
-                    f"{g.gid}: switch data radix {din.radix} != output radix {dout.radix}"
-                )
-        elif kind is GateType.TLG:
-            n = nets[pins["d"]].radix
-            if g.param is None or not -1 <= g.param <= n - 1:
-                raise NetlistError(
-                    f"{g.gid}: threshold {g.param} outside -1..{n - 1} for radix {n}"
-                )
-        elif kind is GateType.CONST:
-            hi = 1 if g.radix is None else g.radix - 1
-            if g.param is None or not 0 <= g.param <= hi:
-                raise NetlistError(f"{g.gid}: constant {g.param} out of range 0..{hi}")
-        if kind not in _NOT_COMB:
-            comb.append((g.gid, ins, pins["y"]))
+                out = i
+                if driver[i] is None:
+                    driver[i] = g.gid
+                else:
+                    shared.append((i, g.gid))
+        if kind in _NOT_COMB:
+            if kind is CONST:
+                hi = 1 if radix is None else radix - 1
+                if type(g.param) is not int or not 0 <= g.param <= hi:
+                    raise _bad_param(g, "constant", f"out of range 0..{hi}")
+            elif kind is CONFIG_LATCH:
+                config.append(g.gid)
+            elif kind is NARY_DLATCH:
+                state.append(g.gid)
+            elif kind is INPUT:
+                ports.append(g)
+            if kind is not OUTPUT:
+                sources.append((g, out))
+            continue
+        if kind is SWITCH:
+            if radixes[ins[0]] != radixes[out]:
+                raise NetlistError(f"{g.gid}: switch data radix {radixes[ins[0]]} "
+                                   f"!= output radix {radixes[out]}")
+        elif kind is TLG:
+            n = radixes[ins[0]]
+            if type(g.param) is not int or not -1 <= g.param <= n - 1:
+                raise _bad_param(g, "threshold", f"outside -1..{n - 1} for radix {n}")
+        comb.append((g, out, *ins))
 
-    for nid, ds in drivers.items():
-        if not ds:
+    bad = driver.index(None) if None in driver else len(driver)
+    for i, gid in shared:
+        if i < bad and (nl.gates[gid].kind is not SWITCH
+                        or nl.gates[driver[i]].kind is not SWITCH):
+            bad = i
+    if bad < len(driver):
+        nid = list(nets)[bad]
+        if driver[bad] is None:
             raise NetlistError(f"net {nid} has no driver")
-        if len(ds) > 1:
-            kinds = {nl.gates[d].kind for d in ds}
-            if kinds != {GateType.SWITCH}:
-                raise NetlistError(f"net {nid} multiply driven by non-switch gates: {ds}")
+        ds = [driver[bad]] + [gid for i, gid in shared if i == bad]
+        raise NetlistError(f"net {nid} multiply driven by non-switch gates: {ds}")
 
-    for lst, kind in ((nl.latch_order, GateType.CONFIG_LATCH),
-                      (nl.state_latches, GateType.NARY_DLATCH)):
-        actual = [g.gid for g in nl.gates.values() if g.kind is kind]
+    for lst, actual, kind in ((nl.latch_order, config, CONFIG_LATCH),
+                              (nl.state_latches, state, NARY_DLATCH)):
         if sorted(lst) != sorted(actual) or len(set(lst)) != len(lst):
             raise NetlistError(f"{kind.value} ordering list does not match gates")
     grouped = [gid for grp in nl.state_groups for gid in grp]
     if sorted(grouped) != sorted(nl.state_latches):
         raise NetlistError("state_groups do not partition the state latches")
 
-    for lst, kind in ((nl.inputs, GateType.INPUT), (nl.outputs, GateType.OUTPUT)):
+    for lst, kind in ((nl.inputs, INPUT), (nl.outputs, OUTPUT)):
         for gid in lst:
             if gid not in nl.gates or nl.gates[gid].kind is not kind:
                 raise NetlistError(
@@ -323,18 +393,31 @@ def validate(nl: Netlist) -> None:
         if len(set(lst)) != len(lst):
             raise NetlistError(f"{kind.value} list repeats an entry")
     if nl.clock is not None:
-        if nl.clock not in nets:
+        if nl.clock not in number:
             raise NetlistError(f"clock net {nl.clock} does not exist")
-        ds = drivers[nl.clock]
-        if nl.gates[ds[0]].kind is not GateType.INPUT or ds[0] in nl.inputs:
+        first = driver[number[nl.clock]]
+        if nl.gates[first].kind is not INPUT or first in nl.inputs:
             raise NetlistError(
                 f"clock net {nl.clock} is not driven by a dedicated input port")
-    for g in nl.gates.values():
-        if (g.kind is GateType.INPUT and g.gid not in nl.inputs
-                and g.pins["y"] != nl.clock):
+    for g in ports:
+        if g.gid not in nl.inputs and g.pins["y"] != nl.clock:
             raise NetlistError(f"input port {g.gid} is neither listed nor the clock")
 
-    nl._order = _levelize(comb)  # raises on combinational cycles
+    return Levelized(sources, _levelize(comb, len(radixes)))
+
+
+def validate(nl: Netlist) -> None:
+    """Full structural check: connectivity, drivers, signal kinds, cycles.
+
+    The netlist's stored order, records and compiled program are dropped
+    on entry. If every check passes, the eval order is stored, and the
+    levelized records are kept for the simulator's first lowering, which
+    consumes them.
+    """
+    nl._order = nl._records = nl._program = None
+    records = levelized(nl)
+    nl._order = [gate[0].gid for gate in records.comb]
+    nl._records = records
 
 
 class NetlistBuilder:

@@ -2,7 +2,9 @@
 
 On first simulation each netlist is lowered into a compiled program, cached
 on the netlist: every net gets integer slots, and one flat op list follows
-the levelized order of the acyclic core. A run evaluates a whole batch of
+the levelized order of the acyclic core. The lowering consumes the gate
+records that the netlist's validate handed over, in that order, so it never
+walks the gates again. A run evaluates a whole batch of
 input vectors at once, bit-parallel: a slot holds one Python int whose bit
 b belongs to vector b. A binary net is one mask; a radix-N net is N one-hot
 masks, one per level, so TLG(x > t) is the OR of planes t+1..N-1.
@@ -37,7 +39,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .netlist import GateType, Netlist, fingerprint, gate_ports
+from .netlist import (GateType, Levelized, Netlist, fingerprint, levelized,
+                      validate)
 from .tables import ConfigBitstream
 
 
@@ -127,116 +130,133 @@ class _Program(NamedTuple):
     outputs: tuple                  # planes per nl.outputs entry
 
 
-def _lower(nl: Netlist) -> tuple[_Program, dict[str, tuple[int, ...]]]:
-    """Assign slots and emit the op list; also returns each net's planes.
+def _lower(nl: Netlist, records: Levelized
+           ) -> tuple[_Program, list[tuple[int, ...]]]:
+    """Assign slots and emit the op list from a netlist's levelized
+    records; also returns each net's planes, by net number.
 
     A net's planes are the slots of its levels, index = level; a binary
     net is (_SINK, slot). Constants and single-plane comparators emit no
     op: their planes alias existing slots.
     """
+    # GateType members as locals: on Python 3.11 a GateType.X read goes
+    # through the enum class and costs about ten times a local read.
+    AND, OR, NOT, TLG = GateType.AND, GateType.OR, GateType.NOT, GateType.TLG
+    CONST = GateType.CONST
     gates, nets = nl.gates, nl.nets
+    names = list(nets)
+    number = dict(zip(names, itertools.count()))
     nslots = 3
-    planes: dict[str, tuple[int, ...]] = {}
+    planes: list = [None] * len(names)
 
-    def alloc(count: int) -> tuple[int, ...]:
+    def fresh(i: int) -> tuple[int, ...]:
         nonlocal nslots
-        nslots += count
-        return tuple(range(nslots - count, nslots))
+        radix = nets[names[i]].radix
+        first = nslots
+        if radix is None:
+            nslots += 1
+            planes[i] = (_SINK, first)
+        else:
+            nslots += radix
+            planes[i] = tuple(range(first, nslots))
+        return planes[i]
 
-    def fresh(nid: str) -> tuple[int, ...]:
-        radix = nets[nid].radix
-        planes[nid] = (_SINK,) + alloc(1) if radix is None else alloc(radix)
-        return planes[nid]
-
-    for g in gates.values():
-        if g.kind is GateType.CONST:
+    for g, y in records.sources:
+        if g.kind is CONST:
             levels = 2 if g.radix is None else g.radix
-            planes[g.pins["y"]] = tuple(_FULL if lvl == g.param else _ZERO
-                                        for lvl in range(levels))
-        elif g.kind in (GateType.INPUT, GateType.CONFIG_LATCH,
-                        GateType.NARY_DLATCH):
-            fresh(g.pins["q" if "q" in g.pins else "y"])
+            planes[y] = tuple(_FULL if lvl == g.param else _ZERO
+                              for lvl in range(levels))
+        else:
+            fresh(y)
 
     # Per switch net: its drivers' control slots.
-    controls: dict[str, list[int]] = {}
+    controls: dict[int, list[int]] = {}
     ops: list[tuple] = []
-    resolved: set[str] = set()
-    consumed: set[str] = set()
+    resolved: set[int] = set()
+    consumed: set[int] = set()
     # Per state latch q net: the control slots of the switches that read it
     # as data, or None once anything else reads it.
-    readers: dict[str, Optional[tuple[int, ...]]] = {
-        gates[gid].pins["q"]: () for gid in nl.state_latches}
+    readers: dict[int, Optional[tuple[int, ...]]] = {
+        number[gates[gid].pins["q"]]: () for gid in nl.state_latches}
 
-    def read(nid: str, consume: bool,
+    def read(i: int, consume: bool,
              control: Optional[int] = None) -> tuple[int, ...]:
-        if nid in readers and readers[nid] is not None:
-            readers[nid] = None if control is None else readers[nid] + (control,)
-        if nid in controls:
-            if nid not in resolved:
-                resolved.add(nid)
-                ops.append((_RESOLVE, nid, tuple(controls[nid]), None))
-            if consume and nid not in consumed:
-                consumed.add(nid)
-                ops.append((_FLOAT, nid, planes[nid], None))
-        return planes[nid]
+        if i in readers and readers[i] is not None:
+            readers[i] = None if control is None else readers[i] + (control,)
+        if i in controls:
+            if i not in resolved:
+                resolved.add(i)
+                ops.append((_RESOLVE, names[i], tuple(controls[i]), None))
+            if consume and i not in consumed:
+                consumed.add(i)
+                ops.append((_FLOAT, names[i], planes[i], None))
+        return planes[i]
 
-    for gid in nl.eval_order():
-        g = gates[gid]
-        kind, pins = g.kind, g.pins
-        if kind is GateType.TLG:
-            ups = read(pins["d"], True)[g.param + 1:]
+    # Binary outputs of TLG, NOT, AND and OR take the next slot inline.
+    for rec in records.comb:
+        g, y = rec[0], rec[1]
+        kind = g.kind
+        if kind is AND or kind is OR:
+            bits = [planes[x][1] for x in rec[2:]]
+            ops.append((_AND if kind is AND else _OR, nslots,
+                        bits[0], tuple(bits[1:])))
+            planes[y] = (_SINK, nslots)
+            nslots += 1
+        elif kind is TLG:
+            ups = read(rec[2], True)[g.param + 1:]
             if len(ups) <= 1:
-                planes[pins["y"]] = (_SINK, ups[0] if ups else _ZERO)
+                planes[y] = (_SINK, ups[0] if ups else _ZERO)
             else:
-                y = fresh(pins["y"])[1]
-                ops.append((_OR, y, ups[0], ups[1:]))
-        elif kind is GateType.NOT:
-            y = fresh(pins["y"])[1]
-            ops.append((_NOT, y, planes[pins["a"]][1], None))
-        elif kind is GateType.AND or kind is GateType.OR:
-            ins = tuple(planes[pins[f"a{i}"]][1] for i in range(g.param))
-            y = fresh(pins["y"])[1]
-            ops.append((_AND if kind is GateType.AND else _OR, y, ins[0], ins[1:]))
-        elif kind is GateType.SWITCH:
-            c = planes[pins["c"]][1]
-            d = read(pins["d"], False, c)
-            y = pins["y"]
+                ops.append((_OR, nslots, ups[0], ups[1:]))
+                planes[y] = (_SINK, nslots)
+                nslots += 1
+        elif kind is NOT:
+            ops.append((_NOT, nslots, planes[rec[2]][1], None))
+            planes[y] = (_SINK, nslots)
+            nslots += 1
+        else:  # SWITCH, inputs (d, c)
+            c = planes[rec[3]][1]
+            d = read(rec[2], False, c)
             if y not in controls:  # its first driver
                 fresh(y)
                 controls[y] = []
             controls[y].append(c)
             ops.append((_SWITCH, planes[y][0], d, c))
-        else:
-            raise AssertionError(f"unexpected gate in eval order: {g}")
 
     # Contention must surface even on nets nothing happened to read.
-    for nid in controls:
-        read(nid, False)
+    for i in controls:
+        read(i, False)
     for gid in nl.state_latches:
-        read(gates[gid].pins["d"], True)
+        read(number[gates[gid].pins["d"]], True)
     for gid in nl.outputs:
-        read(nl.net_of_output(gid), True)
+        read(number[nl.net_of_output(gid)], True)
+
+    def net(gid: str, pin: str) -> tuple[int, ...]:
+        return planes[number[gates[gid].pins[pin]]]
 
     program = _Program(
         nslots=nslots,
         ops=tuple(ops),
-        inputs=tuple(planes[nl.net_of_input(gid)] for gid in nl.inputs)
-        + (() if nl.clock is None else (planes[nl.clock],)),
-        config=tuple((gid, planes[gates[gid].pins["q"]][1])
-                     for gid in nl.latch_order),
-        latches=tuple((gid, planes[gates[gid].pins["q"]],
-                       planes[gates[gid].pins["d"]],
-                       readers[gates[gid].pins["q"]])
+        inputs=tuple(net(gid, "y") for gid in nl.inputs)
+        + (() if nl.clock is None else (planes[number[nl.clock]],)),
+        config=tuple((gid, net(gid, "q")[1]) for gid in nl.latch_order),
+        latches=tuple((gid, net(gid, "q"), net(gid, "d"),
+                       readers[number[gates[gid].pins["q"]]])
                       for gid in nl.state_latches),
-        outputs=tuple(planes[nl.net_of_output(gid)] for gid in nl.outputs),
+        outputs=tuple(net(gid, "a") for gid in nl.outputs),
     )
     return program, planes
 
 
 def _compiled(nl: Netlist) -> _Program:
+    """The netlist's program, lowered on first use from the records its
+    validate handed over; a netlist without them is validated first."""
     program = nl._program
     if program is None:
-        program = nl._program = _lower(nl)[0]
+        if nl._records is None:
+            validate(nl)
+        records, nl._records = nl._records, None
+        program = nl._program = _lower(nl, records)[0]
     return program
 
 
@@ -361,51 +381,55 @@ class _Cone:
     held for the one vector: a level, None for floating, or the Fault
     poisoning it (first poisoned input of a gate, first poisoned
     conducting driver of a switch net). Levels of clean nets are read from
-    the run's slots. Only the settle loop's fault path builds one.
+    the run's slots. Only the settle loop's fault path builds one; it
+    derives the netlist's records afresh, by the walk validate makes.
     """
 
     def __init__(self, nl: Netlist, v: list[int], vector: tuple[int, ...]):
         self.v, self.vector = v, vector
-        self.planes = _lower(nl)[1]
-        self.drivers: dict[str, list] = {}
-        for gid in nl.eval_order():
-            g = nl.gates[gid]
-            self.drivers.setdefault(g.pins["y"], []).append(g)
-        self.memo: dict[str, Union[int, None, Fault]] = {}
+        records = levelized(nl)
+        self.names = list(nl.nets)
+        self.number = dict(zip(self.names, itertools.count()))
+        self.planes = _lower(nl, records)[1]
+        self.drivers: dict[int, list] = {}
+        for rec in records.comb:
+            self.drivers.setdefault(rec[1], []).append(rec)
+        self.memo: dict[int, Union[int, None, Fault]] = {}
 
-    def consume(self, nid: str) -> Union[int, Fault]:
-        got = self.read(nid)
-        return Fault(FaultKind.FLOATING_NET, nid, self.vector) if got is None else got
+    def consume(self, i: int) -> Union[int, Fault]:
+        got = self.read(i)
+        if got is None:
+            return Fault(FaultKind.FLOATING_NET, self.names[i], self.vector)
+        return got
 
-    def read(self, nid: str) -> Union[int, None, Fault]:
-        if nid in self.memo:
-            return self.memo[nid]
-        gates = self.drivers.get(nid)
-        if gates is None:  # a source
-            got = _levels(self.v, self.planes[nid], 1)[0]
-        elif gates[0].kind is GateType.SWITCH:
+    def read(self, i: int) -> Union[int, None, Fault]:
+        if i in self.memo:
+            return self.memo[i]
+        drivers = self.drivers.get(i)
+        if drivers is None:  # a source
+            got = _levels(self.v, self.planes[i], 1)[0]
+        elif drivers[0][0].kind is GateType.SWITCH:
             live = []
-            for g in gates:
-                c = self.consume(g.pins["c"])
+            for _, _, d, c in drivers:
+                c = self.consume(c)
                 if isinstance(c, Fault):
                     live.append(c)  # a poisoned control conducts its fault
                 elif c == 1:
-                    live.append(self.read(g.pins["d"]))
+                    live.append(self.read(d))
             poison = next((x for x in live if isinstance(x, Fault)), None)
             if len(live) == 1:
                 got = live[0]
             elif len(live) > 1:
-                got = poison or Fault(FaultKind.CONTENTION, nid, self.vector)
+                got = poison or Fault(FaultKind.CONTENTION, self.names[i],
+                                      self.vector)
             else:
                 got = None
         else:
-            g = gates[0]
-            ins = (g.pins[sig.name] for sig in gate_ports(g) if sig.is_input)
-            got = next((x for x in map(self.consume, ins)
+            got = next((x for x in map(self.consume, drivers[0][2:])
                         if isinstance(x, Fault)), None)
             if got is None:
-                got = _levels(self.v, self.planes[nid], 1)[0]
-        self.memo[nid] = got
+                got = _levels(self.v, self.planes[i], 1)[0]
+        self.memo[i] = got
         return got
 
 
@@ -442,7 +466,7 @@ def _settle(nl: Netlist, prog: _Program, vectors: list, state: SimState,
         changed = []
         for gid, _, d, readers in prog.latches:
             new = (_levels(v, d, 1)[0] if cone is None
-                   else cone.consume(nl.gates[gid].pins["d"]))
+                   else cone.consume(cone.number[nl.gates[gid].pins["d"]]))
             if isinstance(new, Fault):
                 state.faults.append(new)
                 raise SimFaultError(new)

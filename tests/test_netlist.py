@@ -195,6 +195,57 @@ def test_gate_radix_below_two_rejected(port, radix):
     assert str(info.value) == f"gate {port}: radix {radix} is below 2"
 
 
+def _tlg(threshold):
+    b = NetlistBuilder()
+    b.add_output("y", b.tlg("t", b.add_input("x", 3), threshold))
+    return b
+
+
+def _and(fan_in):
+    b = NetlistBuilder()
+    y = b.net(None)
+    b.add_gate("g", GateType.AND, {"a0": b.add_input("x", None), "y": y},
+               param=fan_in)
+    b.add_output("y", y)
+    return b
+
+
+def _const(value):
+    b = NetlistBuilder()
+    b.add_output("y", b.const(value, None))
+    return b
+
+
+def _input(radix):
+    b = NetlistBuilder()
+    b.add_output("y", b.add_input("x", radix))
+    return b
+
+
+def _port_radix(radix):
+    b = _passthrough()
+    b.gates["y"].radix = radix
+    return b
+
+
+@pytest.mark.parametrize("build, value, message", [
+    (_tlg, 1.0, "t: threshold 1.0 is not an integer"),
+    (_tlg, True, "t: threshold True is not an integer"),
+    (_and, True, "g: fan-in True is not an integer"),
+    (_const, True, "const_b_True: constant True is not an integer"),
+    (_input, 3.0, "net x: radix 3.0 is not an integer"),
+    (_port_radix, 3.0, "gate y: radix 3.0 is not an integer"),
+    (_port_radix, True, "gate y: radix True is not an integer"),
+], ids=["tlg-float", "tlg-bool", "and-bool", "const-bool", "net-float",
+        "gate-float", "gate-bool"])
+def test_a_param_or_radix_that_is_no_integer_is_refused(build, value, message):
+    # each of these once validated, then made the simulator raise
+    # TypeError or read the bool as 1
+    with pytest.raises(NetlistError) as info:
+        build(value).finish()
+    assert str(info.value) == message
+
+
 def test_fan_in_above_the_pin_count_rejected():
     b = _passthrough()
     one = b.const(1, None)

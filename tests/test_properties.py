@@ -1,13 +1,16 @@
-"""Input-surface properties.
+"""Input-surface, synthesis and fabric properties.
 
 Loaders: whatever JSON value is put wherever in a valid table, FSM,
 netlist or bitstream document, its loader returns or raises
 FileFormatError, never any other exception. Netlists: a builder netlist
 with one of test_netlist_diff's mutations either fails validate with
 NetlistError or simulates to levels and faults, never another exception.
+Synthesis and fabrics: a synthesized table and a fabric programmed for it
+compute the table; a fabric with random bits gives a report.
 """
 
 import functools
+import itertools
 import json
 import random
 
@@ -19,10 +22,11 @@ from mvlsynth.fileio import (FileFormatError, bitstream_from_text,
                              fsm_to_text, netlist_from_text, netlist_to_text,
                              table_from_text, table_to_text)
 from mvlsynth.netlist import NetlistError, validate
+from mvlsynth.oracle import check_equivalence
 from mvlsynth.sim import (Fault, SimFaultError, SimState, eval_vectors,
                           load_config, reset_state, step_sequential)
 from mvlsynth.synth import (Strategy, build_fabric_decoder, build_fabric_mux,
-                            compile_fsm, derive_config)
+                            compile_fsm, derive_config, synth_tables)
 from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
 from mvlsynth.values import Radix
 from test_netlist_diff import FAMILIES, MUTATIONS, _copy
@@ -142,3 +146,60 @@ def test_a_mutated_netlist_is_refused_or_simulates(data, mutation, seed):
     for result in _simulate(nl, rng):
         assert isinstance(result, Fault) or all(
             type(x) is int and 0 <= x < top for x, top in zip(result, tops))
+
+
+# -- synthesis and fabrics against the oracle ----------------------------------
+
+# (radix, arity) at radix 2-5, each table at most 27 rows
+TABLE_SHAPES = [(n, m) for n in (2, 3, 4, 5) for m in (1, 2, 3) if n**m <= 27]
+FABRIC_SHAPES = [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (5, 1)]
+FABRICS = ["decoder", "mux-tree", "mux-flat"]
+
+
+def _table(data, n, m):
+    entries = data.draw(st.lists(st.integers(0, n - 1), min_size=n**m,
+                                 max_size=n**m), label="entries")
+    return TruthTable.make(n, m, entries)
+
+
+@functools.cache
+def _fabric(kind, n, m):
+    if kind == "decoder":
+        return build_fabric_decoder(n, m)
+    return build_fabric_mux(n, m, tree=kind == "mux-tree")
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data(), shape=st.sampled_from(TABLE_SHAPES),
+       strategy=st.sampled_from(list(Strategy)))
+def test_synthesis_matches_the_oracle(data, shape, strategy):
+    n, m = shape
+    tt = _table(data, n, m)
+    vectors = list(itertools.product(range(n), repeat=m))
+    assert eval_vectors(synth_tables([tt], strategy), vectors) == [
+        (tt.lookup(vec),) for vec in vectors]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(FABRICS),
+       shape=st.sampled_from(FABRIC_SHAPES))
+def test_a_derived_bitstream_programs_the_fabric(data, kind, shape):
+    fabric = _fabric(kind, *shape)
+    tt = _table(data, *shape)
+    report = check_equivalence(fabric, tt, config=derive_config(tt, fabric))
+    assert report.passed, report.summary()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(FABRICS),
+       shape=st.sampled_from(FABRIC_SHAPES))
+def test_random_bits_give_a_report(data, kind, shape):
+    n, m = shape
+    fabric = _fabric(kind, n, m)
+    count = len(fabric.latch_order)
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=count,
+                              max_size=count), label="bits")
+    report = check_equivalence(fabric, _table(data, n, m),
+                               config=ConfigBitstream(tuple(bits)))
+    assert report.total_vectors == n**m
+    assert report.passed == (not report.mismatches)

@@ -8,7 +8,7 @@ import pytest
 import reference_sim as ref
 from mvlsynth import sim
 from mvlsynth.netlist import (Gate, GateType, Net, Netlist, NetlistBuilder,
-                              NetlistError, validate)
+                              NetlistError, levelized, validate)
 from mvlsynth.oracle import (check_fsm_equivalence, random_table,
                              reference_half_adder)
 from mvlsynth.sim import (Fault, FaultKind, SimFaultError, SimState,
@@ -18,6 +18,7 @@ from mvlsynth.synth import (Strategy, _emit_table, build_decoder_1,
                             build_mux_1, build_nary_dff, compile_fsm,
                             synth_tables)
 from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
+from test_netlist_diff import FAMILIES, MUTATIONS, _copy
 
 
 def test_half_adder_pair_rows():
@@ -367,6 +368,36 @@ def test_validate_after_an_edit_drops_the_compiled_program():
     nl.gates["y"].pins["a"] = x
     validate(nl)
     assert eval_vectors(nl, [(0,), (1,)]) == [(0,), (1,)]
+
+
+def _two_programs(nl):
+    """The program compiled from the records validate handed over, and the
+    one compiled from records derived afresh, as the fault path does."""
+    handed = sim._compiled(nl)
+    assert nl._records is None      # consumed by the lowering, not kept
+    return repr(handed), repr(sim._lower(nl, levelized(nl))[0])
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_handed_over_records_compile_like_fresh_ones(family):
+    rng = random.Random(sum(map(ord, family)))
+    edited = 0
+    for nl in FAMILIES[family]():
+        handed, fresh = _two_programs(nl)
+        assert handed == fresh
+        for _ in range(10):         # until an edit passes validate
+            mutated = _copy(nl)
+            if rng.choice(MUTATIONS)(mutated, rng) is False:
+                continue
+            try:
+                validate(mutated)
+            except NetlistError:
+                continue
+            handed, fresh = _two_programs(mutated)
+            assert handed == fresh
+            edited += 1
+            break
+    assert edited
 
 
 def test_a_netlist_that_never_passed_validate_is_validated_first():
