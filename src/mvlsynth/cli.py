@@ -7,6 +7,7 @@ runtime fault, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -214,10 +215,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use and not at import.
+
+    Building one costs a millisecond or more (argparse looks up a
+    translation for every help string); parsing leaves it unchanged.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

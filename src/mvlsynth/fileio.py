@@ -10,7 +10,7 @@ reshaped) fabric silently, through the library or the command line.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from .netlist import (Gate, GateType, Net, Netlist, _driver_map, fingerprint,
                       gate_ports, validate)
@@ -25,7 +25,20 @@ class FileFormatError(ValueError):
 
 
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """doc as JSON, one top-level field per line.
+
+    An array of objects or arrays (nets, gates, state groups, FSM rows)
+    gets one element per line. Every piece goes through json.dumps's C
+    encoder; indent= would force its pure-Python one.
+    """
+    fields = []
+    for key, value in doc.items():
+        if isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+            text = "[\n    " + ",\n    ".join(map(json.dumps, value)) + "\n  ]"
+        else:
+            text = json.dumps(value)
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def _load(text: str, kind: str) -> dict:
@@ -44,33 +57,34 @@ def _load(text: str, kind: str) -> dict:
     return doc
 
 
-def _field(doc: dict, name: str, types: Union[type, tuple], where: str = "") -> Any:
+# The checks below compare exact types: json.loads makes no subclasses, and
+# a bool, whose type is bool, never counts as an integer.
+def _field(doc: dict, name: str, kind: type, where: str = "") -> Any:
     if name not in doc:
         raise FileFormatError(f"missing field '{where}{name}'")
     v = doc[name]
-    if not isinstance(v, types) or isinstance(v, bool):
+    if type(v) is not kind:
         raise FileFormatError(f"field '{where}{name}': wrong type {type(v).__name__}")
     return v
 
 
-def _optional(doc: dict, name: str, types: type, what: str, where: str = "") -> Any:
+def _optional(doc: dict, name: str, kind: type, what: str, where: str = "") -> Any:
     """A field that may be absent or null, else of the given type."""
     v = doc.get(name)
-    if v is not None and (not isinstance(v, types) or isinstance(v, bool)):
+    if v is not None and type(v) is not kind:
         raise FileFormatError(f"field '{where}{name}': must be {what} or null")
     return v
 
 
-def _array(v: Any, path: str, types: Union[type, tuple]) -> list:
+def _array(v: Any, path: str, kind: type) -> list:
     """v as an array whose every element has the given type.
 
-    A bool never counts as an integer. Errors name the element, as in
-    'transition[0][1]'.
+    Errors name the element, as in 'transition[0][1]'.
     """
-    if not isinstance(v, list):
+    if type(v) is not list:
         raise FileFormatError(f"field '{path}': must be an array")
     for i, e in enumerate(v):
-        if not isinstance(e, types) or isinstance(e, bool):
+        if type(e) is not kind:
             raise FileFormatError(f"field '{path}[{i}]': wrong type {type(e).__name__}")
     return v
 
@@ -122,7 +136,7 @@ def netlist_to_text(nl: Netlist) -> str:
         "nets": [{"id": net.nid, "radix": net.radix} for net in nl.nets.values()],
         "gates": [
             {"id": g.gid, "gate": g.kind.value, "param": g.param,
-             "radix": g.radix, "pins": dict(g.pins)}
+             "radix": g.radix, "pins": g.pins}
             for g in nl.gates.values()
         ],
         "latch_order": list(nl.latch_order),
@@ -136,28 +150,30 @@ def netlist_from_text(text: str) -> Netlist:
     doc = _load(text, "netlist")
     nets: dict[str, Net] = {}
     for i, entry in enumerate(_array(doc.get("nets"), "nets", dict)):
-        nid = _field(entry, "id", str, f"nets[{i}].")
-        radix = _optional(entry, "radix", int, "integer", f"nets[{i}].")
+        where = f"nets[{i}]."
+        nid = _field(entry, "id", str, where)
+        radix = _optional(entry, "radix", int, "integer", where)
         if nid in nets:
-            raise FileFormatError(f"field 'nets[{i}].id': duplicate {nid!r}")
+            raise FileFormatError(f"field '{where}id': duplicate {nid!r}")
         nets[nid] = Net(nid, radix)
 
     gates: dict[str, Gate] = {}
     for i, entry in enumerate(_array(doc.get("gates"), "gates", dict)):
-        gid = _field(entry, "id", str, f"gates[{i}].")
-        kind_name = _field(entry, "gate", str, f"gates[{i}].")
+        where = f"gates[{i}]."
+        gid = _field(entry, "id", str, where)
+        kind_name = _field(entry, "gate", str, where)
         if kind_name not in _KIND_BY_NAME:
-            raise FileFormatError(f"field 'gates[{i}].gate': unknown kind {kind_name!r}")
-        pins = _field(entry, "pins", dict, f"gates[{i}].")
+            raise FileFormatError(f"field '{where}gate': unknown kind {kind_name!r}")
+        pins = _field(entry, "pins", dict, where)
         for port, net in pins.items():
-            if not isinstance(net, str):
+            if type(net) is not str:
                 raise FileFormatError(
-                    f"field 'gates[{i}].pins.{port}': must be a net id string")
+                    f"field '{where}pins.{port}': must be a net id string")
         if gid in gates:
-            raise FileFormatError(f"field 'gates[{i}].id': duplicate {gid!r}")
-        param = _optional(entry, "param", int, "integer", f"gates[{i}].")
-        radix = _optional(entry, "radix", int, "integer", f"gates[{i}].")
-        gates[gid] = Gate(gid, _KIND_BY_NAME[kind_name], dict(pins), param, radix)
+            raise FileFormatError(f"field '{where}id': duplicate {gid!r}")
+        param = _optional(entry, "param", int, "integer", where)
+        radix = _optional(entry, "radix", int, "integer", where)
+        gates[gid] = Gate(gid, _KIND_BY_NAME[kind_name], pins, param, radix)
 
     groups = [tuple(_array(grp, f"state_groups[{i}]", str)) for i, grp
               in enumerate(_array(doc.get("state_groups"), "state_groups", list))]

@@ -10,6 +10,7 @@ import pytest
 import mvlsynth
 from mvlsynth import fileio
 from mvlsynth.cli import main
+from mvlsynth.oracle import DEFAULT_SEED
 from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
 from mvlsynth.values import Radix
 
@@ -229,6 +230,34 @@ def test_usage_errors(ws, capsys):
     assert main([]) == 2
     assert main(["synth", _p(ws, "sum.json"), "-o", _p(ws, "x.json"),
                  "--strategy", "bogus"]) == 2
+
+
+def test_calls_in_one_process_do_not_share_arguments(ws, capsys):
+    fab, bits = _p(ws, "fab.json"), _p(ws, "sum.bits.json")
+    assert main(["fabric", "--radix", "3", "--arity", "2", "-o", fab]) == 0
+    assert main(["configure", fab, _p(ws, "sum.json"), "-o", bits]) == 0
+    assert main(["synth", _p(ws, "sum.json"), "-o", _p(ws, "sum.nl.json")]) == 0
+    capsys.readouterr()
+    assert main(["verify", fab, _p(ws, "sum.json"), "--bitstream", bits,
+                 "--seed", "5", "--exhaustive-cap", "4"]) == 0
+    assert "(sampled, seed 5)" in capsys.readouterr().out
+    # This netlist would refuse the fabric's stream with exit 2.
+    assert main(["verify", _p(ws, "sum.nl.json"), _p(ws, "sum.json"),
+                 "--exhaustive-cap", "4"]) == 0
+    assert f"(sampled, seed {DEFAULT_SEED})" in capsys.readouterr().out
+
+    assert main(["synth", _p(ws, "sum.json"), "--strategy", "bogus"]) == 2
+    assert "usage:" in capsys.readouterr().err
+    assert main(["synth", _p(ws, "sum.json"), "-o", _p(ws, "again.nl.json")]) == 0
+    assert (ws / "again.nl.json").read_text() == (ws / "sum.nl.json").read_text()
+    capsys.readouterr()
+
+    helps = []
+    for _ in range(2):
+        assert main(["--help"]) == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert helps[0].startswith("usage: mvlsynth")
 
 
 def test_mistyped_netlist_field_exits_2(ws, capsys):

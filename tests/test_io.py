@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -248,9 +249,10 @@ def test_loaded_netlist_equals_its_unvalidated_source():
 
 def test_fsm_document_checks():
     text = fsm_to_text(COUNTER)
+    short = json.loads(text)
+    short["transition"][0] = [1, 2]
     with pytest.raises(FileFormatError, match="transition"):
-        fsm_from_text(text.replace("[\n      1,\n      2,\n      0\n    ]",
-                                   "[1, 2]"))
+        fsm_from_text(json.dumps(short))
     with pytest.raises(FileFormatError, match="state_arity"):
         fsm_from_text(text.replace('"state_arity": 1', '"state_arity": null'))
 
@@ -335,6 +337,41 @@ def test_every_field_substitution_loads_or_is_refused(kind):
                 escaped.append((path, value, f"{type(e).__name__}: {e}"[:120]))
         parent[path[-1]] = old
     assert escaped == []
+
+
+# -- written layout -----------------------------------------------------------
+
+WIDE = TruthTable.from_function(3, 4, lambda a, b, c, d: (a * b + c + d) % 3)
+LAYOUT_DOCUMENTS = dict(DOCUMENTS, **{
+    "decoder-3^4": (lambda: netlist_to_text(synth_tables([WIDE], Strategy.DECODER)),
+                    netlist_from_text)})
+
+
+@pytest.mark.parametrize("kind", sorted(LAYOUT_DOCUMENTS))
+def test_old_indented_layout_still_loads(kind):
+    to_text, from_text = LAYOUT_DOCUMENTS[kind]
+    new = to_text()
+    old = json.dumps(json.loads(new), indent=2) + "\n"
+    assert json.loads(old) == json.loads(new)
+    assert from_text(old) == from_text(new)
+
+
+def test_written_netlist_keeps_one_line_per_net_and_gate():
+    text = netlist_to_text(synth_tables([WIDE], Strategy.DECODER))
+    doc, lines = json.loads(text), text.splitlines()
+    for key in ("nets", "gates"):
+        first = lines.index(f'  "{key}": [') + 1
+        last = lines.index("  ],", first)
+        entries = [json.loads(line.rstrip(",")) for line in lines[first:last]]
+        assert entries == doc[key]
+
+
+def test_readme_file_examples_match_the_writer():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = {json.loads(b)["kind"]: b
+              for b in re.findall(r"```json\n(.*?)```", readme, re.S)}
+    assert blocks["truth_table"] == table_to_text(SUM3, "sum3")
+    assert blocks["fsm"] == fsm_to_text(COUNTER)
 
 
 # -- DOT export ---------------------------------------------------------------
