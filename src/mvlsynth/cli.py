@@ -12,7 +12,6 @@ import sys
 from typing import Optional, Sequence
 
 from . import fileio
-from .netlist import NetlistError
 from .oracle import DEFAULT_CAP, DEFAULT_SEED, check_equivalence
 from .sim import SimFaultError, SimState, eval_combinational, load_config, \
     reset_state, step_sequential
@@ -232,7 +231,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except (fileio.FileFormatError, NetlistError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:  # FileFormatError and NetlistError too
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -44,7 +44,7 @@ def _dump(doc: dict) -> str:
 def _load(text: str, kind: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # nesting or an integer too big
         raise FileFormatError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise FileFormatError("top level must be an object")
@@ -65,6 +65,14 @@ def _field(doc: dict, name: str, kind: type, where: str = "") -> Any:
     v = doc[name]
     if type(v) is not kind:
         raise FileFormatError(f"field '{where}{name}': wrong type {type(v).__name__}")
+    return v
+
+
+def _count(doc: dict, name: str, low: int) -> int:
+    """An integer field of at least low."""
+    v = _field(doc, name, int)
+    if v < low:
+        raise FileFormatError(f"field '{name}': must be an integer >= {low}, got {v}")
     return v
 
 
@@ -113,8 +121,8 @@ def table_to_text(tt: TruthTable, name: Optional[str] = None) -> str:
 
 def table_from_text(text: str) -> tuple[TruthTable, Optional[str]]:
     doc = _load(text, "truth_table")
-    radix = _field(doc, "radix", int)
-    arity = _field(doc, "arity", int)
+    radix = _count(doc, "radix", 2)
+    arity = _count(doc, "arity", 1)
     name = _optional(doc, "name", str, "a string")
     return _table(doc.get("outputs"), "outputs", radix, arity), name
 
@@ -244,20 +252,21 @@ def fsm_to_text(spec: FsmSpec) -> str:
 
 def fsm_from_text(text: str) -> FsmSpec:
     doc = _load(text, "fsm")
-    radix = _field(doc, "radix", int)
-    state_arity = _field(doc, "state_arity", int)
-    input_arity = _field(doc, "input_arity", int)
+    radix = _count(doc, "radix", 2)
+    state_arity = _count(doc, "state_arity", 1)
+    input_arity = _count(doc, "input_arity", 0)
 
     def tables(name: str) -> tuple[TruthTable, ...]:
         return tuple(_table(row, f"{name}[{i}]", radix, state_arity + input_arity)
                      for i, row in enumerate(_array(doc.get(name), name, list)))
 
     transition = tables("transition")
+    if len(transition) != state_arity:
+        raise FileFormatError(f"field 'transition': need one table per state "
+                              f"digit ({state_arity}), got {len(transition)}")
     output = None if doc.get("output") is None else tables("output")
-    try:
-        return FsmSpec(Radix(radix), state_arity, input_arity, transition, output)
-    except ValueError as e:
-        raise FileFormatError(str(e)) from e
+    # every check FsmSpec makes is made above, each naming its field
+    return FsmSpec(Radix(radix), state_arity, input_arity, transition, output)
 
 
 # -- file helpers -------------------------------------------------------------

@@ -127,24 +127,8 @@ def _build_ports(g: Gate) -> list[PortSig]:
     raise NetlistError(f"unknown gate kind {k!r}")
 
 
-# A combinational gate as levelize and the compiler see it: one flat tuple
-# (gate, y, *ins) of the gate, the number of its output net y and the
-# numbers of its input nets in port order. Every combinational kind has
-# exactly one output, y. Flat tuples keep small the records a netlist
-# holds until its first lowering.
-CombGate = tuple
-
 # Gate kinds outside the combinational core: sources, sinks and storage.
 _NOT_COMB = (*STATEFUL, GateType.INPUT, GateType.CONST, GateType.OUTPUT)
-
-
-class Levelized(NamedTuple):
-    """What one structural walk of a valid netlist yields. Nets are
-    numbered in nl.nets order."""
-
-    sources: list[tuple[Gate, int]]     # inputs, constants and storage with
-                                        # their output net, in gate order
-    comb: list[CombGate]                # in eval order
 
 
 @dataclass
@@ -160,11 +144,10 @@ class Netlist:
     state_groups: list[tuple[str, ...]]  # latches sharing one reset digit
     clock: Optional[str] = None     # net driven by the sequential stepper
     fabric_kind: Optional[str] = None    # "decoder" | "mux" for fabrics
-    # A passing validate stores the eval order, and hands the simulator its
-    # levelized records, which the first simulation consumes to compile the
-    # program it caches here. validate clears all three first.
-    _order: Optional[list[str]] = field(default=None, repr=False, compare=False)
-    _records: Optional[Levelized] = field(default=None, repr=False, compare=False)
+    # A passing validate hands the simulator its levelized records, which
+    # the first simulation consumes to compile the program it caches here.
+    # validate clears both first.
+    _records: Optional[list[tuple]] = field(default=None, repr=False, compare=False)
     _program: Optional[object] = field(default=None, repr=False, compare=False)
 
     def net_of_input(self, gid: str) -> str:
@@ -177,14 +160,11 @@ class Netlist:
         return [self.gates[g].radix for g in self.inputs]
 
     def eval_order(self) -> list[str]:
-        """Topological order of the combinational core, as validate stored it.
-
-        A netlist with no stored order (never validated, or its last
-        validate failed) is validated first.
-        """
-        if self._order is None:
-            validate(self)
-        return self._order
+        """Topological order of the combinational core, derived afresh by
+        the walk validate makes; raises NetlistError if the netlist is
+        invalid."""
+        return [rec[0].gid for rec in levelized(self)
+                if rec[0].kind not in _NOT_COMB]
 
 
 def fingerprint(nl: Netlist) -> str:
@@ -202,7 +182,7 @@ def _driver_map(nl: Netlist) -> dict[str, list[str]]:
     return drivers
 
 
-def _levelize(comb: list[CombGate], nnets: int) -> list[CombGate]:
+def _levelize(comb: list[tuple], nnets: int) -> list[tuple]:
     """Kahn order over the combinational gates; other drivers act as sources.
 
     A gate becomes ready once every one of its input nets is resolved; a
@@ -215,7 +195,7 @@ def _levelize(comb: list[CombGate], nnets: int) -> list[CombGate]:
         pending[gate[1]] += 1
     waiting: list[int] = []                 # unresolved inputs, per gate
     watchers: list[Optional[list[int]]] = [None] * nnets  # per net
-    queue: list[CombGate] = []
+    queue: list[tuple] = []
     for i, gate in enumerate(comb):
         unresolved = 0
         for x in gate[2:]:
@@ -272,12 +252,19 @@ def _bad_param(g: Gate, what: str, bound: str) -> NetlistError:
     return NetlistError(f"{g.gid}: {what} {g.param!r} is not an integer")
 
 
-def levelized(nl: Netlist) -> Levelized:
-    """Check every structural rule and order the combinational core.
+def levelized(nl: Netlist) -> list[tuple]:
+    """Check every structural rule; return one record per driving gate.
+
+    A record is a flat tuple (gate, y, *ins): the gate, the number of its
+    output net and the numbers of its input nets in port order, with nets
+    numbered in nl.nets order. The sources (inputs, constants and storage,
+    which have no ins) come first in gate order, then the combinational
+    gates in eval order. Flat tuples keep small the records a netlist holds
+    until its first lowering.
 
     One walk over every gate's ports checks them, numbers their nets and
-    collects the drivers, the storage, the sources and the combinational
-    records that levelize orders. The first violation raises NetlistError.
+    collects the drivers, the storage and the records. The first violation
+    raises NetlistError.
     When a netlist breaks several rules, the one reported is the first in
     this order: net radixes, each gate in turn, the drivers of each net,
     the storage lists, the port lists, the clock, unlisted input ports,
@@ -299,8 +286,8 @@ def levelized(nl: Netlist) -> Levelized:
         radixes.append(r)
     driver: list[Optional[str]] = [None] * len(radixes)  # first, per net
     shared: list[tuple[int, str]] = []      # each further driver, with its net
-    sources: list[tuple[Gate, int]] = []
-    comb: list[CombGate] = []
+    sources: list[tuple] = []
+    comb: list[tuple] = []
     config: list[str] = []                  # CONFIG_LATCH ids, in gate order
     state: list[str] = []                   # NARY_DLATCH ids, in gate order
     ports: list[Gate] = []                  # INPUT gates
@@ -403,21 +390,18 @@ def levelized(nl: Netlist) -> Levelized:
         if g.gid not in nl.inputs and g.pins["y"] != nl.clock:
             raise NetlistError(f"input port {g.gid} is neither listed nor the clock")
 
-    return Levelized(sources, _levelize(comb, len(radixes)))
+    return sources + _levelize(comb, len(radixes))
 
 
 def validate(nl: Netlist) -> None:
     """Full structural check: connectivity, drivers, signal kinds, cycles.
 
-    The netlist's stored order, records and compiled program are dropped
-    on entry. If every check passes, the eval order is stored, and the
-    levelized records are kept for the simulator's first lowering, which
-    consumes them.
+    The netlist's records and compiled program are dropped on entry. If
+    every check passes, its levelized records are kept for the simulator's
+    first lowering, which consumes them.
     """
-    nl._order = nl._records = nl._program = None
-    records = levelized(nl)
-    nl._order = [gate[0].gid for gate in records.comb]
-    nl._records = records
+    nl._records = nl._program = None
+    nl._records = levelized(nl)
 
 
 class NetlistBuilder:
@@ -455,9 +439,10 @@ class NetlistBuilder:
 
     def add_gate(self, gid: str, kind: GateType, pins: dict[str, str],
                  param: Optional[int] = None, radix: Optional[int] = None) -> Gate:
+        """Add a gate; it keeps the pin map it is given, not a copy."""
         if gid in self.gates:
             raise NetlistError(f"duplicate gate id {gid!r}")
-        g = Gate(gid, kind, dict(pins), param, radix)
+        g = Gate(gid, kind, pins, param, radix)
         self.gates[gid] = g
         return g
 

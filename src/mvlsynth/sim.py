@@ -2,12 +2,13 @@
 
 On first simulation each netlist is lowered into a compiled program, cached
 on the netlist: every net gets integer slots, and one flat op list follows
-the levelized order of the acyclic core. The lowering consumes the gate
-records that the netlist's validate handed over, in that order, so it never
-walks the gates again. A run evaluates a whole batch of
-input vectors at once, bit-parallel: a slot holds one Python int whose bit
-b belongs to vector b. A binary net is one mask; a radix-N net is N one-hot
-masks, one per level, so TLG(x > t) is the OR of planes t+1..N-1.
+the levelized order of the acyclic core. The lowering consumes, in one
+pass, the one record list that the netlist's validate handed over (the
+sources first, then the combinational gates in eval order), so it never
+walks the gates again. A run evaluates a whole batch of input vectors at
+once, bit-parallel: a slot holds one Python int whose bit b belongs to
+vector b. A binary net is one mask; a radix-N net is N one-hot masks, one
+per level, so TLG(x > t) is the OR of planes t+1..N-1.
 
 Every evaluation is one settle loop: sweep, commit the latch inputs,
 repeat until the latch contents stop changing. A latch-free batch settles
@@ -39,8 +40,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .netlist import (GateType, Levelized, Netlist, fingerprint, levelized,
-                      validate)
+from .netlist import GateType, Netlist, fingerprint, levelized, validate
 from .tables import ConfigBitstream
 
 
@@ -104,7 +104,7 @@ _SINK, _ZERO, _FULL = 0, 1, 2
 
 # Opcodes. Every op is a 4-tuple (opcode, out, a, b):
 #   _AND/_OR    (op, y, first input slot, other input slots)
-#   _NOT        (op, y, input slot, None)
+#   _NOT        (op, y, input slot, ())
 #   _SWITCH     (op, first y slot, data planes, control slot)
 #   _RESOLVE    (op, net id, control slots of all drivers, None)
 #   _FLOAT      (op, net id, planes, None)
@@ -130,10 +130,10 @@ class _Program(NamedTuple):
     outputs: tuple                  # planes per nl.outputs entry
 
 
-def _lower(nl: Netlist, records: Levelized
+def _lower(nl: Netlist, records: list[tuple]
            ) -> tuple[_Program, list[tuple[int, ...]]]:
     """Assign slots and emit the op list from a netlist's levelized
-    records; also returns each net's planes, by net number.
+    records, in one pass; also returns each net's planes, by net number.
 
     A net's planes are the slots of its levels, index = level; a binary
     net is (_SINK, slot). Constants and single-plane comparators emit no
@@ -142,14 +142,14 @@ def _lower(nl: Netlist, records: Levelized
     # GateType members as locals: on Python 3.11 a GateType.X read goes
     # through the enum class and costs about ten times a local read.
     AND, OR, NOT, TLG = GateType.AND, GateType.OR, GateType.NOT, GateType.TLG
-    CONST = GateType.CONST
+    SWITCH, CONST = GateType.SWITCH, GateType.CONST
     gates, nets = nl.gates, nl.nets
     names = list(nets)
     number = dict(zip(names, itertools.count()))
     nslots = 3
     planes: list = [None] * len(names)
 
-    def fresh(i: int) -> tuple[int, ...]:
+    def fresh(i: int) -> None:
         nonlocal nslots
         radix = nets[names[i]].radix
         first = nslots
@@ -159,15 +159,6 @@ def _lower(nl: Netlist, records: Levelized
         else:
             nslots += radix
             planes[i] = tuple(range(first, nslots))
-        return planes[i]
-
-    for g, y in records.sources:
-        if g.kind is CONST:
-            levels = 2 if g.radix is None else g.radix
-            planes[y] = tuple(_FULL if lvl == g.param else _ZERO
-                              for lvl in range(levels))
-        else:
-            fresh(y)
 
     # Per switch net: its drivers' control slots.
     controls: dict[int, list[int]] = {}
@@ -192,29 +183,21 @@ def _lower(nl: Netlist, records: Levelized
                 ops.append((_FLOAT, names[i], planes[i], None))
         return planes[i]
 
-    # Binary outputs of TLG, NOT, AND and OR take the next slot inline.
-    for rec in records.comb:
+    # The binary output of a TLG with two or more planes, a NOT, an AND or
+    # an OR takes the next slot.
+    for rec in records:
         g, y = rec[0], rec[1]
         kind = g.kind
-        if kind is AND or kind is OR:
-            bits = [planes[x][1] for x in rec[2:]]
-            ops.append((_AND if kind is AND else _OR, nslots,
-                        bits[0], tuple(bits[1:])))
-            planes[y] = (_SINK, nslots)
-            nslots += 1
-        elif kind is TLG:
-            ups = read(rec[2], True)[g.param + 1:]
-            if len(ups) <= 1:
-                planes[y] = (_SINK, ups[0] if ups else _ZERO)
-            else:
-                ops.append((_OR, nslots, ups[0], ups[1:]))
-                planes[y] = (_SINK, nslots)
-                nslots += 1
-        elif kind is NOT:
-            ops.append((_NOT, nslots, planes[rec[2]][1], None))
-            planes[y] = (_SINK, nslots)
-            nslots += 1
-        else:  # SWITCH, inputs (d, c)
+        if kind is TLG:
+            ins = read(rec[2], True)[g.param + 1:]
+            if len(ins) <= 1:
+                planes[y] = (_SINK, ins[0] if ins else _ZERO)
+                continue
+            op = _OR
+        elif kind is AND or kind is OR or kind is NOT:
+            op = _AND if kind is AND else _OR if kind is OR else _NOT
+            ins = [planes[x][1] for x in rec[2:]]
+        elif kind is SWITCH:  # inputs (d, c)
             c = planes[rec[3]][1]
             d = read(rec[2], False, c)
             if y not in controls:  # its first driver
@@ -222,6 +205,18 @@ def _lower(nl: Netlist, records: Levelized
                 controls[y] = []
             controls[y].append(c)
             ops.append((_SWITCH, planes[y][0], d, c))
+            continue
+        elif kind is CONST:
+            levels = 2 if g.radix is None else g.radix
+            planes[y] = tuple(_FULL if lvl == g.param else _ZERO
+                              for lvl in range(levels))
+            continue
+        else:  # inputs and storage
+            fresh(y)
+            continue
+        ops.append((op, nslots, ins[0], tuple(ins[1:])))
+        planes[y] = (_SINK, nslots)
+        nslots += 1
 
     # Contention must surface even on nets nothing happened to read.
     for i in controls:
@@ -380,9 +375,10 @@ class _Cone:
     from a latch's d net through the netlist and derives the value the net
     held for the one vector: a level, None for floating, or the Fault
     poisoning it (first poisoned input of a gate, first poisoned
-    conducting driver of a switch net). Levels of clean nets are read from
-    the run's slots. Only the settle loop's fault path builds one; it
-    derives the netlist's records afresh, by the walk validate makes.
+    conducting driver of a switch net). Levels of clean nets, sources
+    included, are read from the run's slots. Only the settle loop's fault
+    path builds one; it derives the netlist's records afresh, by the walk
+    validate makes.
     """
 
     def __init__(self, nl: Netlist, v: list[int], vector: tuple[int, ...]):
@@ -392,7 +388,7 @@ class _Cone:
         self.number = dict(zip(self.names, itertools.count()))
         self.planes = _lower(nl, records)[1]
         self.drivers: dict[int, list] = {}
-        for rec in records.comb:
+        for rec in records:
             self.drivers.setdefault(rec[1], []).append(rec)
         self.memo: dict[int, Union[int, None, Fault]] = {}
 
@@ -405,10 +401,8 @@ class _Cone:
     def read(self, i: int) -> Union[int, None, Fault]:
         if i in self.memo:
             return self.memo[i]
-        drivers = self.drivers.get(i)
-        if drivers is None:  # a source
-            got = _levels(self.v, self.planes[i], 1)[0]
-        elif drivers[0][0].kind is GateType.SWITCH:
+        drivers = self.drivers[i]
+        if drivers[0][0].kind is GateType.SWITCH:
             live = []
             for _, _, d, c in drivers:
                 c = self.consume(c)

@@ -22,8 +22,8 @@ class TruthTable:
 
     def __post_init__(self):
         n = self.radix.n
-        if self.arity < 1:
-            raise ValueError("arity must be >= 1")
+        if type(self.arity) is not int or self.arity < 1:  # a bool is no arity
+            raise ValueError(f"arity must be an integer >= 1, got {self.arity!r}")
         rows = len(self.entries)
         # n**arity > rows once 2**arity > rows: a huge arity is refused
         # without computing its power
@@ -33,8 +33,8 @@ class TruthTable:
                 f"{self.arity}, got {rows}"
             )
         for e in self.entries:
-            if not 0 <= e < n:
-                raise ValueError(f"entry {e} out of range for radix {n}")
+            if type(e) is not int or not 0 <= e < n:  # a bool is no level
+                raise ValueError(f"entry {e!r} out of range for radix {n}")
 
     @staticmethod
     def make(radix: RadixLike, arity: int, entries: Sequence[int]) -> "TruthTable":

@@ -54,8 +54,8 @@ def tt_index(digits: Sequence[int], radix: RadixLike) -> int:
         raise ValueError("digit tuple must be nonempty")
     k = 0
     for d in digits:
-        if not 0 <= d < n:
-            raise ValueError(f"digit {d} out of range for radix {n}")
+        if type(d) is not int or not 0 <= d < n:  # a bool is no digit
+            raise ValueError(f"digit {d!r} out of range for radix {n}")
         k = k * n + d
     return k
 

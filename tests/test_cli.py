@@ -270,6 +270,14 @@ def test_mistyped_netlist_field_exits_2(ws, capsys):
     assert "field 'clock'" in capsys.readouterr().err
 
 
+def test_deeply_nested_file_exits_2_without_a_traceback(ws, capsys):
+    (ws / "deep.json").write_text("[" * 100000 + "]" * 100000)
+    assert main(["stats", _p(ws, "deep.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not valid JSON: ")
+    assert "Traceback" not in err
+
+
 def test_gate_without_fan_in_exits_2(ws, capsys):
     main(["synth", _p(ws, "sum.json"), "-o", _p(ws, "sum.nl.json")])
     capsys.readouterr()

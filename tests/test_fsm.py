@@ -145,3 +145,10 @@ def test_binary_toggle_machine():
             out, state = step_sequential(nl, [], state)
             trace.append(out[0])
         assert trace == [1, 0, 1, 0]
+
+
+@pytest.mark.parametrize("digit", [1.0, None])
+def test_fsm_check_refuses_an_input_digit_that_is_not_an_int(digit):
+    nl = compile_fsm(_accumulator3(), Strategy.DECODER)
+    with pytest.raises(ValueError, match=f"digit {digit} out of range for radix 3"):
+        check_fsm_equivalence(nl, _accumulator3(), (0,), [[(digit,)]])

@@ -120,6 +120,44 @@ def test_errors_name_the_field():
         table_from_text(table_to_text(SUM3).replace('"radix": 3', '"radix": 1'))
 
 
+_DEEP = {"arrays": "[" * 100000 + "]" * 100000,
+         "objects": '{"a": ' * 100000 + "1" + "}" * 100000,
+         "huge integer": '{"version": "1", "radix": ' + "9" * 5000 + "}"}
+
+
+@pytest.mark.parametrize("text", sorted(_DEEP))
+@pytest.mark.parametrize("load", [table_from_text, netlist_from_text,
+                                  bitstream_from_text, fsm_from_text])
+def test_deep_nesting_and_huge_integers_are_not_valid_json(load, text):
+    with pytest.raises(FileFormatError, match="^not valid JSON: "):
+        load(_DEEP[text])
+
+
+@pytest.mark.parametrize("load, doc, message", [
+    (table_from_text, {"kind": "truth_table", "radix": 1, "arity": 1,
+                       "outputs": [0]},
+     "field 'radix': must be an integer >= 2, got 1"),
+    (table_from_text, {"kind": "truth_table", "radix": 3, "arity": 0,
+                       "outputs": [0]},
+     "field 'arity': must be an integer >= 1, got 0"),
+    (fsm_from_text, {"kind": "fsm", "radix": 1, "state_arity": 1,
+                     "input_arity": 0, "transition": []},
+     "field 'radix': must be an integer >= 2, got 1"),
+    (fsm_from_text, {"kind": "fsm", "radix": 3, "state_arity": 0,
+                     "input_arity": 0, "transition": []},
+     "field 'state_arity': must be an integer >= 1, got 0"),
+    (fsm_from_text, {"kind": "fsm", "radix": 3, "state_arity": 1,
+                     "input_arity": -1, "transition": [[1, 2, 0]]},
+     "field 'input_arity': must be an integer >= 0, got -1"),
+    (fsm_from_text, {"kind": "fsm", "radix": 3, "state_arity": 2,
+                     "input_arity": 0, "transition": [[0] * 9]},
+     "field 'transition': need one table per state digit (2), got 1"),
+])
+def test_scalar_errors_name_their_field(load, doc, message):
+    with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+        load(json.dumps({"version": "1", **doc}))
+
+
 def test_bitstream_character_check():
     with pytest.raises(FileFormatError, match="bits"):
         bitstream_from_text('{"version": "1", "kind": "bitstream", '

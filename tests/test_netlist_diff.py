@@ -87,7 +87,7 @@ def test_builder_netlists_keep_their_eval_order(family):
         assert _copy(nl).eval_order() == want   # validated on first use
         again = _copy(nl)
         validate(again)
-        assert again._order == want
+        assert again.eval_order() == want
         assert _driver_map(nl) == ref._driver_map(nl)
         for g in nl.gates.values():
             assert _ports(gate_ports, g) == _ports(ref.gate_ports, g)

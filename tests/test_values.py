@@ -1,5 +1,7 @@
 """Value system: radices, digit/index conversion, table and spec types."""
 
+import re
+
 import pytest
 
 from mvlsynth.values import (MvValue, Radix, mv_tuple, nary_invert, tt_digits,
@@ -56,6 +58,28 @@ def test_tt_index_rejects_out_of_range_digit():
         tt_index([3, 0], 3)
     with pytest.raises(ValueError):
         tt_index([], 3)
+
+
+@pytest.mark.parametrize("digit", [True, False, 1.0, None, "1"])
+def test_tt_index_refuses_digits_that_are_not_ints(digit):
+    with pytest.raises(ValueError, match=re.escape(f"digit {digit!r} out of range")):
+        tt_index([digit], 3)
+    tt = TruthTable.make(3, 1, (1, 2, 0))
+    with pytest.raises(ValueError, match=re.escape(f"digit {digit!r} out of range")):
+        tt.lookup((digit,))
+
+
+@pytest.mark.parametrize("entry", [1.0, True, "1", None])
+def test_truth_table_refuses_entries_that_are_not_ints(entry):
+    with pytest.raises(ValueError, match=re.escape(f"entry {entry!r} out of range")):
+        TruthTable.make(3, 1, (0, entry, 2))
+
+
+@pytest.mark.parametrize("arity", [1.0, True, "1", 0])
+def test_truth_table_refuses_an_arity_that_is_not_a_positive_int(arity):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"arity must be an integer >= 1, got {arity!r}")):
+        TruthTable.make(2, arity, (0, 1))
 
 
 @pytest.mark.parametrize("n", range(2, 6))
