@@ -32,11 +32,19 @@ class GateType(enum.Enum):
     OUTPUT = "output"
 
 
+# The members bound once, for the builder's per-gate emit: on Python 3.11
+# a GateType.X read goes through the enum class and costs about ten times
+# a global read.
+_TLG, _AND, _OR, _NOT, _SWITCH = (GateType.TLG, GateType.AND, GateType.OR,
+                                  GateType.NOT, GateType.SWITCH)
+_CONFIG_LATCH, _NARY_DLATCH = GateType.CONFIG_LATCH, GateType.NARY_DLATCH
+_CONST, _INPUT, _OUTPUT = GateType.CONST, GateType.INPUT, GateType.OUTPUT
+
 # Gate kinds whose output value comes from simulator-owned storage rather
 # than from upstream logic. They are excluded from the combinational core.
-STATEFUL = (GateType.CONFIG_LATCH, GateType.NARY_DLATCH)
+STATEFUL = (_CONFIG_LATCH, _NARY_DLATCH)
 # Gate kinds whose param is their fan-in.
-_FAN_IN = (GateType.AND, GateType.OR)
+_FAN_IN = (_AND, _OR)
 
 
 @dataclass(slots=True)
@@ -448,30 +456,30 @@ class NetlistBuilder:
 
     def add_input(self, name: str, radix: Optional[int]) -> str:
         nid = self.net(radix, nid=name)
-        self.add_gate(name, GateType.INPUT, {"y": nid}, radix=radix)
+        self.add_gate(name, _INPUT, {"y": nid}, radix=radix)
         self.inputs.append(name)
         return nid
 
     def add_output(self, name: str, net: str) -> None:
-        self.add_gate(name, GateType.OUTPUT, {"a": net},
+        self.add_gate(name, _OUTPUT, {"a": net},
                       radix=self.nets[net].radix)
         self.outputs.append(name)
 
     def tlg(self, gid: str, d: str, threshold: int) -> str:
         y = self.net(None)
-        self.add_gate(gid, GateType.TLG, {"d": d, "y": y}, param=threshold)
+        self.add_gate(gid, _TLG, {"d": d, "y": y}, param=threshold)
         return y
 
     def not_(self, gid: str, a: str) -> str:
         y = self.net(None)
-        self.add_gate(gid, GateType.NOT, {"a": a, "y": y})
+        self.add_gate(gid, _NOT, {"a": a, "y": y})
         return y
 
     def and_(self, gid: str, ins: Sequence[str]) -> str:
-        return self._fan_in_gate(gid, GateType.AND, ins)
+        return self._fan_in_gate(gid, _AND, ins)
 
     def or_(self, gid: str, ins: Sequence[str]) -> str:
-        return self._fan_in_gate(gid, GateType.OR, ins)
+        return self._fan_in_gate(gid, _OR, ins)
 
     def _fan_in_gate(self, gid: str, kind: GateType, ins: Sequence[str]) -> str:
         """An AND/OR over ins; a single input is passed through as is."""
@@ -484,7 +492,7 @@ class NetlistBuilder:
         return y
 
     def switch(self, gid: str, d: str, c: str, y: str) -> None:
-        self.add_gate(gid, GateType.SWITCH, {"d": d, "c": c, "y": y})
+        self.add_gate(gid, _SWITCH, {"d": d, "c": c, "y": y})
 
     def const(self, value: int, radix: Optional[int]) -> str:
         """Constant driver, deduplicated per (value, radix)."""
@@ -493,19 +501,19 @@ class NetlistBuilder:
             tag = "b" if radix is None else f"r{radix}"
             gid = f"const_{tag}_{value}"
             y = self.net(radix, nid=f"{gid}_w")
-            self.add_gate(gid, GateType.CONST, {"y": y}, param=value, radix=radix)
+            self.add_gate(gid, _CONST, {"y": y}, param=value, radix=radix)
             self._consts[key] = y
         return self._consts[key]
 
     def config_latch(self, gid: str) -> str:
         q = self.net(None)
-        self.add_gate(gid, GateType.CONFIG_LATCH, {"q": q})
+        self.add_gate(gid, _CONFIG_LATCH, {"q": q})
         self.latch_order.append(gid)
         return q
 
     def nary_dlatch(self, gid: str, d: str, radix: int) -> str:
         q = self.net(radix)
-        self.add_gate(gid, GateType.NARY_DLATCH, {"d": d, "q": q}, radix=radix)
+        self.add_gate(gid, _NARY_DLATCH, {"d": d, "q": q}, radix=radix)
         return q
 
     def add_state_group(self, latches: Iterable[str]) -> None:
@@ -515,7 +523,7 @@ class NetlistBuilder:
 
     def finish(self) -> Netlist:
         state_latches = [g.gid for g in self.gates.values()
-                         if g.kind is GateType.NARY_DLATCH]
+                         if g.kind is _NARY_DLATCH]
         nl = Netlist(
             gates=self.gates,
             nets=self.nets,

@@ -8,7 +8,9 @@ sources first, then the combinational gates in eval order), so it never
 walks the gates again. A run evaluates a whole batch of input vectors at
 once, bit-parallel: a slot holds one Python int whose bit b belongs to
 vector b. A binary net is one mask; a radix-N net is N one-hot masks, one
-per level, so TLG(x > t) is the OR of planes t+1..N-1.
+per level, so TLG(x > t) is the OR of planes t+1..N-1. Gates that compute
+the same op on the same slots share one op and one slot: a mux tree's
+blocks each decode the same select digit, and the program decodes it once.
 
 Every evaluation is one settle loop: sweep, commit the latch inputs,
 repeat until the latch contents stop changing. A latch-free batch settles
@@ -20,14 +22,15 @@ off, as in a master-slave flip-flop, so a clock phase costs one sweep.
 
 A switch net is N planes like any radix-N net. Every radix-N source sets
 exactly one plane per vector and a conducting switch copies its data's
-planes, so a vector is floating on a switch net when none of its planes is
-set: no switch conducts, or the one that does carries a floating value. A
-floating value is a fault the moment anything consumes it, and two
-simultaneously conducting switch drivers are a contention fault outright.
-A vector's result is the first fault it hits in evaluation order:
-contention when a switch net is resolved (just before its first reader, or
-at the end of the pass for nets nothing reads), floating at a net's first
-consume. Latches that never come to rest are an oscillation fault, and
+planes (on constant data, only the one plane it sets; a switch that is off
+for the whole batch does no work), so a vector is floating on a switch net
+when none of its planes is set: no switch conducts, or the one that does
+carries a floating value. A floating value is a fault the moment anything
+consumes it, and two simultaneously conducting switch drivers are a
+contention fault outright. A vector's result is the first fault it hits in
+evaluation order: contention when a switch net is resolved (just before
+its first reader, or at the end of the pass for nets nothing reads),
+floating at a net's first consume. Latches that never come to rest are an oscillation fault, and
 reading storage that was never set (a state latch not reset, a
 configuration latch not programmed) is an uninitialized-latch fault.
 Faults are never masked by default values.
@@ -101,6 +104,8 @@ def _check_vectors(nl: Netlist, vectors) -> list[tuple[int, ...]]:
 # Reserved slots: a sink for planes nothing reads (level 0 of a binary
 # net), and the all-zero and all-ones masks that constants alias.
 _SINK, _ZERO, _FULL = 0, 1, 2
+# The data planes of every switch on constant data.
+_ONE = (_FULL,)
 
 # Opcodes. Every op is a 4-tuple (opcode, out, a, b):
 #   _AND/_OR    (op, y, first input slot, other input slots)
@@ -108,11 +113,15 @@ _SINK, _ZERO, _FULL = 0, 1, 2
 #   _SWITCH     (op, first y slot, data planes, control slot)
 #   _RESOLVE    (op, net id, control slots of all drivers, None)
 #   _FLOAT      (op, net id, planes, None)
-# A switch net of radix N owns N planes. A conducting switch ORs its data
-# net's planes into them. Every driver precedes the net's first read, which
-# emits _RESOLVE: it only marks vectors where two drivers conduct as
-# contention. _FLOAT records as floating the vectors in which none of the
-# net's planes is set, where the net is consumed.
+# No two _AND/_OR/_NOT ops share (op, a, b): a later gate with the same key
+# reads the earlier one's slot. A switch net of radix N owns N planes. A
+# conducting switch ORs its data net's planes into them, starting at y; on
+# constant data, y is the slot of the level it conducts and the data
+# planes are _ONE. A switch whose control is 0 in every vector is skipped.
+# Every driver precedes the net's first read, which emits _RESOLVE: it
+# only marks vectors where two drivers conduct as contention. _FLOAT
+# records as floating the vectors in which none of the net's planes is
+# set, where the net is consumed.
 _SWITCH, _AND, _OR, _NOT, _RESOLVE, _FLOAT = range(6)
 
 
@@ -136,8 +145,9 @@ def _lower(nl: Netlist, records: list[tuple]
     records, in one pass; also returns each net's planes, by net number.
 
     A net's planes are the slots of its levels, index = level; a binary
-    net is (_SINK, slot). Constants and single-plane comparators emit no
-    op: their planes alias existing slots.
+    net is (_SINK, slot). Constants, single-plane comparators and gates
+    whose op an earlier gate already computes emit no op: their planes
+    alias existing slots.
     """
     # GateType members as locals: on Python 3.11 a GateType.X read goes
     # through the enum class and costs about ten times a local read.
@@ -184,7 +194,10 @@ def _lower(nl: Netlist, records: list[tuple]
         return planes[i]
 
     # The binary output of a TLG with two or more planes, a NOT, an AND or
-    # an OR takes the next slot.
+    # an OR takes the next slot, unless an earlier gate computes the same
+    # op on the same slots: then it shares that gate's slot and emits no
+    # op. Mux blocks repeat their select decoders, so this folds them.
+    shared: dict[tuple, int] = {}
     for rec in records:
         g, y = rec[0], rec[1]
         kind = g.kind
@@ -204,7 +217,10 @@ def _lower(nl: Netlist, records: list[tuple]
                 fresh(y)
                 controls[y] = []
             controls[y].append(c)
-            ops.append((_SWITCH, planes[y][0], d, c))
+            if _ZERO in d:  # constant data: only its conducting level
+                ops.append((_SWITCH, planes[y][d.index(_FULL)], _ONE, c))
+            else:
+                ops.append((_SWITCH, planes[y][0], d, c))
             continue
         elif kind is CONST:
             levels = 2 if g.radix is None else g.radix
@@ -214,9 +230,13 @@ def _lower(nl: Netlist, records: list[tuple]
         else:  # inputs and storage
             fresh(y)
             continue
-        ops.append((op, nslots, ins[0], tuple(ins[1:])))
-        planes[y] = (_SINK, nslots)
-        nslots += 1
+        key = (op, ins[0], tuple(ins[1:]))
+        slot = shared.get(key)
+        if slot is None:
+            slot = shared[key] = nslots
+            nslots += 1
+            ops.append((op, slot, key[1], key[2]))
+        planes[y] = (_SINK, slot)
 
     # Contention must surface even on nets nothing happened to read.
     for i in controls:
@@ -304,8 +324,9 @@ def _run(prog: _Program, vectors: list, cols: list[tuple],
     for op, y, a, b in prog.ops:
         if op == _SWITCH:
             c = v[b]
-            for yp, dp in enumerate(a, y):
-                v[yp] |= c & v[dp]
+            if c:
+                for yp, dp in enumerate(a, y):
+                    v[yp] |= c & v[dp]
         elif op == _AND:
             r = v[a]
             for s in b:

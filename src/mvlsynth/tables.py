@@ -71,6 +71,10 @@ class FsmSpec:
     output: Optional[tuple[TruthTable, ...]] = None
 
     def __post_init__(self):
+        for name in ("state_arity", "input_arity"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is no arity
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.state_arity < 1:
             raise ValueError("state_arity must be >= 1")
         if self.input_arity < 0:

@@ -115,6 +115,15 @@ def test_machine_with_output_tables():
     assert check_fsm_equivalence(nl, spec, [0], [[()] * 6]).passed
 
 
+@pytest.mark.parametrize("arities", [(1.0, 0), (True, False), (1, 0.0),
+                                     (1, None), ("1", 0)])
+def test_fsm_spec_refuses_an_arity_that_is_not_an_int(arities):
+    tt = TruthTable.make(3, 1, (1, 2, 0))
+    name = "state_arity" if type(arities[0]) is not int else "input_arity"
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        FsmSpec(Radix(3), *arities, (tt,))
+
+
 def test_clock_is_not_a_data_input():
     nl = compile_fsm(_accumulator3(), Strategy.DECODER)
     assert nl.inputs == ["i0"]

@@ -57,6 +57,36 @@ def test_a_bool_is_not_an_input_digit():
         eval_vectors(nl, [(1,), (False,)])
 
 
+def test_a_bad_batch_names_its_first_bad_value_in_vector_order():
+    nl = synth_tables([TruthTable.make(3, 2, [0, 1, 2] * 3)], Strategy.DECODER)
+    good = [(1, 2), (2, 0)]
+    # the later vector's bad value sits in an earlier column
+    with pytest.raises(ValueError, match=r"value 5 out of range 0\.\.2"):
+        eval_vectors(nl, good + [(0, 5), (True, 0)])
+    with pytest.raises(ValueError, match="expected 2 inputs, got 1"):
+        eval_vectors(nl, good + [(0, 1), (0,), (0, 7)])
+    with pytest.raises(ValueError, match="value -1 out of range"):
+        eval_vectors(nl, good + [[0, 1], (2, -1), (9, 0)])
+    with pytest.raises(TypeError):
+        eval_vectors(nl, good + [(0, 1), 5])
+    for digit in (True, 1.0, -1):
+        with pytest.raises(ValueError, match=f"value {digit} out of range"):
+            eval_vectors(nl, good + [(0, digit)])
+    # lists and other sequences of good digits pass as tuples
+    assert eval_vectors(nl, good + [[2, 1], range(2)])[-2:] == [(1,), (1,)]
+
+
+def test_a_batch_over_inputs_of_different_radixes():
+    b = NetlistBuilder()
+    x, c = b.add_input("x", 3), b.add_input("c", None)
+    b.add_output("y", b.and_("g", [b.tlg("t", x, 1), c]))
+    nl = b.finish()
+    vectors = [(x, c) for x in range(3) for c in range(2)]
+    assert eval_vectors(nl, vectors) == [(0,), (0,), (0,), (0,), (0,), (1,)]
+    with pytest.raises(ValueError, match="input c: value 2 out of range 0..1"):
+        eval_vectors(nl, vectors + [(0, 2)])
+
+
 def test_tlg_extreme_thresholds():
     b = NetlistBuilder()
     x = b.add_input("x", 3)
