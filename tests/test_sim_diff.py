@@ -192,21 +192,34 @@ def _settle_endings(monkeypatch):
     return endings
 
 
+def _latch_mesh_steps(rng):
+    """Draw a latch mesh, its configuration, a reset and four input
+    vectors from rng, and step them through both simulators."""
+    nl = _random_mesh(rng, latches=rng.randint(1, 3))
+    state = _random_config(nl, rng)
+    if rng.random() < 0.9:
+        reset_state(nl, [rng.randrange(nl.gates[g[0]].radix)
+                         for g in nl.state_groups], state)
+    spans = [2 if r is None else r for r in nl.input_radixes()]
+    vectors = [tuple(rng.randrange(s) for s in spans) for _ in range(4)]
+    return _steps(nl, state, vectors)
+
+
 def test_latch_meshes_with_poison_chains(monkeypatch):
     endings = _settle_endings(monkeypatch)
     rng = random.Random(12)
     seen = set()
     for _ in range(250):
-        nl = _random_mesh(rng, latches=rng.randint(1, 3))
-        state = _random_config(nl, rng)
-        if rng.random() < 0.9:
-            reset_state(nl, [rng.randrange(nl.gates[g[0]].radix)
-                             for g in nl.state_groups], state)
-        spans = [2 if r is None else r for r in nl.input_radixes()]
-        vectors = [tuple(rng.randrange(s) for s in spans) for _ in range(4)]
-        seen.update(_steps(nl, state, vectors))
+        seen.update(_latch_mesh_steps(rng))
     assert seen == {"ok", "fault", "oscillation"}
     assert endings == {"early", "confirmed"}
+
+
+def test_a_mesh_that_oscillates_past_the_sweep_bound():
+    # Three latches that cycle through their contents without settling: a
+    # loop that stopped at the sweep bound would leave {lat0: 1, lat1: 1,
+    # lat2: 1} after the first step, the first recurrence {1, 0, 0}.
+    assert _latch_mesh_steps(random.Random(6)) == ["oscillation"] * 4
 
 
 def test_two_poisons_meeting_at_a_latch():

@@ -1,13 +1,12 @@
 """The lowered program: gates that compute the same op on the same slots
-share one op, a switch on constant data drives one plane, and neither
-changes what the simulator reports."""
+share one op, a switch net is one op over all of its drivers, a switch on
+constant data drives one plane, and none of it changes what the simulator
+reports."""
 
-import copy
 import random
 
 import pytest
 
-import reference_sim as ref
 from mvlsynth import sim
 from mvlsynth.netlist import GateType, NetlistBuilder, levelized
 from mvlsynth.sim import eval_vectors, reset_state
@@ -15,7 +14,7 @@ from mvlsynth.synth import (GateStats, Strategy, build_mux_m, gate_stats,
                             synth_tables)
 from mvlsynth.tables import TruthTable
 import test_sim_diff
-from test_sim_diff import _all_vectors, _batch, _outcome, _random_config
+from test_sim_diff import _all_vectors, _batch, _random_config, _steps
 
 
 class _TwinBuilder(NetlistBuilder):
@@ -83,18 +82,9 @@ def test_twin_gates_share_a_slot_and_match_the_reference(latches, monkeypatch):
         if rng.random() < 0.9:
             reset_state(nl, [rng.randrange(nl.gates[g[0]].radix)
                              for g in nl.state_groups], state)
-        ref_state = copy.deepcopy(state)
-        for _ in range(4):
-            vec = tuple(rng.randrange(2 if r is None else r)
-                        for r in nl.input_radixes())
-            got = _outcome(lambda s: sim.eval_combinational(nl, vec, s)[0], state)
-            assert got == _outcome(
-                lambda s: ref.eval_combinational(nl, vec, s)[0], ref_state)
-            if got[0] == ("oscillation",):
-                # the two stop sweeping at different points, so the
-                # contents they leave differ and later steps would too
-                break
-            assert state.latches == ref_state.latches
+        _steps(nl, state, [tuple(rng.randrange(2 if r is None else r)
+                                 for r in nl.input_radixes())
+                           for _ in range(4)])
         faults += len(state.faults)
     assert twins and faults  # twins were emitted and the fault paths reached
 
@@ -128,9 +118,21 @@ def test_a_switch_on_constant_data_drives_its_conducting_plane():
     tt = TruthTable.make(3, 1, (2, 0, 1))
     nl = synth_tables([tt], Strategy.MUX_TREE)
     prog = sim._compiled(nl)
-    switches = [op for op in prog.ops if op[0] == sim._SWITCH]
-    assert switches and all(op[2] == (sim._FULL,) for op in switches)
+    switches = [drv for op in prog.ops if op[0] == sim._NET for drv in op[2]]
+    assert switches and all(d == (sim._FULL,) for _, _, d in switches)
     out = prog.outputs[0]
-    assert sorted(op[1] for op in switches) == sorted(out[lvl] for lvl in tt.entries)
+    assert sorted(y for _, y, _ in switches) == sorted(out[lvl] for lvl in tt.entries)
     assert eval_vectors(nl, [(0,), (1,), (2,)]) == [(2,), (0,), (1,)]
+
+
+def test_one_op_per_switch_net():
+    nl = build_mux_m(3, 2)
+    switches = [g for g in nl.gates.values() if g.kind is GateType.SWITCH]
+    nets = {g.pins["y"] for g in switches}
+    ops = [op for op in sim._compiled(nl).ops if op[0] == sim._NET]
+    assert sorted(op[1] for op in ops) == sorted(nets)
+    assert sum(len(op[2]) for op in ops) == len(switches)
+    for op in ops:  # each driver's control is read once, by its net's op
+        controls = [c for c, _, _ in op[2]]
+        assert len(controls) == len(set(controls))
 
