@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -39,7 +40,18 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+# The most configuration latches a fabric may have; it has radix^(arity+1).
+_MAX_LATCHES = 2 ** 16
+
+
 def _cmd_fabric(args) -> int:
+    n, m = args.radix, args.arity
+    # compared as logarithms, since the power grows with the arity; a radix
+    # below 2 or an arity below 1 is left for the builder to refuse
+    if n >= 2 and m >= 1 and (m + 1) * math.log2(n) > math.log2(_MAX_LATCHES):
+        raise ValueError(
+            f"--radix {n} --arity {m} needs {n}^{m + 1} configuration latches, "
+            f"over the limit of {_MAX_LATCHES}")
     strategy = Strategy(args.strategy)
     if strategy is Strategy.DECODER:
         nl = build_fabric_decoder(args.radix, args.arity)
@@ -111,8 +123,11 @@ def _cmd_sim(args) -> int:
         if not args.vectors:
             raise ValueError("no input vectors given")
         vectors = [_parse_digits(v, "vector") for v in args.vectors]
-    else:
-        vectors = [()] * (args.steps if args.steps is not None else 1)
+    elif args.vectors:
+        raise ValueError("the netlist has no inputs, so it takes no vectors; "
+                         "give --steps to clock it")
+    else:  # one step at a time: any count runs in constant memory
+        vectors = (() for _ in range(1 if args.steps is None else args.steps))
 
     for vec in vectors:
         try:

@@ -32,9 +32,9 @@ class GateType(enum.Enum):
     OUTPUT = "output"
 
 
-# The members bound once, for the builder's per-gate emit: on Python 3.11
-# a GateType.X read goes through the enum class and costs about ten times
-# a global read.
+# The members bound once, for the builder's emit, levelized and the
+# simulator's lowering: on Python 3.11 a GateType.X read goes through the
+# enum class and costs about ten times a global read.
 _TLG, _AND, _OR, _NOT, _SWITCH = (GateType.TLG, GateType.AND, GateType.OR,
                                   GateType.NOT, GateType.SWITCH)
 _CONFIG_LATCH, _NARY_DLATCH = GateType.CONFIG_LATCH, GateType.NARY_DLATCH
@@ -76,7 +76,20 @@ class PortSig(NamedTuple):
 
 
 _ANY = -1
+_OWN = -2                           # in a layout: the gate's own radix
 
+# Port layouts, as (name, is_input, radix) triples, keyed by id(kind) as
+# _PORTS is. AND and OR have ports a0..a{n-1}, y for fan-in n instead.
+_LAYOUTS = {
+    id(_TLG): (("d", True, _ANY), ("y", False, None)),
+    id(_NOT): (("a", True, None), ("y", False, None)),
+    id(_SWITCH): (("d", True, _ANY), ("c", True, None), ("y", False, _ANY)),
+    id(_CONFIG_LATCH): (("q", False, None),),
+    id(_NARY_DLATCH): (("d", True, _OWN), ("q", False, _OWN)),
+    id(_CONST): (("y", False, _OWN),),
+    id(_INPUT): (("y", False, _OWN),),
+    id(_OUTPUT): (("a", True, _OWN),),
+}
 
 # Shared port signatures and their port-name sets, keyed by (id(kind),
 # fan-in) for AND/OR and by (id(kind), radix) for every other kind: a
@@ -88,10 +101,23 @@ _PORTS: dict[tuple, tuple[tuple[PortSig, ...], frozenset[str]]] = {}
 
 def _signature(g: Gate) -> tuple[tuple[PortSig, ...], frozenset[str]]:
     k = g.kind
-    key = (id(k), g.fan_in() if k in _FAN_IN else g.radix)
+    counted = k in _FAN_IN
+    if counted and type(g.param) is not int:
+        g.fan_in()  # raises: a bool or a non-int is no fan-in
+    key = (id(k), g.param if counted else g.radix)
     sig = _PORTS.get(key)
     if sig is None:
-        ports = tuple(_build_ports(g))
+        if counted:
+            if g.param < 1:
+                raise NetlistError(f"{g.gid}: fan-in must be >= 1")
+            layout = [(f"a{i}", True, None) for i in range(g.param)]
+            layout.append(("y", False, None))
+        elif id(k) in _LAYOUTS:
+            layout = [(name, is_input, g.radix if radix == _OWN else radix)
+                      for name, is_input, radix in _LAYOUTS[id(k)]]
+        else:
+            raise NetlistError(f"unknown gate kind {k!r}")
+        ports = tuple(PortSig(*p) for p in layout)
         sig = _PORTS[key] = (ports, frozenset(p.name for p in ports))
     return sig
 
@@ -102,37 +128,6 @@ def gate_ports(g: Gate) -> tuple[PortSig, ...]:
     The tuple is shared by every gate with the same signature.
     """
     return _signature(g)[0]
-
-
-def _build_ports(g: Gate) -> list[PortSig]:
-    k = g.kind
-    if k is GateType.TLG:
-        return [PortSig("d", True, _ANY), PortSig("y", False, None)]
-    if k in _FAN_IN:
-        fi = g.fan_in()
-        if fi < 1:
-            raise NetlistError(f"{g.gid}: fan-in must be >= 1")
-        ins = [PortSig(f"a{i}", True, None) for i in range(fi)]
-        return ins + [PortSig("y", False, None)]
-    if k is GateType.NOT:
-        return [PortSig("a", True, None), PortSig("y", False, None)]
-    if k is GateType.SWITCH:
-        return [
-            PortSig("d", True, _ANY),
-            PortSig("c", True, None),
-            PortSig("y", False, _ANY),
-        ]
-    if k is GateType.CONFIG_LATCH:
-        return [PortSig("q", False, None)]
-    if k is GateType.NARY_DLATCH:
-        return [PortSig("d", True, g.radix), PortSig("q", False, g.radix)]
-    if k is GateType.CONST:
-        return [PortSig("y", False, g.radix)]
-    if k is GateType.INPUT:
-        return [PortSig("y", False, g.radix)]
-    if k is GateType.OUTPUT:
-        return [PortSig("a", True, g.radix)]
-    raise NetlistError(f"unknown gate kind {k!r}")
 
 
 # Gate kinds outside the combinational core: sources, sinks and storage.
@@ -278,11 +273,6 @@ def levelized(nl: Netlist) -> list[tuple]:
     the storage lists, the port lists, the clock, unlisted input ports,
     combinational cycles.
     """
-    # GateType members as locals: on Python 3.11 a GateType.X read goes
-    # through the enum class and costs about ten times a local read.
-    TLG, SWITCH, CONST = GateType.TLG, GateType.SWITCH, GateType.CONST
-    INPUT, OUTPUT = GateType.INPUT, GateType.OUTPUT
-    CONFIG_LATCH, NARY_DLATCH = GateType.CONFIG_LATCH, GateType.NARY_DLATCH
     nets = nl.nets
     number: dict[str, int] = {}
     radixes: list[Optional[int]] = []
@@ -304,7 +294,7 @@ def levelized(nl: Netlist) -> list[tuple]:
         # a radix below 2 first: -1 would read as _ANY
         if radix is not None and (type(radix) is not int or radix < 2):
             raise NetlistError(f"gate {g.gid}: {_bad_radix(radix)}")
-        if kind is NARY_DLATCH and radix is None:
+        if kind is _NARY_DLATCH and radix is None:
             raise NetlistError(f"{g.gid}: {kind.value} needs a radix")
         if kind in _FAN_IN:
             # before the signature, whose size grows with the declared fan-in
@@ -313,8 +303,8 @@ def levelized(nl: Netlist) -> list[tuple]:
             sig = _PORTS.get((id(kind), g.param)) if type(g.param) is int else None
         else:
             sig = _PORTS.get((id(kind), radix))
-        # _signature's cache read inline: the call and fan_in() cost more
-        # than the lookup; a miss builds it, or raises for a bad fan-in
+        # _signature's cache read inline: the call costs more than the
+        # lookup; a miss builds it, or raises for a bad fan-in
         sigs, names = sig or _signature(g)
         if pins.keys() != names:
             missing = sorted(names - set(pins))
@@ -337,24 +327,24 @@ def levelized(nl: Netlist) -> list[tuple]:
                 else:
                     shared.append((i, g.gid))
         if kind in _NOT_COMB:
-            if kind is CONST:
+            if kind is _CONST:
                 hi = 1 if radix is None else radix - 1
                 if type(g.param) is not int or not 0 <= g.param <= hi:
                     raise _bad_param(g, "constant", f"out of range 0..{hi}")
-            elif kind is CONFIG_LATCH:
+            elif kind is _CONFIG_LATCH:
                 config.append(g.gid)
-            elif kind is NARY_DLATCH:
+            elif kind is _NARY_DLATCH:
                 state.append(g.gid)
-            elif kind is INPUT:
+            elif kind is _INPUT:
                 ports.append(g)
-            if kind is not OUTPUT:
+            if kind is not _OUTPUT:
                 sources.append((g, out))
             continue
-        if kind is SWITCH:
+        if kind is _SWITCH:
             if radixes[ins[0]] != radixes[out]:
                 raise NetlistError(f"{g.gid}: switch data radix {radixes[ins[0]]} "
                                    f"!= output radix {radixes[out]}")
-        elif kind is TLG:
+        elif kind is _TLG:
             n = radixes[ins[0]]
             if type(g.param) is not int or not -1 <= g.param <= n - 1:
                 raise _bad_param(g, "threshold", f"outside -1..{n - 1} for radix {n}")
@@ -362,8 +352,8 @@ def levelized(nl: Netlist) -> list[tuple]:
 
     bad = driver.index(None) if None in driver else len(driver)
     for i, gid in shared:
-        if i < bad and (nl.gates[gid].kind is not SWITCH
-                        or nl.gates[driver[i]].kind is not SWITCH):
+        if i < bad and (nl.gates[gid].kind is not _SWITCH
+                        or nl.gates[driver[i]].kind is not _SWITCH):
             bad = i
     if bad < len(driver):
         nid = list(nets)[bad]
@@ -372,15 +362,15 @@ def levelized(nl: Netlist) -> list[tuple]:
         ds = [driver[bad]] + [gid for i, gid in shared if i == bad]
         raise NetlistError(f"net {nid} multiply driven by non-switch gates: {ds}")
 
-    for lst, actual, kind in ((nl.latch_order, config, CONFIG_LATCH),
-                              (nl.state_latches, state, NARY_DLATCH)):
+    for lst, actual, kind in ((nl.latch_order, config, _CONFIG_LATCH),
+                              (nl.state_latches, state, _NARY_DLATCH)):
         if sorted(lst) != sorted(actual) or len(set(lst)) != len(lst):
             raise NetlistError(f"{kind.value} ordering list does not match gates")
     grouped = [gid for grp in nl.state_groups for gid in grp]
     if sorted(grouped) != sorted(nl.state_latches):
         raise NetlistError("state_groups do not partition the state latches")
 
-    for lst, kind in ((nl.inputs, INPUT), (nl.outputs, OUTPUT)):
+    for lst, kind in ((nl.inputs, _INPUT), (nl.outputs, _OUTPUT)):
         for gid in lst:
             if gid not in nl.gates or nl.gates[gid].kind is not kind:
                 raise NetlistError(
@@ -391,7 +381,7 @@ def levelized(nl: Netlist) -> list[tuple]:
         if nl.clock not in number:
             raise NetlistError(f"clock net {nl.clock} does not exist")
         first = driver[number[nl.clock]]
-        if nl.gates[first].kind is not INPUT or first in nl.inputs:
+        if nl.gates[first].kind is not _INPUT or first in nl.inputs:
             raise NetlistError(
                 f"clock net {nl.clock} is not driven by a dedicated input port")
     for g in ports:

@@ -44,7 +44,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .netlist import GateType, Netlist, fingerprint, levelized, validate
+from .netlist import (GateType, Netlist, fingerprint, levelized, validate,
+                      _AND as _AND_GATE, _CONST as _CONST_GATE, _NOT as _NOT_GATE,
+                      _OR as _OR_GATE, _SWITCH as _SWITCH_GATE, _TLG as _TLG_GATE)
 from .tables import ConfigBitstream
 
 
@@ -150,10 +152,6 @@ def _lower(nl: Netlist, records: list[tuple]
     whose op an earlier gate already computes emit no op: their planes
     alias existing slots.
     """
-    # GateType members as locals: on Python 3.11 a GateType.X read goes
-    # through the enum class and costs about ten times a local read.
-    AND, OR, NOT, TLG = GateType.AND, GateType.OR, GateType.NOT, GateType.TLG
-    SWITCH, CONST = GateType.SWITCH, GateType.CONST
     gates, nets = nl.gates, nl.nets
     names = list(nets)
     number = dict(zip(names, itertools.count()))
@@ -202,16 +200,16 @@ def _lower(nl: Netlist, records: list[tuple]
     for rec in records:
         g, y = rec[0], rec[1]
         kind = g.kind
-        if kind is TLG:
+        if kind is _TLG_GATE:
             ins = read(rec[2], True)[g.param + 1:]
             if len(ins) <= 1:
                 planes[y] = (_SINK, ins[0] if ins else _ZERO)
                 continue
             op = _OR
-        elif kind is AND or kind is OR or kind is NOT:
-            op = _AND if kind is AND else _OR if kind is OR else _NOT
+        elif kind is _AND_GATE or kind is _OR_GATE or kind is _NOT_GATE:
+            op = _AND if kind is _AND_GATE else _OR if kind is _OR_GATE else _NOT
             ins = [planes[x][1] for x in rec[2:]]
-        elif kind is SWITCH:  # inputs (d, c)
+        elif kind is _SWITCH_GATE:  # inputs (d, c)
             c = planes[rec[3]][1]
             d = read(rec[2], False, c)
             if y not in drivers:  # its first driver
@@ -222,7 +220,7 @@ def _lower(nl: Netlist, records: list[tuple]
             else:
                 drivers[y].append((c, planes[y][0], d))
             continue
-        elif kind is CONST:
+        elif kind is _CONST_GATE:
             levels = 2 if g.radix is None else g.radix
             planes[y] = tuple(_FULL if lvl == g.param else _ZERO
                               for lvl in range(levels))

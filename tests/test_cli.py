@@ -8,9 +8,10 @@ import sys
 import pytest
 
 import mvlsynth
-from mvlsynth import fileio
+from mvlsynth import cli, fileio
 from mvlsynth.cli import main
 from mvlsynth.oracle import DEFAULT_SEED
+from mvlsynth.sim import Fault, FaultKind, SimFaultError
 from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
 from mvlsynth.values import Radix
 
@@ -205,6 +206,78 @@ def test_sim_sequential_guards(ws, capsys):
     capsys.readouterr()
     assert main(["sim", _p(ws, "sum.nl.json"), "1,2", "--reset", "0"]) == 2
     assert "no state" in capsys.readouterr().err
+    # a netlist without inputs refuses vectors, malformed ones too
+    fileio.save_fsm(ws / "ctr.json", FsmSpec(Radix(3), 1, 0, (
+        TruthTable.make(3, 1, (1, 2, 0)),)))
+    main(["fsm", _p(ws, "ctr.json"), "-o", _p(ws, "ctr.nl.json")])
+    capsys.readouterr()
+    assert main(["sim", _p(ws, "ctr.nl.json"), "1,2", "7,7,7",
+                 "--reset", "0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "no inputs" in out.err and "--steps" in out.err
+
+
+def test_sim_streams_its_steps(ws, capsys, monkeypatch):
+    # a count too large for any list runs until its third step faults
+    spec = FsmSpec(Radix(3), 1, 0, (TruthTable.make(3, 1, (1, 2, 0)),))
+    fileio.save_fsm(ws / "ctr.json", spec)
+    main(["fsm", _p(ws, "ctr.json"), "-o", _p(ws, "ctr.nl.json")])
+    capsys.readouterr()
+    real, calls = cli.step_sequential, []
+
+    def step(nl, inputs, state):
+        calls.append(inputs)
+        if len(calls) == 3:
+            raise SimFaultError(Fault(FaultKind.OSCILLATION, "w0"))
+        return real(nl, inputs, state)
+    monkeypatch.setattr(cli, "step_sequential", step)
+    assert main(["sim", _p(ws, "ctr.nl.json"), "--reset", "0",
+                 "--steps", str(10 ** 19)]) == 1
+    assert capsys.readouterr().out == "1\n2\nfault: oscillation on w0\n"
+    assert calls == [(), (), ()]
+
+
+# Run the CLI in a child that caps its own address space, so a fabric
+# that ignores the budget fails with MemoryError instead of exhausting RAM.
+_CAPPED = """import resource, sys
+soft, hard = 400 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]
+if hard != resource.RLIM_INFINITY:
+    soft = min(soft, hard)
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+from mvlsynth.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_fabric_refuses_more_latches_than_its_budget(ws, capsys, monkeypatch):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mvlsynth.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for strategy in ("decoder", "mux"):
+        done = subprocess.run(
+            [sys.executable, "-c", _CAPPED, "fabric", "--radix", "100",
+             "--arity", "4", "-o", _p(ws, "big.json"), "--strategy", strategy],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert ("--radix 100 --arity 4 needs 100^5 configuration latches, "
+                "over the limit of 65536") in done.stderr
+        assert not (ws / "big.json").exists()
+    assert main(["fabric", "--radix", "3", "--arity", "2",
+                 "-o", _p(ws, "fab.json")]) == 0
+    capsys.readouterr()
+    # the budget's edge, decided before the builder runs
+    reached = []
+
+    def builder(radix, arity):
+        reached.append((radix, arity))
+        raise ValueError("not built")
+    monkeypatch.setattr(cli, "build_fabric_decoder", builder)
+    for radix, arity in ((2, 15), (2, 16), (4, 7), (256, 1), (257, 1),
+                         (3, 10 ** 30), (1, 4), (3, 0)):
+        assert main(["fabric", "--radix", str(radix), "--arity", str(arity),
+                     "-o", _p(ws, "edge.json")]) == 2
+    assert reached == [(2, 15), (4, 7), (256, 1), (1, 4), (3, 0)]
+    assert capsys.readouterr().err.count("over the limit of 65536") == 3
 
 
 def test_stats_and_export_dot(ws, capsys, tmp_path):

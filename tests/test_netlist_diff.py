@@ -93,6 +93,18 @@ def test_builder_netlists_keep_their_eval_order(family):
             assert _ports(gate_ports, g) == _ports(ref.gate_ports, g)
 
 
+def test_port_table_matches_the_reference_on_every_kind():
+    # every kind, unknown ones included, over radixes and fan-ins; twice
+    # over, so a signature from the cache must match too
+    for _ in range(2):
+        for kind in [*GateType, "bogus", ["bogus"]]:
+            for radix in (None, 2, 3, 4, 5):
+                for fan_in in (None, True, -1, 0, 1, 2, 3, 4):
+                    g = Gate("g", kind, {}, fan_in, radix)
+                    assert (_ports(gate_ports, g) == _ports(ref.gate_ports, g)
+                            ), (kind, radix, fan_in)
+
+
 # -- mutations: each edits a fresh copy in place, or returns False when the
 # netlist has nothing it applies to
 
