@@ -100,6 +100,10 @@ _PORTS: dict[tuple, tuple[tuple[PortSig, ...], frozenset[str]]] = {}
 
 
 def _signature(g: Gate) -> tuple[tuple[PortSig, ...], frozenset[str]]:
+    # before the cache read: 2.0 or True would find radix 2's or 1's entry
+    r = g.radix
+    if r is not None and (type(r) is not int or r < 2):
+        raise NetlistError(f"gate {g.gid}: {_bad_radix(r)}")
     k = g.kind
     counted = k in _FAN_IN
     if counted and type(g.param) is not int:

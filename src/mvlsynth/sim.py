@@ -13,8 +13,10 @@ the same op on the same slots share one op and one slot: a mux tree's
 blocks each decode the same select digit, and the program decodes it once.
 
 Every evaluation is one settle loop: sweep, commit the latch inputs,
-repeat until the latch contents stop changing. A latch-free batch settles
-in one sweep. Radix-N storage elements are sources whose contents live in
+repeat until the latch contents stop changing. A settle loads the inputs
+and the configuration bits once; each sweep copies those slots, sets the
+planes of the latch contents and runs the op list. A latch-free batch
+settles in one sweep. Radix-N storage elements are sources whose contents live in
 a SimState; a netlist with them settles a batch of one, and a clock phase
 is one more input column. The sweep that would confirm a commit is skipped
 when every latch that changed is read only as data by switches that are
@@ -282,41 +284,17 @@ def _record(first: dict[int, Fault], new: int, kind: FaultKind, ref: str,
         new ^= low
 
 
-def _uninitialized(state: SimState, gid: str) -> SimFaultError:
-    """Log that storage element gid was read before it held a value."""
-    fault = Fault(FaultKind.UNINITIALIZED_LATCH, gid)
+def _logged(state: SimState, fault: Fault) -> SimFaultError:
+    """Log a fault that ends an evaluation; returns the error to raise."""
     state.faults.append(fault)
     return SimFaultError(fault)
 
 
-def _run(prog: _Program, vectors: list, cols: list[tuple],
-         state: SimState) -> tuple[list[int], dict[int, Fault]]:
-    """One bit-parallel sweep; returns the slots and each faulted vector's
-    first fault. Slots of a faulted vector hold no meaningful level."""
-    full = (1 << len(vectors)) - 1
-    v = [0] * prog.nslots
-    v[_FULL] = full
-    for planes, col in zip(prog.inputs, cols):
-        masks = [0] * len(planes)
-        bit = 1
-        for x in col:
-            masks[x] |= bit
-            bit <<= 1
-        for s, m in zip(planes, masks):
-            v[s] = m
-    config = state.config
-    for gid, s in prog.config:
-        bit = config.get(gid)
-        if type(bit) is not int or not 0 <= bit <= 1:  # a bool is no bit
-            if gid not in config:
-                raise _uninitialized(state, gid)
-            raise ValueError(f"configuration latch {gid}: bit {bit!r} is not 0 or 1")
-        if bit:
-            v[s] = full
-    latches = state.latches
-    for gid, q, _, _ in prog.latches:
-        v[q[latches[gid]]] = full
-
+def _run(prog: _Program, v: list[int], vectors: list) -> dict[int, Fault]:
+    """One bit-parallel sweep over v, whose sources are set and other slots
+    0; returns each faulted vector's first fault. Slots of a faulted vector
+    hold no meaningful level."""
+    full = v[_FULL]
     first: dict[int, Fault] = {}
     already = 0
     for op, y, a, b in prog.ops:
@@ -353,7 +331,7 @@ def _run(prog: _Program, vectors: list, cols: list[tuple],
             if new:
                 already |= new
                 _record(first, new, FaultKind.FLOATING_NET, y, vectors)
-    return v, first
+    return first
 
 
 # The set bit positions of each byte value, low bit first.
@@ -448,6 +426,9 @@ def _settle(nl: Netlist, prog: _Program, vectors: list, state: SimState,
             cols: list[tuple]) -> tuple[list[int], dict[int, Fault]]:
     """Sweep a batch (cols: one column per prog.inputs entry), commit the
     latch inputs, repeat to rest. A latch netlist settles a batch of one.
+    Once the stored latch levels pass their check, the inputs and the
+    configuration bits are loaded once; each sweep copies those slots and
+    sets the planes of the latch contents.
 
     A sweep that commits a change is normally followed by another. That
     confirming sweep is skipped when every latch that changed is read only
@@ -467,12 +448,32 @@ def _settle(nl: Netlist, prog: _Program, vectors: list, state: SimState,
         level = latches.get(gid)
         if type(level) is not int or not 0 <= level < len(q):
             if gid not in latches:
-                raise _uninitialized(state, gid)
+                raise _logged(state, Fault(FaultKind.UNINITIALIZED_LATCH, gid))
             raise ValueError(
                 f"latch {gid}: stored level {level!r} not in 0..{len(q) - 1}")
+    full = (1 << len(vectors)) - 1
+    sources = [0] * prog.nslots
+    sources[_FULL] = full
+    for planes, col in zip(prog.inputs, cols):
+        bit = 1
+        for x in col:
+            sources[planes[x]] |= bit
+            bit <<= 1
+    config = state.config
+    for gid, s in prog.config:
+        bit = config.get(gid)
+        if type(bit) is not int or not 0 <= bit <= 1:  # a bool is no bit
+            if gid not in config:
+                raise _logged(state, Fault(FaultKind.UNINITIALIZED_LATCH, gid))
+            raise ValueError(f"configuration latch {gid}: bit {bit!r} is not 0 or 1")
+        if bit:
+            sources[s] = full
     bound, seen = len(prog.latches) + 2, set()
     for sweep in itertools.count(1):
-        v, first = _run(prog, vectors, cols, state)
+        v = sources.copy()
+        for gid, q, _, _ in prog.latches:
+            v[q[latches[gid]]] = full
+        first = _run(prog, v, vectors)
         cone = _Cone(nl, v, vectors[0]) if first and prog.latches else None
         changed = []
         for gid, _, d, readers in prog.latches:
@@ -481,8 +482,7 @@ def _settle(nl: Netlist, prog: _Program, vectors: list, state: SimState,
             else:
                 new = cone.consume(cone.number[nl.gates[gid].pins["d"]])
                 if isinstance(new, Fault):
-                    state.faults.append(new)
-                    raise SimFaultError(new)
+                    raise _logged(state, new)
             if latches[gid] != new:
                 latches[gid] = new
                 changed.append((gid, readers))
@@ -493,9 +493,8 @@ def _settle(nl: Netlist, prog: _Program, vectors: list, state: SimState,
         contents = tuple(latches[gid] for gid, _, _, _ in prog.latches)
         if sweep >= bound and contents in seen:
             # name the first latch that changed in this sweep
-            fault = Fault(FaultKind.OSCILLATION, changed[0][0], vectors[0])
-            state.faults.append(fault)
-            raise SimFaultError(fault)
+            raise _logged(state, Fault(FaultKind.OSCILLATION, changed[0][0],
+                                       vectors[0]))
         seen.add(contents)
 
 
@@ -587,6 +586,5 @@ def step_sequential(nl: Netlist, inputs: Sequence[int],
                            [(x,) for x in vector + (phase,)])
     result = _results(prog, v, first, 1)[0]
     if isinstance(result, Fault):
-        state.faults.append(result)
-        raise SimFaultError(result)
+        raise _logged(state, result)
     return result, state

@@ -127,6 +127,8 @@ def _emit_table(b: NetlistBuilder, prefix: str, ins: Sequence[str],
 def _function_inputs(b: NetlistBuilder, n: int, m: int,
                      port: str = "x") -> list[str]:
     """m radix-n inputs MS-first: port for one digit, else port{m-1}..port0."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if m == 1:
         return [b.add_input(port, n)]
     return [b.add_input(f"{port}{j}", n) for j in range(m - 1, -1, -1)]
@@ -143,8 +145,6 @@ def build_decoder_1(radix: RadixLike) -> Netlist:
 def build_decoder_m(radix: RadixLike, m: int) -> Netlist:
     """m radix-N inputs (MS-first) to N^m one-hot outputs b_0..b_{N^m-1}."""
     n = as_radix(radix).n
-    if m < 1:
-        raise ValueError("m must be >= 1")
     b = NetlistBuilder()
     xs = _function_inputs(b, n, m)
     for k, net in enumerate(_emit_decoder_m(b, "dec/", xs, n)):
@@ -217,8 +217,6 @@ def build_fabric_decoder(radix: RadixLike, m: int) -> Netlist:
     level-major then line-minor.
     """
     n = as_radix(radix).n
-    if m < 1:
-        raise ValueError("m must be >= 1")
     b = NetlistBuilder()
     ins = _function_inputs(b, n, m)
     lines = _emit_decoder_m(b, "dec/", ins, n)
@@ -241,8 +239,6 @@ def build_fabric_mux(radix: RadixLike, m: int, tree: bool = True) -> Netlist:
     input-major then level-minor.
     """
     n = as_radix(radix).n
-    if m < 1:
-        raise ValueError("m must be >= 1")
     b = NetlistBuilder()
     ins = _function_inputs(b, n, m)
     data = []

@@ -63,8 +63,12 @@ def tt_index(digits: Sequence[int], radix: RadixLike) -> int:
 def tt_digits(k: int, radix: RadixLike, arity: int) -> tuple[int, ...]:
     """Inverse of tt_index: decompose k into an arity-long MS-first tuple."""
     n = as_radix(radix).n
+    if type(arity) is not int:  # a bool is no arity
+        raise ValueError(f"arity {arity!r} is not an integer")
     if arity < 1:
         raise ValueError("arity must be >= 1")
+    if type(k) is not int:  # a bool is no index
+        raise ValueError(f"index {k!r} is not an integer")
     if not 0 <= k < n**arity:
         raise ValueError(f"index {k} out of range for {arity} radix-{n} digits")
     out = []

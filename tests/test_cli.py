@@ -12,6 +12,7 @@ from mvlsynth import cli, fileio
 from mvlsynth.cli import main
 from mvlsynth.oracle import DEFAULT_SEED
 from mvlsynth.sim import Fault, FaultKind, SimFaultError
+from mvlsynth.synth import build_decoder_m, build_nary_dlatch
 from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
 from mvlsynth.values import Radix
 
@@ -139,6 +140,17 @@ def test_sim_fabric_requires_bitstream(ws, capsys):
     capsys.readouterr()
     assert main(["sim", _p(ws, "sum.nl.json"), "1,2",
                  "--bitstream", _p(ws, "bits.json")]) == 2
+
+
+def test_sim_refuses_digits_that_do_not_parse(ws, capsys):
+    fileio.save_netlist(ws / "dec.json", build_decoder_m(3, 2))
+    assert main(["sim", _p(ws, "dec.json"), "1,x"]) == 2
+    assert ("vector: expected comma-separated digits, got '1,x'"
+            in capsys.readouterr().err)
+    fileio.save_netlist(ws / "latch.json", build_nary_dlatch(3))
+    assert main(["sim", _p(ws, "latch.json"), "1,1", "--reset", "a"]) == 2
+    assert ("--reset: expected comma-separated digits, got 'a'"
+            in capsys.readouterr().err)
 
 
 def test_sim_never_runs_a_partly_programmed_fabric(ws, capsys):

@@ -9,8 +9,9 @@ from mvlsynth.fileio import fingerprint
 from mvlsynth.oracle import check_equivalence, reference_half_adder
 from mvlsynth.sim import (Fault, FaultKind, SimFaultError, SimState,
                           eval_combinational, eval_vectors, load_config)
-from mvlsynth.synth import (Strategy, build_fabric_decoder, build_fabric_mux,
-                            derive_config, gate_stats, synth_tables)
+from mvlsynth.synth import (Strategy, build_decoder_m, build_fabric_decoder,
+                            build_fabric_mux, build_mux_m, derive_config,
+                            gate_stats, synth_tables)
 from mvlsynth.tables import ConfigBitstream, TruthTable
 from test_sim import _contention_netlist, _count_sweeps
 
@@ -178,6 +179,13 @@ def test_fabric_rejects_bad_parameters():
         build_fabric_decoder(3, 0)
     with pytest.raises(ValueError):
         build_fabric_mux(1, 2)
+
+
+@pytest.mark.parametrize("build", [build_decoder_m, build_mux_m,
+                                   build_fabric_decoder, build_fabric_mux])
+def test_builders_refuse_no_function_inputs(build):
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        build(3, 0)
 
 
 def test_latch_free_batches_sweep_once_and_build_no_cone(monkeypatch):

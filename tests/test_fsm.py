@@ -124,6 +124,21 @@ def test_fsm_spec_refuses_an_arity_that_is_not_an_int(arities):
         FsmSpec(Radix(3), *arities, (tt,))
 
 
+@pytest.mark.parametrize("arities, why", [((0, 0), "state_arity must be >= 1"),
+                                          ((1, -1), "input_arity must be >= 0")])
+def test_fsm_spec_refuses_an_arity_below_its_least(arities, why):
+    tt = TruthTable.make(3, 1, (1, 2, 0))
+    with pytest.raises(ValueError, match=why):
+        FsmSpec(Radix(3), *arities, (tt,))
+
+
+def test_fsm_check_refuses_a_netlist_for_another_machine():
+    nl = compile_fsm(_counter3(), Strategy.DECODER)  # no input port
+    with pytest.raises(ValueError,
+                       match="netlist ports do not match the machine spec"):
+        check_fsm_equivalence(nl, _accumulator3(), (0,), [[(1,)]])
+
+
 def test_clock_is_not_a_data_input():
     nl = compile_fsm(_accumulator3(), Strategy.DECODER)
     assert nl.inputs == ["i0"]

@@ -436,6 +436,10 @@ def test_dot_edges_and_storage():
     assert 'label="CFG"' in fab
 
 
+def test_dot_labels_a_storage_latch_with_its_radix():
+    assert 'label="DLATCH N=3"' in export_dot(build_nary_dlatch(3))
+
+
 def test_dot_quotes_ids_and_labels():
     xid, tid, yid = 'x"\\', 'dec/"not0', '\\y"'
     b = NetlistBuilder()

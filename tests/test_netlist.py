@@ -330,3 +330,15 @@ def test_bad_signatures_raise_on_every_call():
             gate_ports(Gate("a", GateType.OR, {}, param=0))
         with pytest.raises(NetlistError, match="unknown gate kind"):
             gate_ports(Gate("g", "bogus", {}))
+
+
+def test_gate_ports_refuses_a_radix_that_validate_refuses():
+    # with radix 2's signature cached, 2.0 and True must not find it
+    gate_ports(Gate("g", GateType.INPUT, {}, radix=2))
+    for radix, why in ((2.0, "radix 2.0 is not an integer"),
+                       (True, "radix True is not an integer"),
+                       ([3], "radix [3] is not an integer"),
+                       (1, "radix 1 is below 2"), (-1, "radix -1 is below 2")):
+        with pytest.raises(NetlistError) as err:
+            gate_ports(Gate("g", GateType.INPUT, {}, radix=radix))
+        assert str(err.value) == f"gate g: {why}"

@@ -172,14 +172,16 @@ def _settle_endings(monkeypatch):
     sweep committed a change, "confirmed" when a sweep confirmed a commit."""
     endings = set()
     starts = []  # latch contents at the start of each sweep of one settle
+    settling = []  # the state of the settle in progress
     run, settle = sim._run, sim._settle
 
     def watched_run(*args):
-        starts.append(dict(args[3].latches))
+        starts.append(dict(settling[0].latches))
         return run(*args)
 
     def watched_settle(*args):
         starts.clear()
+        settling[:] = [args[3]]
         got = settle(*args)
         if args[3].latches != starts[-1]:
             endings.add("early")

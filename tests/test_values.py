@@ -102,6 +102,11 @@ def test_tt_digits_range_errors():
         tt_digits(-1, 3, 2)
     with pytest.raises(ValueError):
         tt_digits(0, 3, 0)
+    # an index or an arity that is not an int, a bool included
+    for k, arity, bad in ((1.5, 1, "index 1.5"), (True, 1, "index True"),
+                          (0, 2.0, "arity 2.0"), (0, True, "arity True")):
+        with pytest.raises(ValueError, match=f"{bad} is not an integer"):
+            tt_digits(k, 3, arity)
 
 
 def test_truth_table_validation():
