@@ -4,8 +4,8 @@ fabrics, and sequential-machine compilation."""
 
 from .values import MvValue, Radix, as_radix, nary_invert, tt_digits, tt_index
 from .tables import ConfigBitstream, FsmSpec, TruthTable
-from .netlist import (Gate, GateType, Net, Netlist, NetlistBuilder,
-                      NetlistError, validate)
+from .netlist import (Gate, GateType, Netlist, NetlistBuilder, NetlistError,
+                      validate)
 from .sim import (Fault, FaultKind, SimFaultError, SimState,
                   eval_combinational, eval_vectors, load_config, reset_state,
                   step_sequential)
@@ -22,7 +22,7 @@ from . import fileio
 __all__ = [
     "MvValue", "Radix", "as_radix", "nary_invert", "tt_digits", "tt_index",
     "ConfigBitstream", "FsmSpec", "TruthTable",
-    "Gate", "GateType", "Net", "Netlist", "NetlistBuilder", "NetlistError",
+    "Gate", "GateType", "Netlist", "NetlistBuilder", "NetlistError",
     "validate",
     "Fault", "FaultKind", "SimFaultError", "SimState", "eval_combinational",
     "eval_vectors", "load_config", "reset_state", "step_sequential",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
-from .netlist import (Gate, GateType, Net, Netlist, _driver_map, fingerprint,
+from .netlist import (Gate, GateType, Netlist, _driver_map, fingerprint,
                       gate_ports, validate)
 from .tables import ConfigBitstream, FsmSpec, TruthTable
 from .values import Radix
@@ -141,7 +141,7 @@ def netlist_to_text(nl: Netlist) -> str:
         "clock": nl.clock,
         "inputs": list(nl.inputs),
         "outputs": list(nl.outputs),
-        "nets": [{"id": net.nid, "radix": net.radix} for net in nl.nets.values()],
+        "nets": [{"id": nid, "radix": radix} for nid, radix in nl.nets.items()],
         "gates": [
             {"id": g.gid, "gate": g.kind.value, "param": g.param,
              "radix": g.radix, "pins": g.pins}
@@ -156,14 +156,14 @@ def netlist_to_text(nl: Netlist) -> str:
 
 def netlist_from_text(text: str) -> Netlist:
     doc = _load(text, "netlist")
-    nets: dict[str, Net] = {}
+    nets: dict[str, Optional[int]] = {}
     for i, entry in enumerate(_array(doc.get("nets"), "nets", dict)):
         where = f"nets[{i}]."
         nid = _field(entry, "id", str, where)
         radix = _optional(entry, "radix", int, "integer", where)
         if nid in nets:
             raise FileFormatError(f"field '{where}id': duplicate {nid!r}")
-        nets[nid] = Net(nid, radix)
+        nets[nid] = radix
 
     gates: dict[str, Gate] = {}
     for i, entry in enumerate(_array(doc.get("gates"), "gates", dict)):

@@ -63,12 +63,6 @@ class Gate:
         return self.param
 
 
-@dataclass(slots=True)
-class Net:
-    nid: str
-    radix: Optional[int]            # None = binary
-
-
 class PortSig(NamedTuple):
     name: str
     is_input: bool
@@ -143,7 +137,7 @@ class Netlist:
     """Immutable-by-convention gate graph. Build through NetlistBuilder."""
 
     gates: dict[str, Gate]
-    nets: dict[str, Net]
+    nets: dict[str, Optional[int]]  # net id -> radix, None = binary
     inputs: list[str]               # INPUT gate ids; gate id doubles as port name
     outputs: list[str]              # OUTPUT gate ids, in declared order
     latch_order: list[str]          # CONFIG_LATCH ids, bitstream addressing order
@@ -273,17 +267,16 @@ def levelized(nl: Netlist) -> list[tuple]:
     collects the drivers, the storage and the records. The first violation
     raises NetlistError.
     When a netlist breaks several rules, the one reported is the first in
-    this order: net radixes, each gate in turn, the drivers of each net,
-    the storage lists, the port lists, the clock, unlisted input ports,
-    combinational cycles.
+    this order: net radixes, each gate in turn (first, that its key is its
+    id), the drivers of each net, the storage lists, the port lists, the
+    clock, unlisted input ports, combinational cycles.
     """
     nets = nl.nets
     number: dict[str, int] = {}
     radixes: list[Optional[int]] = []
-    for i, (nid, net) in enumerate(nets.items()):
-        r = net.radix
+    for i, (nid, r) in enumerate(nets.items()):
         if r is not None and (type(r) is not int or r < 2):
-            raise NetlistError(f"net {net.nid}: {_bad_radix(r)}")
+            raise NetlistError(f"net {nid}: {_bad_radix(r)}")
         number[nid] = i
         radixes.append(r)
     driver: list[Optional[str]] = [None] * len(radixes)  # first, per net
@@ -293,7 +286,9 @@ def levelized(nl: Netlist) -> list[tuple]:
     config: list[str] = []                  # CONFIG_LATCH ids, in gate order
     state: list[str] = []                   # NARY_DLATCH ids, in gate order
     ports: list[Gate] = []                  # INPUT gates
-    for g in nl.gates.values():
+    for gid, g in nl.gates.items():
+        if g.gid != gid:
+            raise NetlistError(f"gate {g.gid} is stored under key {gid!r}")
         kind, pins, radix = g.kind, g.pins, g.radix
         # a radix below 2 first: -1 would read as _ANY
         if radix is not None and (type(radix) is not int or radix < 2):
@@ -416,7 +411,7 @@ class NetlistBuilder:
 
     def __init__(self):
         self.gates: dict[str, Gate] = {}
-        self.nets: dict[str, Net] = {}
+        self.nets: dict[str, Optional[int]] = {}
         self.inputs: list[str] = []
         self.outputs: list[str] = []
         self.latch_order: list[str] = []
@@ -434,7 +429,7 @@ class NetlistBuilder:
             self._wire_seq += 1
         if nid in self.nets:
             raise NetlistError(f"duplicate net id {nid!r}")
-        self.nets[nid] = Net(nid, radix)
+        self.nets[nid] = radix
         return nid
 
     # -- gates --------------------------------------------------------------
@@ -455,8 +450,7 @@ class NetlistBuilder:
         return nid
 
     def add_output(self, name: str, net: str) -> None:
-        self.add_gate(name, _OUTPUT, {"a": net},
-                      radix=self.nets[net].radix)
+        self.add_gate(name, _OUTPUT, {"a": net}, radix=self.nets[net])
         self.outputs.append(name)
 
     def tlg(self, gid: str, d: str, threshold: int) -> str:

@@ -46,7 +46,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .netlist import (GateType, Netlist, fingerprint, levelized, validate,
+from .netlist import (GateType, Netlist, fingerprint, levelized,
                       _AND as _AND_GATE, _CONST as _CONST_GATE, _NOT as _NOT_GATE,
                       _OR as _OR_GATE, _SWITCH as _SWITCH_GATE, _TLG as _TLG_GATE)
 from .tables import ConfigBitstream
@@ -162,7 +162,7 @@ def _lower(nl: Netlist, records: list[tuple]
 
     def fresh(i: int) -> None:
         nonlocal nslots
-        radix = nets[names[i]].radix
+        radix = nets[names[i]]
         first = nslots
         if radix is None:
             nslots += 1
@@ -265,12 +265,11 @@ def _lower(nl: Netlist, records: list[tuple]
 
 def _compiled(nl: Netlist) -> _Program:
     """The netlist's program, lowered on first use from the records its
-    validate handed over; a netlist without them is validated first."""
+    validate handed over; a netlist without them is levelized first, which
+    raises NetlistError if it is invalid."""
     program = nl._program
     if program is None:
-        if nl._records is None:
-            validate(nl)
-        records, nl._records = nl._records, None
+        records, nl._records = nl._records or levelized(nl), None
         program = nl._program = _lower(nl, records)[0]
     return program
 

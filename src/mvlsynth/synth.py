@@ -124,11 +124,17 @@ def _emit_table(b: NetlistBuilder, prefix: str, ins: Sequence[str],
     return y
 
 
+def _check_digits(m: int) -> None:
+    if type(m) is not int:  # a bool is no digit count
+        raise ValueError(f"m {m!r} is not an integer")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+
+
 def _function_inputs(b: NetlistBuilder, n: int, m: int,
                      port: str = "x") -> list[str]:
     """m radix-n inputs MS-first: port for one digit, else port{m-1}..port0."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_digits(m)
     if m == 1:
         return [b.add_input(port, n)]
     return [b.add_input(f"{port}{j}", n) for j in range(m - 1, -1, -1)]
@@ -161,8 +167,7 @@ def build_mux_m(radix: RadixLike, m: int, tree: bool = True) -> Netlist:
     """N^m-to-one selector with m select digits; y = i_k at k = index(selects).
     Selects are named like synth_tables' inputs: s, or s{m-1}..s0 for m > 1."""
     n = as_radix(radix).n
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_digits(m)  # before n**m
     b = NetlistBuilder()
     data = [b.add_input(f"i{k}", n) for k in range(n**m - 1, -1, -1)]
     data.reverse()  # i_0 .. i_{n^m-1}, ports declared MS-first
@@ -436,4 +441,4 @@ def mux_block_count(nl: Netlist) -> int:
     using all N levels, and each constant bank of a mux fabric, add one."""
     switched = Counter(g.pins["y"] for g in nl.gates.values()
                        if g.kind is GateType.SWITCH)
-    return sum(nl.nets[nid].radix == k for nid, k in switched.items())
+    return sum(nl.nets[nid] == k for nid, k in switched.items())

@@ -124,9 +124,9 @@ def _levelize(nl: Netlist) -> list[str]:
 
 def validate(nl: Netlist) -> None:
     """Full structural check: connectivity, drivers, signal kinds, cycles."""
-    for net in nl.nets.values():
-        if net.radix is not None and net.radix < 2:
-            raise NetlistError(f"net {net.nid}: radix {net.radix} is below 2")
+    for nid, radix in nl.nets.items():
+        if radix is not None and radix < 2:
+            raise NetlistError(f"net {nid}: radix {radix} is below 2")
     for g in nl.gates.values():
         if g.kind is GateType.NARY_DLATCH and g.radix is None:
             raise NetlistError(f"{g.gid}: {g.kind.value} needs a radix")
@@ -142,26 +142,26 @@ def validate(nl: Netlist) -> None:
             nid = g.pins[sig.name]
             if nid not in nl.nets:
                 raise NetlistError(f"{g.gid}.{sig.name}: unknown net {nid!r}")
-            net = nl.nets[nid]
-            if sig.radix is None and net.radix is not None:
+            radix = nl.nets[nid]
+            if sig.radix is None and radix is not None:
                 raise NetlistError(
-                    f"{g.gid}.{sig.name}: binary port on radix-{net.radix} net {nid}"
+                    f"{g.gid}.{sig.name}: binary port on radix-{radix} net {nid}"
                 )
-            if sig.radix == _ANY and net.radix is None:
+            if sig.radix == _ANY and radix is None:
                 raise NetlistError(f"{g.gid}.{sig.name}: radix-N port on binary net {nid}")
-            if sig.radix not in (None, _ANY) and net.radix != sig.radix:
+            if sig.radix not in (None, _ANY) and radix != sig.radix:
                 raise NetlistError(
                     f"{g.gid}.{sig.name}: radix-{sig.radix} port on net {nid} "
-                    f"of radix {net.radix}"
+                    f"of radix {radix}"
                 )
         if g.kind is GateType.SWITCH:
             din, dout = nl.nets[g.pins["d"]], nl.nets[g.pins["y"]]
-            if din.radix != dout.radix:
+            if din != dout:
                 raise NetlistError(
-                    f"{g.gid}: switch data radix {din.radix} != output radix {dout.radix}"
+                    f"{g.gid}: switch data radix {din} != output radix {dout}"
                 )
         if g.kind is GateType.TLG:
-            n = nl.nets[g.pins["d"]].radix
+            n = nl.nets[g.pins["d"]]
             if g.param is None or not -1 <= g.param <= n - 1:
                 raise NetlistError(
                     f"{g.gid}: threshold {g.param} outside -1..{n - 1} for radix {n}"

@@ -188,6 +188,14 @@ def test_builders_refuse_no_function_inputs(build):
         build(3, 0)
 
 
+@pytest.mark.parametrize("m", [True, 1.5, 2.0])
+@pytest.mark.parametrize("build", [build_decoder_m, build_mux_m,
+                                   build_fabric_decoder, build_fabric_mux])
+def test_digit_counts_must_be_integers(build, m):
+    with pytest.raises(ValueError, match=f"^m {m!r} is not an integer$"):
+        build(3, m)
+
+
 def test_latch_free_batches_sweep_once_and_build_no_cone(monkeypatch):
     # faulted vectors in a latch-free batch need no walk back from a latch
     def no_cone(*args):

@@ -11,7 +11,8 @@ from mvlsynth.fileio import (FileFormatError, bitstream_from_text,
                              bitstream_to_text, export_dot, fingerprint,
                              fsm_from_text, fsm_to_text, netlist_from_text,
                              netlist_to_text, table_from_text, table_to_text)
-from mvlsynth.netlist import Gate, GateType, Net, Netlist, NetlistBuilder
+from mvlsynth.netlist import Gate, GateType, Netlist, NetlistBuilder, validate
+from mvlsynth.sim import eval_combinational
 from mvlsynth.synth import (Strategy, build_decoder_1, build_fabric_decoder,
                             build_fabric_mux, build_nary_dlatch, compile_fsm,
                             derive_config, synth_tables)
@@ -277,12 +278,32 @@ def test_loaded_netlist_equals_its_unvalidated_source():
         gates={"x": Gate("x", GateType.INPUT, {"y": "x"}, radix=3),
                "t": Gate("t", GateType.TLG, {"d": "x", "y": "w"}, param=1),
                "y": Gate("y", GateType.OUTPUT, {"a": "w"})},
-        nets={"x": Net("x", 3), "w": Net("w", None)},
+        nets={"x": 3, "w": None},
         inputs=["x"], outputs=["y"], latch_order=[], state_latches=[],
         state_groups=[])
     loaded = netlist_from_text(netlist_to_text(raw))
     assert loaded.eval_order() == ["t"]   # loading validates, so levelizes
     assert loaded == raw
+
+
+def test_a_hand_built_netlist_maps_each_net_to_its_radix():
+    nl = Netlist(
+        gates={"x": Gate("x", GateType.INPUT, {"y": "x"}, radix=3),
+               "t": Gate("t", GateType.TLG, {"d": "x", "y": "w"}, param=1),
+               "y": Gate("y", GateType.OUTPUT, {"a": "w"})},
+        nets={"x": 3, "w": None},
+        inputs=["x"], outputs=["y"], latch_order=[], state_latches=[],
+        state_groups=[])
+    validate(nl)
+    assert [eval_combinational(nl, [x])[0] for x in range(3)] == [(0,), (0,), (1,)]
+    loaded = netlist_from_text(netlist_to_text(nl))
+    assert loaded == nl
+    assert loaded.nets == {"x": 3, "w": None}
+    for family in FAMILIES.values():
+        for built in family():
+            loaded = netlist_from_text(netlist_to_text(built))
+            for got in (built, loaded):
+                assert all(r is None or type(r) is int for r in got.nets.values())
 
 
 def test_fsm_document_checks():

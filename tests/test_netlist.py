@@ -2,8 +2,9 @@
 
 import pytest
 
-from mvlsynth.netlist import (Gate, GateType, Net, Netlist, NetlistBuilder,
+from mvlsynth.netlist import (Gate, GateType, Netlist, NetlistBuilder,
                               NetlistError, gate_ports, validate)
+from mvlsynth.synth import build_nary_dlatch
 
 
 def _passthrough():
@@ -292,12 +293,22 @@ def test_eval_order_is_topological():
 def test_validate_standalone_on_raw_netlist():
     g = Gate("x", GateType.INPUT, {"y": "w"}, radix=3)
     out = Gate("y", GateType.OUTPUT, {"a": "w"}, radix=3)
-    nl = Netlist(gates={"x": g, "y": out}, nets={"w": Net("w", 3)},
+    nl = Netlist(gates={"x": g, "y": out}, nets={"w": 3},
                  inputs=["x"], outputs=["y"], latch_order=[],
                  state_latches=[], state_groups=[])
     validate(nl)
-    nl.nets["w"] = Net("w", 4)
+    nl.nets["w"] = 4
     with pytest.raises(NetlistError):
+        validate(nl)
+
+
+def test_a_gate_stored_under_another_key_is_refused():
+    nl = build_nary_dlatch(3)
+    nl.gates["renamed"] = nl.gates.pop("lat")
+    with pytest.raises(NetlistError, match=r"^gate lat is stored under key 'renamed'$"):
+        validate(nl)
+    nl.gates["renamed"].radix = 1   # the key is checked first
+    with pytest.raises(NetlistError, match=r"^gate lat is stored under key 'renamed'$"):
         validate(nl)
 
 

@@ -12,7 +12,7 @@ import random
 import pytest
 
 import reference_netlist as ref
-from mvlsynth.netlist import (Gate, GateType, Net, Netlist, _driver_map,
+from mvlsynth.netlist import (Gate, GateType, Netlist, _driver_map,
                               gate_ports, validate)
 from mvlsynth.oracle import random_table
 from mvlsynth.synth import (Strategy, build_fabric_decoder, build_fabric_mux,
@@ -57,7 +57,7 @@ def _copy(nl):
     return Netlist(
         gates={gid: Gate(g.gid, g.kind, dict(g.pins), g.param, g.radix)
                for gid, g in nl.gates.items()},
-        nets={nid: Net(n.nid, n.radix) for nid, n in nl.nets.items()},
+        nets=dict(nl.nets),
         inputs=list(nl.inputs), outputs=list(nl.outputs),
         latch_order=list(nl.latch_order),
         state_latches=list(nl.state_latches),
@@ -135,8 +135,8 @@ def _unknown_net(nl, rng):
 
 
 def _net_radix(nl, rng):
-    net = nl.nets[rng.choice(sorted(nl.nets))]
-    net.radix = rng.choice([r for r in (None, 0, 1, 2, 3, 4, 5) if r != net.radix])
+    nid = rng.choice(sorted(nl.nets))
+    nl.nets[nid] = rng.choice([r for r in (None, 0, 1, 2, 3, 4, 5) if r != nl.nets[nid]])
 
 
 def _shared_input(nl, rng):
@@ -155,15 +155,15 @@ def _fan_in(nl, rng):
 
 def _second_driver(nl, rng):
     nid = rng.choice(sorted(nl.nets))
-    radix = nl.nets[nid].radix
-    binary = [n for n in sorted(nl.nets) if nl.nets[n].radix is None]
+    radix = nl.nets[nid]
+    binary = [n for n in sorted(nl.nets) if nl.nets[n] is None]
     kind = rng.choice([GateType.CONST, GateType.NOT, GateType.SWITCH])
     if kind is GateType.CONST:
         extra = Gate("extra", kind, {"y": nid}, 0, radix)
     elif kind is GateType.NOT:
         extra = Gate("extra", kind, {"a": rng.choice(binary), "y": nid})
     else:
-        same = [n for n in sorted(nl.nets) if nl.nets[n].radix == radix] or [nid]
+        same = [n for n in sorted(nl.nets) if nl.nets[n] == radix] or [nid]
         extra = Gate("extra", kind, {"d": rng.choice(same),
                                      "c": rng.choice(binary), "y": nid})
     nl.gates["extra"] = extra
@@ -173,7 +173,7 @@ def _tlg_threshold(nl, rng):
     g = _gate(nl, rng, GateType.TLG)
     if g is None:
         return False
-    n = nl.nets[g.pins["d"]].radix
+    n = nl.nets[g.pins["d"]]
     g.param = rng.choice([None, -2, -1, 0, n - 1, n, 9])
 
 
@@ -192,7 +192,7 @@ def _cycle(nl, rng):
         g = nl.gates[order[i]]
         pins = sorted(p for p in g.pins if p in ("a", "c") or p[1:].isdigit())
         later = [nl.gates[gid].pins["y"] for gid in order[i:]
-                 if nl.nets[nl.gates[gid].pins["y"]].radix is None]
+                 if nl.nets[nl.gates[gid].pins["y"]] is None]
         if pins and later:
             g.pins[rng.choice(pins)] = rng.choice(later)
             return True

@@ -7,7 +7,7 @@ import pytest
 from mvlsynth.oracle import (DEFAULT_CAP, EquivalenceReport, Mismatch,
                              check_equivalence, check_fsm_equivalence,
                              oracle_eval, random_table, reference_half_adder)
-from mvlsynth.netlist import Gate, GateType, Net, validate
+from mvlsynth.netlist import Gate, GateType, validate
 from mvlsynth.sim import Fault, FaultKind, SimState, eval_vectors, load_config
 from mvlsynth.synth import (Strategy, build_fabric_decoder, build_nary_dff,
                             compile_fsm, derive_config, synth_tables)
@@ -186,7 +186,7 @@ def test_fsm_mismatches_record_the_inputs_through_the_failing_step():
     # a second switch onto the next-state net, on while the input is 2:
     # it contends with the decoded one, so input 2 faults
     sw = nl.gates["f0/sw0"].pins
-    nl.nets["i0_is_2"] = Net("i0_is_2", None)
+    nl.nets["i0_is_2"] = None
     nl.gates["x/tlg"] = Gate("x/tlg", GateType.TLG,
                              {"d": "i0", "y": "i0_is_2"}, param=1)
     nl.gates["x/sw"] = Gate("x/sw", GateType.SWITCH,

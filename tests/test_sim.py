@@ -7,7 +7,7 @@ import pytest
 
 import reference_sim as ref
 from mvlsynth import sim
-from mvlsynth.netlist import (Gate, GateType, Net, Netlist, NetlistBuilder,
+from mvlsynth.netlist import (Gate, GateType, Netlist, NetlistBuilder,
                               NetlistError, levelized, validate)
 from mvlsynth.oracle import (check_fsm_equivalence, random_table,
                              reference_half_adder)
@@ -437,7 +437,7 @@ def test_a_netlist_that_never_passed_validate_is_validated_first():
                "a": Gate("a", GateType.AND, {"a0": "x", "a1": "z", "y": "w"},
                          param=2),
                "y": Gate("y", GateType.OUTPUT, {"a": "w"})},
-        nets={nid: Net(nid, None) for nid in ("x", "z", "w")},
+        nets={nid: None for nid in ("x", "z", "w")},
         inputs=["x"], outputs=["y"], latch_order=[], state_latches=[],
         state_groups=[])
     with pytest.raises(NetlistError, match="input port z is neither listed"):
