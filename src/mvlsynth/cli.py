@@ -56,7 +56,7 @@ def _cmd_fabric(args) -> int:
     if strategy is Strategy.DECODER:
         nl = build_fabric_decoder(args.radix, args.arity)
     else:
-        nl = build_fabric_mux(args.radix, args.arity, tree=strategy.tree)
+        nl = build_fabric_mux(args.radix, args.arity, tree=strategy is Strategy.MUX_TREE)
     fileio.save_netlist(args.output, nl)
     print(f"{nl.fabric_kind} fabric: {len(nl.latch_order)} configuration latches")
     print(f"fingerprint {fileio.fingerprint(nl)}")

@@ -97,11 +97,20 @@ def _array(v: Any, path: str, kind: type) -> list:
     return v
 
 
-def _table(v: Any, path: str, radix: int, arity: int) -> TruthTable:
+def _radix(doc: dict) -> Radix:
+    """The document's radix field, judged by the one radix rule."""
+    v = _field(doc, "radix", int)
+    try:
+        return Radix(v)
+    except ValueError as e:
+        raise FileFormatError(f"field 'radix': {e}") from e
+
+
+def _table(v: Any, path: str, radix: Radix, arity: int) -> TruthTable:
     """The truth table whose entries, in row order, are the array v."""
     entries = tuple(_array(v, path, int))
     try:
-        return TruthTable(Radix(radix), arity, entries)
+        return TruthTable(radix, arity, entries)
     except ValueError as e:
         raise FileFormatError(f"field '{path}': {e}") from e
 
@@ -121,7 +130,7 @@ def table_to_text(tt: TruthTable, name: Optional[str] = None) -> str:
 
 def table_from_text(text: str) -> tuple[TruthTable, Optional[str]]:
     doc = _load(text, "truth_table")
-    radix = _count(doc, "radix", 2)
+    radix = _radix(doc)
     arity = _count(doc, "arity", 1)
     name = _optional(doc, "name", str, "a string")
     return _table(doc.get("outputs"), "outputs", radix, arity), name
@@ -252,7 +261,7 @@ def fsm_to_text(spec: FsmSpec) -> str:
 
 def fsm_from_text(text: str) -> FsmSpec:
     doc = _load(text, "fsm")
-    radix = _count(doc, "radix", 2)
+    radix = _radix(doc)
     state_arity = _count(doc, "state_arity", 1)
     input_arity = _count(doc, "input_arity", 0)
 
@@ -266,7 +275,7 @@ def fsm_from_text(text: str) -> FsmSpec:
                               f"digit ({state_arity}), got {len(transition)}")
     output = None if doc.get("output") is None else tables("output")
     # every check FsmSpec makes is made above, each naming its field
-    return FsmSpec(Radix(radix), state_arity, input_arity, transition, output)
+    return FsmSpec(radix, state_arity, input_arity, transition, output)
 
 
 # -- file helpers -------------------------------------------------------------

@@ -14,6 +14,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from .values import radix_problem
+
 
 class NetlistError(ValueError):
     """Raised for structurally invalid netlists or connections."""
@@ -95,9 +97,8 @@ _PORTS: dict[tuple, tuple[tuple[PortSig, ...], frozenset[str]]] = {}
 
 def _signature(g: Gate) -> tuple[tuple[PortSig, ...], frozenset[str]]:
     # before the cache read: 2.0 or True would find radix 2's or 1's entry
-    r = g.radix
-    if r is not None and (type(r) is not int or r < 2):
-        raise NetlistError(f"gate {g.gid}: {_bad_radix(r)}")
+    if g.radix is not None and (why := radix_problem(g.radix)):
+        raise NetlistError(f"gate {g.gid}: {why}")
     k = g.kind
     counted = k in _FAN_IN
     if counted and type(g.param) is not int:
@@ -241,12 +242,6 @@ def _port_error(g: Gate, name: str, want: Optional[int], net: Optional[int],
         f"{g.gid}.{name}: radix-{want} port on net {nid} of radix {radixes[net]}")
 
 
-def _bad_radix(radix: object) -> str:
-    if type(radix) is not int:  # a bool is no radix
-        return f"radix {radix!r} is not an integer"
-    return f"radix {radix} is below 2"
-
-
 def _bad_param(g: Gate, what: str, bound: str) -> NetlistError:
     if g.param is None or type(g.param) is int:
         return NetlistError(f"{g.gid}: {what} {g.param} {bound}")
@@ -275,8 +270,8 @@ def levelized(nl: Netlist) -> list[tuple]:
     number: dict[str, int] = {}
     radixes: list[Optional[int]] = []
     for i, (nid, r) in enumerate(nets.items()):
-        if r is not None and (type(r) is not int or r < 2):
-            raise NetlistError(f"net {nid}: {_bad_radix(r)}")
+        if r is not None and (why := radix_problem(r)):
+            raise NetlistError(f"net {nid}: {why}")
         number[nid] = i
         radixes.append(r)
     driver: list[Optional[str]] = [None] * len(radixes)  # first, per net
@@ -290,9 +285,9 @@ def levelized(nl: Netlist) -> list[tuple]:
         if g.gid != gid:
             raise NetlistError(f"gate {g.gid} is stored under key {gid!r}")
         kind, pins, radix = g.kind, g.pins, g.radix
-        # a radix below 2 first: -1 would read as _ANY
-        if radix is not None and (type(radix) is not int or radix < 2):
-            raise NetlistError(f"gate {g.gid}: {_bad_radix(radix)}")
+        # a bad radix first: -1 would read as _ANY
+        if radix is not None and (why := radix_problem(radix)):
+            raise NetlistError(f"gate {g.gid}: {why}")
         if kind is _NARY_DLATCH and radix is None:
             raise NetlistError(f"{g.gid}: {kind.value} needs a radix")
         if kind in _FAN_IN:
@@ -450,7 +445,8 @@ class NetlistBuilder:
         return nid
 
     def add_output(self, name: str, net: str) -> None:
-        self.add_gate(name, _OUTPUT, {"a": net}, radix=self.nets[net])
+        # an unknown net is left for validate to name
+        self.add_gate(name, _OUTPUT, {"a": net}, radix=self.nets.get(net))
         self.outputs.append(name)
 
     def tlg(self, gid: str, d: str, threshold: int) -> str:

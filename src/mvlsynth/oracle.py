@@ -71,6 +71,8 @@ def check_equivalence(nl: Netlist, tt: TruthTable,
     configuration latches. Simulator faults count as mismatches.
     """
     n = tt.radix.n
+    if type(cap) is not int:  # a bool is no cap
+        raise ValueError(f"exhaustive cap {cap!r} is not an integer")
     if cap < 1:
         raise ValueError(f"exhaustive cap must be at least 1, got {cap}")
     if nl.clock is not None or nl.state_latches:

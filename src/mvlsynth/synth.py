@@ -10,11 +10,10 @@ as switch wiring onto a shared net, never as arithmetic.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .netlist import GateType, Netlist, NetlistBuilder
+from .netlist import GateType, Netlist, NetlistBuilder, _driver_map
 from .tables import ConfigBitstream, FsmSpec, TruthTable
 from .values import RadixLike, as_radix
 
@@ -25,10 +24,6 @@ class Strategy(enum.Enum):
     DECODER = "decoder"      # one-hot decode, OR groups, switched constants
     MUX_TREE = "mux"         # selector tree fed by constants
     MUX_FLAT = "mux-flat"    # single decoder driving one switch per row
-
-    @property
-    def tree(self) -> bool:
-        return self is Strategy.MUX_TREE
 
 
 # -- primitive blocks (emitted into a shared builder) -------------------------
@@ -110,7 +105,7 @@ def _emit_table(b: NetlistBuilder, prefix: str, ins: Sequence[str],
     n = tt.radix.n
     if strategy is not Strategy.DECODER:
         data = [b.const(v, n) for v in tt.entries]
-        return _emit_mux_m(b, prefix, data, ins, n, strategy.tree)
+        return _emit_mux_m(b, prefix, data, ins, n, strategy is Strategy.MUX_TREE)
     lines = shared_decode
     if lines is None:
         lines = _emit_decoder_m(b, f"{prefix}dec/", ins, n)
@@ -439,6 +434,5 @@ def mux_block_count(nl: Netlist) -> int:
     exactly N switch drivers. A selector tree over m digits has
     (N^m - 1)/(N - 1), a flat one none unless m = 1; a decoder realization
     using all N levels, and each constant bank of a mux fabric, add one."""
-    switched = Counter(g.pins["y"] for g in nl.gates.values()
-                       if g.kind is GateType.SWITCH)
-    return sum(nl.nets[nid] == k for nid, k in switched.items())
+    # on a validated netlist, a net with two or more drivers has only switches
+    return sum(len(ds) == nl.nets[nid] for nid, ds in _driver_map(nl).items())

@@ -117,6 +117,9 @@ class ConfigBitstream:
 
     def flipped(self, index: int) -> "ConfigBitstream":
         """Copy with one bit inverted (mutation testing helper)."""
+        if type(index) is not int or not 0 <= index < len(self.bits):
+            raise ValueError(
+                f"bit index {index!r} is not in 0..{len(self.bits) - 1}")
         bits = list(self.bits)
         bits[index] ^= 1
         return ConfigBitstream(tuple(bits), self.fingerprint)

@@ -5,6 +5,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
+MAX_RADIX = 256  # the most levels a signal may take; simulation cost grows with it
+
+
+def radix_problem(r: object) -> str:
+    """Why r is no radix, or "" for an int from 2 to MAX_RADIX: the one
+    radix rule, which Radix, validate and the file loaders all apply."""
+    if type(r) is not int:  # a bool or another int subclass is no radix
+        return f"radix {r!r} is not an integer"
+    if r < 2:
+        return f"radix {r} is below 2"
+    if r > MAX_RADIX:
+        return f"radix {r} is above {MAX_RADIX}"
+    return ""
+
 
 @dataclass(frozen=True)
 class Radix:
@@ -13,8 +27,8 @@ class Radix:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"radix must be an integer >= 2, got {self.n!r}")
+        if why := radix_problem(self.n):
+            raise ValueError(why)
 
 
 RadixLike = Union[Radix, int]

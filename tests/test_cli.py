@@ -292,6 +292,30 @@ def test_fabric_refuses_more_latches_than_its_budget(ws, capsys, monkeypatch):
     assert capsys.readouterr().err.count("over the limit of 65536") == 3
 
 
+def test_a_radix_above_the_bound_exits_2_before_any_allocation(ws):
+    # a radix-10^9 input feeding a TLG: sim once sized tables by the radix
+    # and ran out of memory
+    doc = {"version": "1", "kind": "netlist", "fabric_kind": None,
+           "clock": None, "inputs": ["x"], "outputs": ["y"],
+           "nets": [{"id": "x", "radix": 10 ** 9}, {"id": "w0", "radix": None}],
+           "gates": [
+               {"id": "x", "gate": "input", "radix": 10 ** 9, "pins": {"y": "x"}},
+               {"id": "t", "gate": "tlg", "param": 0, "pins": {"d": "x", "y": "w0"}},
+               {"id": "y", "gate": "output", "pins": {"a": "w0"}}],
+           "latch_order": [], "state_latches": [], "state_groups": []}
+    (ws / "big.nl.json").write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mvlsynth.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    nl = _p(ws, "big.nl.json")
+    for argv in (["sim", nl, "1"], ["verify", nl, _p(ws, "sum.json")],
+                 ["stats", nl]):
+        done = subprocess.run([sys.executable, "-c", _CAPPED, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, (argv, done.stderr)
+        assert done.stderr == ("error: invalid netlist: "
+                               "net x: radix 1000000000 is above 256\n")
+
+
 def test_stats_and_export_dot(ws, capsys, tmp_path):
     main(["synth", _p(ws, "sum.json"), "-o", _p(ws, "sum.nl.json")])
     capsys.readouterr()

@@ -137,13 +137,13 @@ def test_deep_nesting_and_huge_integers_are_not_valid_json(load, text):
 @pytest.mark.parametrize("load, doc, message", [
     (table_from_text, {"kind": "truth_table", "radix": 1, "arity": 1,
                        "outputs": [0]},
-     "field 'radix': must be an integer >= 2, got 1"),
+     "field 'radix': radix 1 is below 2"),
     (table_from_text, {"kind": "truth_table", "radix": 3, "arity": 0,
                        "outputs": [0]},
      "field 'arity': must be an integer >= 1, got 0"),
     (fsm_from_text, {"kind": "fsm", "radix": 1, "state_arity": 1,
                      "input_arity": 0, "transition": []},
-     "field 'radix': must be an integer >= 2, got 1"),
+     "field 'radix': radix 1 is below 2"),
     (fsm_from_text, {"kind": "fsm", "radix": 3, "state_arity": 0,
                      "input_arity": 0, "transition": []},
      "field 'state_arity': must be an integer >= 1, got 0"),
@@ -153,6 +153,9 @@ def test_deep_nesting_and_huge_integers_are_not_valid_json(load, text):
     (fsm_from_text, {"kind": "fsm", "radix": 3, "state_arity": 2,
                      "input_arity": 0, "transition": [[0] * 9]},
      "field 'transition': need one table per state digit (2), got 1"),
+    (table_from_text, {"kind": "truth_table", "radix": 257, "arity": 1,
+                       "outputs": [0]},
+     "field 'radix': radix 257 is above 256"),
 ])
 def test_scalar_errors_name_their_field(load, doc, message):
     with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):

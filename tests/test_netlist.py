@@ -14,6 +14,14 @@ def _passthrough():
     return b
 
 
+def test_an_output_on_an_unknown_net_is_named_by_finish():
+    # the builder once read the net's radix with [] and raised KeyError
+    b = _passthrough()
+    b.add_output("z", "nope")
+    with pytest.raises(NetlistError, match=r"^z\.a: unknown net 'nope'$"):
+        b.finish()
+
+
 def test_builder_minimal_netlist():
     nl = _passthrough().finish()
     assert nl.inputs == ["a"]
@@ -349,7 +357,8 @@ def test_gate_ports_refuses_a_radix_that_validate_refuses():
     for radix, why in ((2.0, "radix 2.0 is not an integer"),
                        (True, "radix True is not an integer"),
                        ([3], "radix [3] is not an integer"),
-                       (1, "radix 1 is below 2"), (-1, "radix -1 is below 2")):
+                       (1, "radix 1 is below 2"), (-1, "radix -1 is below 2"),
+                       (257, "radix 257 is above 256")):
         with pytest.raises(NetlistError) as err:
             gate_ports(Gate("g", GateType.INPUT, {}, radix=radix))
         assert str(err.value) == f"gate g: {why}"

@@ -81,6 +81,14 @@ def test_cap_below_one_is_refused(cap):
                           cap=cap)
 
 
+@pytest.mark.parametrize("cap", [True, 2.5])
+def test_a_cap_that_is_no_integer_is_refused(cap):
+    # True once sampled a single vector of a 9-row table and reported
+    # "1/1 vectors, PASS"; 2.5 died with TypeError
+    with pytest.raises(ValueError, match=f"^exhaustive cap {cap!r} is not an integer$"):
+        check_equivalence(synth_tables([SUM3], Strategy.DECODER), SUM3, cap=cap)
+
+
 def test_config_argument_matches_latches():
     fabric = build_fabric_decoder(3, 2)
     bits = derive_config(SUM3, fabric)

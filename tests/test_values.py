@@ -1,11 +1,16 @@
 """Value system: radices, digit/index conversion, table and spec types."""
 
+import enum
+import json
 import re
 
 import pytest
 
-from mvlsynth.values import (MvValue, Radix, mv_tuple, nary_invert, tt_digits,
-                             tt_index)
+from mvlsynth.fileio import FileFormatError, fsm_from_text, table_from_text
+from mvlsynth.netlist import (Gate, GateType, Netlist, NetlistBuilder,
+                              NetlistError, gate_ports, validate)
+from mvlsynth.values import (MvValue, Radix, mv_tuple, nary_invert, radix_problem,
+                             tt_digits, tt_index)
 from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
 
 
@@ -164,3 +169,68 @@ def test_bitstream_validation_and_flip():
     assert bits.flipped(2).bits == (0, 1, 0)
     with pytest.raises(ValueError):
         ConfigBitstream((0, 2))
+
+
+@pytest.mark.parametrize("index", [True, -1, 3, 1.0])
+def test_flipped_refuses_an_index_outside_the_stream(index):
+    # True once flipped bit 1 and -1 the last bit; 3 raised IndexError
+    with pytest.raises(ValueError, match=re.escape(f"bit index {index!r} is not in 0..2")):
+        ConfigBitstream((0, 1, 1)).flipped(index)
+
+
+class _Levels(enum.IntEnum):
+    THREE = 3
+
+
+_NO_RADIX = [
+    (2.0, "radix 2.0 is not an integer"),
+    (True, "radix True is not an integer"),
+    (1, "radix 1 is below 2"),
+    (-1, "radix -1 is below 2"),
+    ([3], "radix [3] is not an integer"),
+    (_Levels.THREE, "radix <_Levels.THREE: 3> is not an integer"),
+    (257, "radix 257 is above 256"),
+]
+
+
+def _wire(net_radix, gate_radix):
+    """Input x, output y, one net: the net and the input gate get the given
+    radixes; the netlist is not validated."""
+    return Netlist(
+        gates={"x": Gate("x", GateType.INPUT, {"y": "x"}, radix=gate_radix),
+               "y": Gate("y", GateType.OUTPUT, {"a": "x"}, radix=3)},
+        nets={"x": net_radix}, inputs=["x"], outputs=["y"], latch_order=[],
+        state_latches=[], state_groups=[])
+
+
+@pytest.mark.parametrize("value, reason", _NO_RADIX,
+                         ids=["float", "bool", "one", "negative", "list",
+                              "int-enum", "above-max"])
+def test_every_radix_is_judged_by_one_rule(value, reason):
+    assert radix_problem(value) == reason
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        Radix(value)
+    for nl, where in ((_wire(value, 3), "net x"), (_wire(3, value), "gate x")):
+        with pytest.raises(NetlistError, match=f"^{where}: {re.escape(reason)}$"):
+            validate(nl)
+    with pytest.raises(NetlistError, match=f"^gate g: {re.escape(reason)}$"):
+        gate_ports(Gate("g", GateType.INPUT, {}, radix=value))
+    if type(value) is int:  # the loaders' own type check comes first otherwise
+        docs = (
+            (table_from_text, {"kind": "truth_table", "arity": 1, "outputs": [0]}),
+            (fsm_from_text, {"kind": "fsm", "state_arity": 1, "input_arity": 0,
+                             "transition": [[0]]}),
+        )
+        for load, doc in docs:
+            text = json.dumps({"version": "1", **doc, "radix": value})
+            with pytest.raises(FileFormatError,
+                               match=f"^field 'radix': {re.escape(reason)}$"):
+                load(text)
+
+
+def test_radixes_from_2_to_256_are_accepted():
+    for n in (2, 3, 255, 256):
+        assert radix_problem(n) == "" and Radix(n).n == n
+        b = NetlistBuilder()
+        b.add_output("y", b.add_input("x", n))
+        assert b.finish().input_radixes() == [n]
