@@ -21,6 +21,8 @@ class TruthTable:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.radix, Radix):
+            raise ValueError(f"radix must be a Radix, got {self.radix!r}")
         n = self.radix.n
         if type(self.arity) is not int or self.arity < 1:  # a bool is no arity
             raise ValueError(f"arity must be an integer >= 1, got {self.arity!r}")
@@ -71,6 +73,8 @@ class FsmSpec:
     output: Optional[tuple[TruthTable, ...]] = None
 
     def __post_init__(self):
+        if not isinstance(self.radix, Radix):
+            raise ValueError(f"radix must be a Radix, got {self.radix!r}")
         for name in ("state_arity", "input_arity"):
             value = getattr(self, name)
             if type(value) is not int:  # a bool is no arity

@@ -12,7 +12,7 @@ from mvlsynth import cli, fileio
 from mvlsynth.cli import main
 from mvlsynth.oracle import DEFAULT_SEED
 from mvlsynth.sim import Fault, FaultKind, SimFaultError
-from mvlsynth.synth import build_decoder_m, build_nary_dlatch
+from mvlsynth.synth import Strategy, build_decoder_m, build_nary_dlatch
 from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
 from mvlsynth.values import Radix
 
@@ -80,6 +80,14 @@ def test_fabric_configure_verify(ws, capsys):
     assert main(["verify", _p(ws, "fab.json"), _p(ws, "sum.json"),
                  "--bitstream", _p(ws, "sum.bits.json")]) == 0
     assert "PASS" in capsys.readouterr().out
+    # one flipped bit: the first unplugs a constant, the second shorts two
+    bits = fileio.load_bitstream(ws / "sum.bits.json")
+    for index, fault in ((0, "floating_net on w19 at inputs (0, 0)"),
+                         (1, "contention on w19 at inputs (0, 1)")):
+        fileio.save_bitstream(ws / "flip.bits.json", bits.flipped(index))
+        assert main(["verify", _p(ws, "fab.json"), _p(ws, "sum.json"),
+                     "--bitstream", _p(ws, "flip.bits.json")]) == 1
+        assert fault in capsys.readouterr().out
 
 
 def test_bitstream_fingerprint_guard(ws, capsys):
@@ -167,10 +175,12 @@ def test_sim_never_runs_a_partly_programmed_fabric(ws, capsys):
     assert "bitstream has 26 bits" in capsys.readouterr().err
 
 
-def test_fsm_compile_and_step(ws, capsys):
+@pytest.mark.parametrize("strategy", [s.value for s in Strategy])
+def test_fsm_compile_and_step(ws, capsys, strategy):
     spec = FsmSpec(Radix(3), 1, 0, (TruthTable.make(3, 1, (1, 2, 0)),))
     fileio.save_fsm(ws / "ctr.json", spec)
-    assert main(["fsm", _p(ws, "ctr.json"), "-o", _p(ws, "ctr.nl.json")]) == 0
+    assert main(["fsm", _p(ws, "ctr.json"), "-o", _p(ws, "ctr.nl.json"),
+                 "--strategy", strategy]) == 0
     capsys.readouterr()
     assert main(["sim", _p(ws, "ctr.nl.json"), "--reset", "0",
                  "--steps", "5"]) == 0
@@ -339,6 +349,12 @@ def test_usage_errors(ws, capsys):
     assert main([]) == 2
     assert main(["synth", _p(ws, "sum.json"), "-o", _p(ws, "x.json"),
                  "--strategy", "bogus"]) == 2
+    capsys.readouterr()
+    (ws / "r300.json").write_text('{"version": "1", "kind": "truth_table", '
+                                  '"radix": 300, "arity": 1, "outputs": [0]}')
+    assert main(["synth", _p(ws, "r300.json"), "-o", _p(ws, "x.json")]) == 2
+    assert "field 'radix'" in capsys.readouterr().err
+    assert not (ws / "x.json").exists()
 
 
 def test_calls_in_one_process_do_not_share_arguments(ws, capsys):

@@ -139,6 +139,29 @@ def test_fsm_check_refuses_a_netlist_for_another_machine():
         check_fsm_equivalence(nl, _accumulator3(), (0,), [[(1,)]])
 
 
+@pytest.mark.parametrize("spec, message", [
+    (FsmSpec(Radix(2), 1, 1,
+             (TruthTable.from_function(2, 2, lambda q, i: q ^ i),)),
+     "i0 has radix 3, not the machine radix 2"),
+    (FsmSpec(Radix(4), 1, 1,
+             (TruthTable.from_function(4, 2, lambda q, i: (q + i) % 4),)),
+     "i0 has radix 3, not the machine radix 4"),
+], ids=["radix-2", "radix-4"])
+def test_fsm_check_refuses_a_machine_of_another_radix(spec, message):
+    # a radix-2 spec once gave "1/2 vectors, FAIL" and a radix-4 one died
+    # mid-sweep on input digit 3
+    nl = compile_fsm(_accumulator3(), Strategy.DECODER)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_fsm_equivalence(nl, spec, (0,), [[(1,), (1,)]])
+    # a machine without inputs is judged by its latches
+    n = spec.radix.n
+    counter = FsmSpec(spec.radix, 1, 0, (TruthTable.make(n, 1, [0] * n),))
+    with pytest.raises(ValueError, match="^dff0/m/lat has radix 3, not the "
+                                         f"machine radix {n}$"):
+        check_fsm_equivalence(compile_fsm(_counter3(), Strategy.DECODER),
+                              counter, (0,), [[()]])
+
+
 def test_clock_is_not_a_data_input():
     nl = compile_fsm(_accumulator3(), Strategy.DECODER)
     assert nl.inputs == ["i0"]

@@ -362,12 +362,14 @@ def _paths(node, path=()):
             yield from _paths(node[k], path + (k,))
 
 
-def _bitstream_text():
-    fabric = build_fabric_mux(3, 1)
+def _bitstream_text(build_fabric):
+    fabric = build_fabric(3, 1)
     bits = derive_config(TruthTable.make(3, 1, (2, 1, 0)), fabric)
     return bitstream_to_text(ConfigBitstream(bits.bits, fingerprint(fabric)))
 
 
+# One valid document of each kind, as (writer, loader); test_properties
+# sweeps the same ones.
 DOCUMENTS = {
     "table": (lambda: table_to_text(SUM3, "sum3"), table_from_text),
     "fsm": (lambda: fsm_to_text(MOORE), fsm_from_text),
@@ -375,7 +377,10 @@ DOCUMENTS = {
                     netlist_from_text),
     "mux-fabric": (lambda: netlist_to_text(build_fabric_mux(3, 1)),
                    netlist_from_text),
-    "bitstream": (_bitstream_text, bitstream_from_text),
+    "bitstream": (lambda: _bitstream_text(build_fabric_mux),
+                  bitstream_from_text),
+    "decoder-bitstream": (lambda: _bitstream_text(build_fabric_decoder),
+                          bitstream_from_text),
 }
 
 

@@ -2,7 +2,9 @@
 
 Loaders: whatever JSON value is put wherever in a valid table, FSM,
 netlist or bitstream document, its loader returns or raises
-FileFormatError, never any other exception. Netlists: a builder netlist
+FileFormatError, never any other exception, and what loads also runs: a
+table's decoder synthesis computes it, and a netlist or a machine compiled
+from an FSM simulates to levels and faults. Netlists: a builder netlist
 with one of test_netlist_diff's mutations either fails validate with
 NetlistError or simulates to levels and faults, never another exception.
 Synthesis and fabrics: a synthesized table and a fabric programmed for it
@@ -17,10 +19,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvlsynth.fileio import (FileFormatError, bitstream_from_text,
-                             bitstream_to_text, fingerprint, fsm_from_text,
-                             fsm_to_text, netlist_from_text, netlist_to_text,
-                             table_from_text, table_to_text)
+from mvlsynth.fileio import FileFormatError
 from mvlsynth.netlist import NetlistError, validate
 from mvlsynth.oracle import check_equivalence
 from mvlsynth.sim import (Fault, SimFaultError, SimState, eval_vectors,
@@ -28,31 +27,13 @@ from mvlsynth.sim import (Fault, SimFaultError, SimState, eval_vectors,
 from mvlsynth.synth import (Strategy, build_fabric_decoder, build_fabric_mux,
                             compile_fsm, derive_config, synth_tables)
 from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
-from mvlsynth.values import Radix
+from test_io import DOCUMENTS
 from test_netlist_diff import FAMILIES, MUTATIONS, _copy
 
-SUM3 = TruthTable.make(3, 2, (0, 1, 2, 1, 2, 0, 2, 0, 1))
-MOORE = FsmSpec(Radix(3), 1, 1,
-                (TruthTable.make(3, 2, tuple((s + i) % 3 for s in range(3)
-                                             for i in range(3))),),
-                (TruthTable.make(3, 2, tuple(2 - s for s in range(3)
-                                             for _ in range(3))),))
 
-
-def _bitstream_text():
-    fabric = build_fabric_decoder(3, 1)
-    bits = derive_config(TruthTable.make(3, 1, (2, 1, 0)), fabric)
-    return bitstream_to_text(ConfigBitstream(bits.bits, fingerprint(fabric)))
-
-
-DOCUMENTS = {
-    "table": (table_to_text(SUM3, "sum3"), table_from_text),
-    "fsm": (fsm_to_text(MOORE), fsm_from_text),
-    "fsm-netlist": (netlist_to_text(compile_fsm(MOORE, Strategy.DECODER)),
-                    netlist_from_text),
-    "mux-fabric": (netlist_to_text(build_fabric_mux(3, 1)), netlist_from_text),
-    "bitstream": (_bitstream_text(), bitstream_from_text),
-}
+@functools.cache
+def _text(kind):
+    return DOCUMENTS[kind][0]()
 
 
 def _paths(node, path=()):
@@ -83,8 +64,7 @@ _JSON = st.recursive(
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(data=st.data())
 def test_any_value_anywhere_loads_or_is_refused(kind, data):
-    text, from_text = DOCUMENTS[kind]
-    doc = json.loads(text)
+    doc = json.loads(_text(kind))
     path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
     value = data.draw(_JSON | st.sampled_from(_leaves(doc)), label="value")
     if path:
@@ -95,9 +75,19 @@ def test_any_value_anywhere_loads_or_is_refused(kind, data):
     else:
         doc = value
     try:
-        from_text(json.dumps(doc))
+        loaded = DOCUMENTS[kind][1](json.dumps(doc))
     except FileFormatError:
-        pass
+        return
+    # what loads also runs
+    if isinstance(loaded, tuple):  # a table and its name
+        tt = loaded[0]
+        report = check_equivalence(synth_tables([tt], Strategy.DECODER), tt)
+        assert report.passed, report.summary()
+    elif not isinstance(loaded, ConfigBitstream):
+        if isinstance(loaded, FsmSpec):
+            loaded = compile_fsm(loaded, Strategy.DECODER)
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        _simulates_to_levels_or_faults(loaded, random.Random(seed))
 
 
 # -- mutated netlists ----------------------------------------------------------
@@ -130,6 +120,13 @@ def _simulate(nl, rng):
         return [e.fault]
 
 
+def _simulates_to_levels_or_faults(nl, rng):
+    tops = [nl.gates[gid].radix or 2 for gid in nl.outputs]
+    for result in _simulate(nl, rng):
+        assert isinstance(result, Fault) or all(
+            type(x) is int and 0 <= x < top for x, top in zip(result, tops))
+
+
 @settings(derandomize=True, database=None, max_examples=800, deadline=None)
 @given(data=st.data(), mutation=st.sampled_from(MUTATIONS),
        seed=st.integers(0, 2**32 - 1))
@@ -142,10 +139,7 @@ def test_a_mutated_netlist_is_refused_or_simulates(data, mutation, seed):
         validate(nl)
     except NetlistError:
         return
-    tops = [nl.gates[gid].radix or 2 for gid in nl.outputs]
-    for result in _simulate(nl, rng):
-        assert isinstance(result, Fault) or all(
-            type(x) is int and 0 <= x < top for x, top in zip(result, tops))
+    _simulates_to_levels_or_faults(nl, rng)
 
 
 # -- synthesis and fabrics against the oracle ----------------------------------

@@ -125,6 +125,12 @@ def test_truth_table_validation():
         TruthTable.make(3, 0, [0])
 
 
+def test_truth_table_refuses_a_bare_int_radix():
+    # this once died with AttributeError: 'int' object has no attribute 'n'
+    with pytest.raises(ValueError, match="^radix must be a Radix, got 3$"):
+        TruthTable(3, 1, (0, 1, 2))
+
+
 def test_truth_table_lookup_and_tabulate():
     tt = TruthTable.from_function(3, 2, lambda a, b: (a + b) % 3)
     assert tt.lookup((1, 2)) == 0
@@ -145,6 +151,12 @@ def test_fsm_spec_validation():
         FsmSpec(r3, 1, 2, (trans,))              # arity must be state+input
     with pytest.raises(ValueError):
         FsmSpec(Radix(4), 1, 1, (trans,))        # radix mismatch
+
+
+def test_fsm_spec_refuses_a_bare_int_radix():
+    # this once reported a radix mismatch between the tables and the machine
+    with pytest.raises(ValueError, match="^radix must be a Radix, got 3$"):
+        FsmSpec(3, 1, 0, (TruthTable.make(3, 1, (1, 2, 0)),))
 
 
 def test_fsm_spec_output_tables():
