@@ -176,6 +176,9 @@ def fingerprint(nl: Netlist) -> str:
 
 
 def _driver_map(nl: Netlist) -> dict[str, list[str]]:
+    """Each net's drivers, in gate order; raises NetlistError, by the walk
+    validate makes, if the netlist is invalid."""
+    levelized(nl)
     drivers: dict[str, list[str]] = {nid: [] for nid in nl.nets}
     for g in nl.gates.values():
         for sig in gate_ports(g):
@@ -361,7 +364,7 @@ def levelized(nl: Netlist) -> list[tuple]:
         if sorted(lst) != sorted(actual) or len(set(lst)) != len(lst):
             raise NetlistError(f"{kind.value} ordering list does not match gates")
     grouped = [gid for grp in nl.state_groups for gid in grp]
-    if sorted(grouped) != sorted(nl.state_latches):
+    if not all(nl.state_groups) or sorted(grouped) != sorted(nl.state_latches):
         raise NetlistError("state_groups do not partition the state latches")
 
     for lst, kind in ((nl.inputs, _INPUT), (nl.outputs, _OUTPUT)):

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 from .netlist import Netlist
 from .sim import Fault, SimFaultError, SimState, eval_vectors, load_config, \
     reset_state, step_sequential
-from .tables import ConfigBitstream, FsmSpec, TruthTable
+from .tables import ConfigBitstream, FsmSpec, TruthTable, _check_arity
 from .values import RadixLike, as_radix
 
 DEFAULT_CAP = 6561  # 3^8: largest space still swept exhaustively
@@ -164,6 +164,7 @@ def random_table(radix: RadixLike, arity: int,
                  rng: Optional[random.Random] = None) -> TruthTable:
     """Uniformly random truth table; pass a seeded Random for reproducibility."""
     r = as_radix(radix)
+    _check_arity(arity)
     if rng is None:
         rng = random.Random(DEFAULT_SEED)
     entries = [rng.randrange(r.n) for _ in range(r.n**arity)]

@@ -13,12 +13,13 @@ the same op on the same slots share one op and one slot: a mux tree's
 blocks each decode the same select digit, and the program decodes it once.
 
 Every evaluation is one settle loop: sweep, commit the latch inputs,
-repeat until the latch contents stop changing. A settle loads the inputs
-and the configuration bits once; each sweep copies those slots, sets the
-planes of the latch contents and runs the op list. A latch-free batch
-settles in one sweep. Radix-N storage elements are sources whose contents live in
-a SimState; a netlist with them settles a batch of one, and a clock phase
-is one more input column. The sweep that would confirm a commit is skipped
+repeat until the latch contents stop changing. A settle loads every
+source once, checking each value where it sets its plane: the inputs, the
+clock phase, the latch contents and the configuration bits. Each sweep
+copies those slots and runs the op list; a commit moves a changed latch's
+plane. A latch-free batch settles in one sweep. Radix-N storage elements
+are sources whose contents live in a SimState; a netlist with them
+settles a batch of one. The sweep that would confirm a commit is skipped
 when every latch that changed is read only as data by switches that are
 off, as in a master-slave flip-flop, so a clock phase costs one sweep.
 
@@ -89,21 +90,6 @@ class SimState:
     faults: list[Fault] = field(default_factory=list)
 
 
-def _check_vectors(nl: Netlist, vectors) -> list[tuple[int, ...]]:
-    """Range-check input vectors in order; raises on the first bad one."""
-    gates = nl.gates
-    tops = [(gates[name].radix or 2) - 1 for name in nl.inputs]  # binary: 0..1
-    out = []
-    for vec in vectors:
-        if len(vec) != len(tops):
-            raise ValueError(f"expected {len(tops)} inputs, got {len(vec)}")
-        for name, hi, v in zip(nl.inputs, tops, vec):
-            if type(v) is not int or not 0 <= v <= hi:  # a bool is no digit
-                raise ValueError(f"input {name}: value {v!r} out of range 0..{hi}")
-        out.append(tuple(vec))
-    return out
-
-
 # -- compiled program ---------------------------------------------------------
 
 # Reserved slots: a sink for planes nothing reads (level 0 of a binary
@@ -135,7 +121,8 @@ class _Program(NamedTuple):
 
     nslots: int
     ops: tuple
-    inputs: tuple                   # planes per nl.inputs entry, then the clock's
+    inputs: tuple                   # planes per nl.inputs entry
+    clock: Optional[tuple]          # the clock net's planes, if it has one
     config: tuple                   # (gid, slot) per configuration latch
     latches: tuple                  # (gid, q planes, d planes, readers) in
                                     # state_latches order; readers: control
@@ -252,8 +239,8 @@ def _lower(nl: Netlist, records: list[tuple]
     program = _Program(
         nslots=nslots,
         ops=tuple(ops),
-        inputs=tuple(net(gid, "y") for gid in nl.inputs)
-        + (() if nl.clock is None else (planes[number[nl.clock]],)),
+        inputs=tuple(net(gid, "y") for gid in nl.inputs),
+        clock=None if nl.clock is None else planes[number[nl.clock]],
         config=tuple((gid, net(gid, "q")[1]) for gid in nl.latch_order),
         latches=tuple((gid, net(gid, "q"), net(gid, "d"),
                        readers[number[gates[gid].pins["q"]]])
@@ -421,13 +408,17 @@ class _Cone:
         return got
 
 
-def _settle(nl: Netlist, prog: _Program, vectors: list, state: SimState,
-            cols: list[tuple]) -> tuple[list[int], dict[int, Fault]]:
-    """Sweep a batch (cols: one column per prog.inputs entry), commit the
-    latch inputs, repeat to rest. A latch netlist settles a batch of one.
-    Once the stored latch levels pass their check, the inputs and the
-    configuration bits are loaded once; each sweep copies those slots and
-    sets the planes of the latch contents.
+def _settle(nl: Netlist, prog: _Program, vectors: Sequence, state: SimState,
+            phase: Optional[int] = None) -> tuple[list[int], dict[int, Fault]]:
+    """Sweep a batch, commit the latch inputs, repeat to rest; phase, if
+    given, is the clock's level in every vector. A latch netlist settles a
+    batch of one.
+
+    Every source is loaded once, each value checked in the walk that sets
+    its plane: the inputs vector by vector and the clock phase, then the
+    stored latch levels, then the configuration bits. Each sweep copies
+    the loaded slots; a commit that changes a latch moves its plane among
+    them.
 
     A sweep that commits a change is normally followed by another. That
     confirming sweep is skipped when every latch that changed is read only
@@ -442,6 +433,21 @@ def _settle(nl: Netlist, prog: _Program, vectors: list, state: SimState,
     later, their contents recur: that is an oscillation fault. A transient
     can thus last up to the product of the latch radixes in sweeps.
     """
+    sources = [0] * prog.nslots
+    n = len(prog.inputs)
+    bit = 1
+    for vec in vectors:
+        if len(vec) != n:
+            raise ValueError(f"expected {n} inputs, got {len(vec)}")
+        for name, planes, x in zip(nl.inputs, prog.inputs, vec):
+            if type(x) is not int or not 0 <= x < len(planes):  # a bool is no digit
+                raise ValueError(
+                    f"input {name}: value {x!r} out of range 0..{len(planes) - 1}")
+            sources[planes[x]] |= bit
+        bit <<= 1
+    full = sources[_FULL] = bit - 1
+    if phase is not None:
+        sources[prog.clock[phase]] = full
     latches = state.latches
     for gid, q, _, _ in prog.latches:
         level = latches.get(gid)
@@ -450,14 +456,7 @@ def _settle(nl: Netlist, prog: _Program, vectors: list, state: SimState,
                 raise _logged(state, Fault(FaultKind.UNINITIALIZED_LATCH, gid))
             raise ValueError(
                 f"latch {gid}: stored level {level!r} not in 0..{len(q) - 1}")
-    full = (1 << len(vectors)) - 1
-    sources = [0] * prog.nslots
-    sources[_FULL] = full
-    for planes, col in zip(prog.inputs, cols):
-        bit = 1
-        for x in col:
-            sources[planes[x]] |= bit
-            bit <<= 1
+        sources[q[level]] = full
     config = state.config
     for gid, s in prog.config:
         bit = config.get(gid)
@@ -470,12 +469,10 @@ def _settle(nl: Netlist, prog: _Program, vectors: list, state: SimState,
     bound, seen = len(prog.latches) + 2, set()
     for sweep in itertools.count(1):
         v = sources.copy()
-        for gid, q, _, _ in prog.latches:
-            v[q[latches[gid]]] = full
         first = _run(prog, v, vectors)
-        cone = _Cone(nl, v, vectors[0]) if first and prog.latches else None
+        cone = _Cone(nl, v, tuple(vectors[0])) if first and prog.latches else None
         changed = []
-        for gid, _, d, readers in prog.latches:
+        for gid, q, d, readers in prog.latches:
             if cone is None:  # a clean sweep of one vector: one plane is 1
                 new = [v[s] for s in d].index(1)
             else:
@@ -483,6 +480,8 @@ def _settle(nl: Netlist, prog: _Program, vectors: list, state: SimState,
                 if isinstance(new, Fault):
                     raise _logged(state, new)
             if latches[gid] != new:
+                sources[q[latches[gid]]] = 0
+                sources[q[new]] = full
                 latches[gid] = new
                 changed.append((gid, readers))
         if not changed or all(
@@ -493,7 +492,7 @@ def _settle(nl: Netlist, prog: _Program, vectors: list, state: SimState,
         if sweep >= bound and contents in seen:
             # name the first latch that changed in this sweep
             raise _logged(state, Fault(FaultKind.OSCILLATION, changed[0][0],
-                                       vectors[0]))
+                                       tuple(vectors[0])))
         seen.add(contents)
 
 
@@ -507,13 +506,12 @@ def eval_vectors(nl: Netlist, vectors: Sequence[Sequence[int]],
     """
     if state is None:
         state = SimState()
-    vectors = _check_vectors(nl, vectors)
     if nl.state_latches and len(vectors) != 1:
         raise ValueError("batch evaluation needs a latch-free netlist")
     if nl.clock is not None:
         raise ValueError("netlist has a clock pin; drive it with step_sequential")
     prog = _compiled(nl)
-    v, first = _settle(nl, prog, vectors, state, list(zip(*vectors)))
+    v, first = _settle(nl, prog, vectors, state)
     state.faults.extend(first[b] for b in sorted(first))
     return _results(prog, v, first, len(vectors))
 
@@ -561,12 +559,13 @@ def reset_state(nl: Netlist, digits: Sequence[int],
     if len(digits) != len(nl.state_groups):
         raise ValueError(
             f"expected {len(nl.state_groups)} reset digits, got {len(digits)}")
-    for group, d in zip(nl.state_groups, digits):
-        for gid in group:
-            radix = nl.gates[gid].radix
-            if type(d) is not int or not 0 <= d < radix:
-                raise ValueError(f"reset digit {d!r} out of range for radix {radix}")
-            state.latches[gid] = d
+    resets = [(gid, d) for group, d in zip(nl.state_groups, digits)
+              for gid in group]
+    for gid, d in resets:  # every digit is checked before the first write
+        radix = nl.gates[gid].radix
+        if type(d) is not int or not 0 <= d < radix:
+            raise ValueError(f"reset digit {d!r} out of range for radix {radix}")
+    state.latches.update(resets)
     return state
 
 
@@ -578,11 +577,9 @@ def step_sequential(nl: Netlist, inputs: Sequence[int],
     """
     if nl.clock is None:
         raise ValueError("netlist has no clock; use eval_combinational")
-    vector = _check_vectors(nl, [inputs])[0]
     prog = _compiled(nl)
-    for phase in (0, 1):  # the clock is the last input column
-        v, first = _settle(nl, prog, [vector], state,
-                           [(x,) for x in vector + (phase,)])
+    for phase in (0, 1):
+        v, first = _settle(nl, prog, [inputs], state, phase)
     result = _results(prog, v, first, 1)[0]
     if isinstance(result, Fault):
         raise _logged(state, result)

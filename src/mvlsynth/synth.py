@@ -102,6 +102,8 @@ def _emit_table(b: NetlistBuilder, prefix: str, ins: Sequence[str],
     control. Mux strategies feed the table entries as constants into a
     selector driven by the inputs.
     """
+    if not isinstance(strategy, Strategy):
+        raise ValueError(f"strategy must be a Strategy, got {strategy!r}")
     n = tt.radix.n
     if strategy is not Strategy.DECODER:
         data = [b.const(v, n) for v in tt.entries]
@@ -434,5 +436,5 @@ def mux_block_count(nl: Netlist) -> int:
     exactly N switch drivers. A selector tree over m digits has
     (N^m - 1)/(N - 1), a flat one none unless m = 1; a decoder realization
     using all N levels, and each constant bank of a mux fabric, add one."""
-    # on a validated netlist, a net with two or more drivers has only switches
+    # _driver_map validates, so a net with two or more drivers has only switches
     return sum(len(ds) == nl.nets[nid] for nid, ds in _driver_map(nl).items())

@@ -8,6 +8,12 @@ from typing import Callable, Optional, Sequence
 from .values import Radix, RadixLike, as_radix, tt_digits, tt_index
 
 
+def _check_arity(arity) -> None:
+    """Refuse a table arity that is not an int >= 1 (a bool is no arity)."""
+    if type(arity) is not int or arity < 1:
+        raise ValueError(f"arity must be an integer >= 1, got {arity!r}")
+
+
 @dataclass(frozen=True)
 class TruthTable:
     """Dense radix-N function of M digits.
@@ -24,8 +30,7 @@ class TruthTable:
         if not isinstance(self.radix, Radix):
             raise ValueError(f"radix must be a Radix, got {self.radix!r}")
         n = self.radix.n
-        if type(self.arity) is not int or self.arity < 1:  # a bool is no arity
-            raise ValueError(f"arity must be an integer >= 1, got {self.arity!r}")
+        _check_arity(self.arity)
         rows = len(self.entries)
         # n**arity > rows once 2**arity > rows: a huge arity is refused
         # without computing its power
@@ -47,6 +52,7 @@ class TruthTable:
                       fn: Callable[..., int]) -> "TruthTable":
         """Tabulate fn over every MS-first digit tuple."""
         r = as_radix(radix)
+        _check_arity(arity)
         rows = r.n**arity
         entries = tuple(fn(*tt_digits(k, r, arity)) for k in range(rows))
         return TruthTable(r, arity, entries)

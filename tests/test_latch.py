@@ -105,6 +105,12 @@ def test_reset_validates_digits():
         reset_state(nl, [3])
     with pytest.raises(ValueError):
         reset_state(nl, [0, 0])
+    # a refused reset writes nothing, not even the digits before the bad one
+    spec = FsmSpec(Radix(3), 2, 0, (TruthTable.make(3, 2, (0,) * 9),) * 2)
+    state = SimState()
+    with pytest.raises(ValueError, match="reset digit 7 out of range"):
+        reset_state(compile_fsm(spec, Strategy.DECODER), [1, 7], state)
+    assert state.latches == {}
 
 
 @pytest.mark.parametrize("digit", [1.5, True, "1"])

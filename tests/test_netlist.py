@@ -4,7 +4,8 @@ import pytest
 
 from mvlsynth.netlist import (Gate, GateType, Netlist, NetlistBuilder,
                               NetlistError, gate_ports, validate)
-from mvlsynth.synth import build_nary_dlatch
+from mvlsynth.fileio import export_dot
+from mvlsynth.synth import build_nary_dlatch, mux_block_count
 
 
 def _passthrough():
@@ -165,7 +166,10 @@ def test_state_groups_must_partition_latches():
     with pytest.raises(NetlistError, match="partition"):
         b.finish()
     b.add_state_group(["lat"])
-    b.finish()
+    nl = b.finish()
+    nl.state_groups.insert(0, ())  # an empty group takes a reset digit
+    with pytest.raises(NetlistError, match="partition"):
+        validate(nl)
 
 
 def test_port_lists_checked():
@@ -362,3 +366,15 @@ def test_gate_ports_refuses_a_radix_that_validate_refuses():
         with pytest.raises(NetlistError) as err:
             gate_ports(Gate("g", GateType.INPUT, {}, radix=radix))
         assert str(err.value) == f"gate g: {why}"
+
+
+@pytest.mark.parametrize("reader", [export_dot, mux_block_count])
+def test_structure_readers_refuse_what_validate_refuses(reader):
+    nl = Netlist(
+        gates={"x": Gate("x", GateType.INPUT, {"y": "x"}, radix=3),
+               "t": Gate("t", GateType.TLG, {"d": "x", "y": "nope"}, param=1),
+               "y": Gate("y", GateType.OUTPUT, {"a": "x"})},
+        nets={"x": 3}, inputs=["x"], outputs=["y"], latch_order=[],
+        state_latches=[], state_groups=[])
+    with pytest.raises(NetlistError, match="t.y: unknown net 'nope'"):
+        reader(nl)

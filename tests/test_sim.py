@@ -18,6 +18,7 @@ from mvlsynth.synth import (Strategy, _emit_table, build_decoder_1,
                             build_mux_1, build_nary_dff, compile_fsm,
                             synth_tables)
 from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
+from mvlsynth.values import Radix
 from test_netlist_diff import FAMILIES, MUTATIONS, _copy
 
 
@@ -442,6 +443,26 @@ def test_a_netlist_that_never_passed_validate_is_validated_first():
         state_groups=[])
     with pytest.raises(NetlistError, match="input port z is neither listed"):
         eval_vectors(nl, [(1,)])
+
+
+def _ghost(nl):
+    """An unvalidated copy whose input list also names no gate."""
+    nl = _copy(nl)
+    nl.inputs.append("ghost")
+    return nl
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eval_vectors(_ghost(build_decoder_1(3)), [(0, 0)]),
+    lambda: eval_combinational(_ghost(build_decoder_1(3)), [0, 0]),
+    lambda: step_sequential(_ghost(compile_fsm(
+        FsmSpec(Radix(3), 1, 1, (TruthTable.make(3, 2, (0,) * 9),)),
+        Strategy.DECODER)), (0, 0), SimState())],
+    ids=["eval_vectors", "eval_combinational", "step_sequential"])
+def test_an_input_list_naming_no_gate_is_refused_before_any_input(call):
+    with pytest.raises(NetlistError,
+                       match="input list entry ghost is not an input port"):
+        call()
 
 
 def test_a_failed_revalidation_is_never_simulated():

@@ -8,9 +8,9 @@ import pytest
 from mvlsynth.netlist import GateType
 from mvlsynth.oracle import check_equivalence, random_table, reference_half_adder
 from mvlsynth.sim import eval_combinational, eval_vectors
-from mvlsynth.synth import (Strategy, gate_stats, synth_decoder_based,
-                            synth_mux_based, synth_tables)
-from mvlsynth.tables import TruthTable
+from mvlsynth.synth import (Strategy, compile_fsm, gate_stats,
+                            synth_decoder_based, synth_mux_based, synth_tables)
+from mvlsynth.tables import FsmSpec, TruthTable
 from mvlsynth.values import tt_digits
 
 # digit sum and carry for radix 3, row k = (x1, x0) with k = 3*x1 + x0
@@ -171,3 +171,15 @@ def test_synth_tables_input_validation():
         synth_tables([s, TruthTable.make(3, 1, (0, 1, 2))], Strategy.DECODER)
     with pytest.raises(ValueError):
         synth_tables([s, TruthTable.make(4, 2, (0,) * 16)], Strategy.DECODER)
+
+
+@pytest.mark.parametrize("strategy", ["decoder", None, 1])
+@pytest.mark.parametrize("build", [
+    lambda tt, strategy: synth_tables([tt], strategy),
+    lambda tt, strategy: compile_fsm(FsmSpec(tt.radix, 1, 1, (tt,)), strategy)],
+    ids=["synth_tables", "compile_fsm"])
+def test_a_strategy_must_be_a_strategy(build, strategy):
+    tt = TruthTable.make(3, 2, SUM3)
+    with pytest.raises(ValueError,
+                       match=f"strategy must be a Strategy, got {strategy!r}"):
+        build(tt, strategy)

@@ -9,6 +9,7 @@ import pytest
 from mvlsynth.fileio import FileFormatError, fsm_from_text, table_from_text
 from mvlsynth.netlist import (Gate, GateType, Netlist, NetlistBuilder,
                               NetlistError, gate_ports, validate)
+from mvlsynth.oracle import random_table
 from mvlsynth.values import (MvValue, Radix, mv_tuple, nary_invert, radix_problem,
                              tt_digits, tt_index)
 from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
@@ -85,6 +86,16 @@ def test_truth_table_refuses_an_arity_that_is_not_a_positive_int(arity):
     with pytest.raises(ValueError,
                        match=re.escape(f"arity must be an integer >= 1, got {arity!r}")):
         TruthTable.make(2, arity, (0, 1))
+
+
+@pytest.mark.parametrize("arity", [2.5, True, "1", 0])
+@pytest.mark.parametrize("build", [
+    lambda arity: TruthTable.from_function(3, arity, lambda *digits: 0),
+    lambda arity: random_table(3, arity)], ids=["from_function", "random_table"])
+def test_table_helpers_refuse_an_arity_that_is_not_a_positive_int(build, arity):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"arity must be an integer >= 1, got {arity!r}")):
+        build(arity)
 
 
 @pytest.mark.parametrize("n", range(2, 6))
