@@ -1,7 +1,10 @@
 """On-disk formats and graph export.
 
 All documents are JSON with an explicit version field and fixed key order,
-so serialize -> parse -> serialize is byte-stable. Bitstream files carry a
+so serialize -> parse -> serialize is byte-stable. Each line of a written
+file holds the bytes json.dumps gives for its field or element; a netlist's
+nets and gates are formatted here, with json's own string encoder, rather
+than by one json.dumps call each. Bitstream files carry a
 fingerprint of the target fabric's latch ordering, which sim.load_config
 checks, so a saved stream can never be loaded into the wrong (or a
 reshaped) fabric silently, through the library or the command line.
@@ -24,17 +27,24 @@ class FileFormatError(ValueError):
     """Malformed or mistyped document; message names the offending field."""
 
 
+class _Encoded(list):
+    """An array whose elements are already encoded as JSON text."""
+
+
 def _dump(doc: dict) -> str:
     """doc as JSON, one top-level field per line.
 
     An array of objects or arrays (nets, gates, state groups, FSM rows)
-    gets one element per line. Every piece goes through json.dumps's C
-    encoder; indent= would force its pure-Python one.
+    gets one element per line, and so does an _Encoded array. Every other
+    piece goes through json.dumps's C encoder; indent= would force its
+    pure-Python one.
     """
     fields = []
     for key, value in doc.items():
         if isinstance(value, list) and value and isinstance(value[0], (dict, list)):
-            text = "[\n    " + ",\n    ".join(map(json.dumps, value)) + "\n  ]"
+            value = _Encoded(map(json.dumps, value))
+        if type(value) is _Encoded:
+            text = "[\n    " + ",\n    ".join(value) + "\n  ]" if value else "[]"
         else:
             text = json.dumps(value)
         fields.append(f"  {json.dumps(key)}: {text}")
@@ -142,7 +152,50 @@ _KIND_BY_NAME = {k.value: k for k in GateType}
 _FABRIC_KINDS = (None, "decoder", "mux")
 
 
+# json.dumps's own C string encoder (under its default ensure_ascii=True)
+_string = json.encoder.encode_basestring_ascii
+
+
+def _number(v: Any) -> str:
+    """An int or None as json.dumps writes it; other values raise TypeError."""
+    if v is None:
+        return "null"
+    if type(v) is not int:  # a bool or a float: json.dumps writes those
+        raise TypeError(v)
+    return "%d" % v  # past the int-to-str digit limit: ValueError, as in dumps
+
+
+def _nets(nl: Netlist) -> _Encoded:
+    lines = _Encoded()
+    for nid, radix in nl.nets.items():
+        try:
+            lines.append(f'{{"id": {_string(nid)}, "radix": {_number(radix)}}}')
+        except (TypeError, ValueError):
+            lines.append(json.dumps({"id": nid, "radix": radix}))
+    return lines
+
+
+def _gates(nl: Netlist) -> _Encoded:
+    lines = _Encoded()
+    for g in nl.gates.values():
+        kind, pins = g.kind.value, g.pins
+        try:
+            if not isinstance(pins, dict):
+                raise TypeError(pins)
+            wires = ", ".join([f"{_string(port)}: {_string(net)}"
+                               for port, net in pins.items()])
+            lines.append(f'{{"id": {_string(g.gid)}, "gate": {_string(kind)}, '
+                         f'"param": {_number(g.param)}, "radix": {_number(g.radix)}, '
+                         f'"pins": {{{wires}}}}}')
+        except (TypeError, ValueError):
+            lines.append(json.dumps({"id": g.gid, "gate": kind, "param": g.param,
+                                     "radix": g.radix, "pins": pins}))
+    return lines
+
+
 def netlist_to_text(nl: Netlist) -> str:
+    """nl as a netlist document; each net and gate line holds the bytes
+    json.dumps gives for that element."""
     doc = {
         "version": FORMAT_VERSION,
         "kind": "netlist",
@@ -150,12 +203,8 @@ def netlist_to_text(nl: Netlist) -> str:
         "clock": nl.clock,
         "inputs": list(nl.inputs),
         "outputs": list(nl.outputs),
-        "nets": [{"id": nid, "radix": radix} for nid, radix in nl.nets.items()],
-        "gates": [
-            {"id": g.gid, "gate": g.kind.value, "param": g.param,
-             "radix": g.radix, "pins": g.pins}
-            for g in nl.gates.values()
-        ],
+        "nets": _nets(nl),
+        "gates": _gates(nl),
         "latch_order": list(nl.latch_order),
         "state_latches": list(nl.state_latches),
         "state_groups": [list(grp) for grp in nl.state_groups],

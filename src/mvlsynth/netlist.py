@@ -148,9 +148,12 @@ class Netlist:
     fabric_kind: Optional[str] = None    # "decoder" | "mux" for fabrics
     # A passing validate hands the simulator its levelized records, which
     # the first simulation consumes to compile the program it caches here.
-    # validate clears both first.
-    _records: Optional[list[tuple]] = field(default=None, repr=False, compare=False)
-    _program: Optional[object] = field(default=None, repr=False, compare=False)
+    # validate clears both first. Not init fields, so dataclasses.replace
+    # gives a copy neither: a copy's structure may differ.
+    _records: Optional[list[tuple]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _program: Optional[object] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def net_of_input(self, gid: str) -> str:
         return self.gates[gid].pins["y"]
@@ -159,7 +162,13 @@ class Netlist:
         return self.gates[gid].pins["a"]
 
     def input_radixes(self) -> list[Optional[int]]:
-        return [self.gates[g].radix for g in self.inputs]
+        """Each listed input port's radix (None = binary). An entry that
+        names no input port raises validate's NetlistError, without its walk."""
+        return _listed_radixes(self, self.inputs, _INPUT, _NOT_A_PORT)
+
+    def state_radixes(self) -> list[Optional[int]]:
+        """Each listed state latch's radix, checked as input_radixes'."""
+        return _listed_radixes(self, self.state_latches, _NARY_DLATCH, _BAD_ORDER)
 
     def eval_order(self) -> list[str]:
         """Topological order of the combinational core, derived afresh by
@@ -167,6 +176,26 @@ class Netlist:
         invalid."""
         return [rec[0].gid for rec in levelized(self)
                 if rec[0].kind not in _NOT_COMB]
+
+
+# Refusals of a port or storage list entry, shared by levelized and the
+# radix readers, which check their lists without a validating walk.
+_NOT_A_PORT = "{kind} list entry {gid} is not an {kind} port"
+_BAD_ORDER = "{kind} ordering list does not match gates"
+
+
+def _listed_radixes(nl: Netlist, lst: list[str], kind: GateType,
+                    error: str) -> list[Optional[int]]:
+    """The radix of each gate lst names; an entry naming no gate of the
+    given kind raises NetlistError with validate's message for it."""
+    gates = nl.gates
+    radixes = []
+    for gid in lst:
+        g = gates.get(gid)
+        if g is None or g.kind is not kind:
+            raise NetlistError(error.format(kind=kind.value, gid=gid))
+        radixes.append(g.radix)
+    return radixes
 
 
 def fingerprint(nl: Netlist) -> str:
@@ -362,7 +391,7 @@ def levelized(nl: Netlist) -> list[tuple]:
     for lst, actual, kind in ((nl.latch_order, config, _CONFIG_LATCH),
                               (nl.state_latches, state, _NARY_DLATCH)):
         if sorted(lst) != sorted(actual) or len(set(lst)) != len(lst):
-            raise NetlistError(f"{kind.value} ordering list does not match gates")
+            raise NetlistError(_BAD_ORDER.format(kind=kind.value))
     grouped = [gid for grp in nl.state_groups for gid in grp]
     if not all(nl.state_groups) or sorted(grouped) != sorted(nl.state_latches):
         raise NetlistError("state_groups do not partition the state latches")
@@ -370,8 +399,7 @@ def levelized(nl: Netlist) -> list[tuple]:
     for lst, kind in ((nl.inputs, _INPUT), (nl.outputs, _OUTPUT)):
         for gid in lst:
             if gid not in nl.gates or nl.gates[gid].kind is not kind:
-                raise NetlistError(
-                    f"{kind.value} list entry {gid} is not an {kind.value} port")
+                raise NetlistError(_NOT_A_PORT.format(kind=kind.value, gid=gid))
         if len(set(lst)) != len(lst):
             raise NetlistError(f"{kind.value} list repeats an entry")
     if nl.clock is not None:

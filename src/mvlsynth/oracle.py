@@ -134,8 +134,10 @@ def check_fsm_equivalence(nl: Netlist, spec: FsmSpec, reset: Sequence[int],
     if len(nl.inputs) != spec.input_arity or len(nl.outputs) != expected_outs:
         raise ValueError("netlist ports do not match the machine spec")
     n = spec.radix.n
-    for gid in nl.inputs + nl.state_latches:  # the clock may take any radix
-        if (r := nl.gates[gid].radix) != n:
+    # the clock may take any radix
+    for gid, r in zip(nl.inputs + nl.state_latches,
+                      nl.input_radixes() + nl.state_radixes()):
+        if r != n:
             raise ValueError(f"{gid} has radix {r}, not the machine radix {n}")
 
     total = 0

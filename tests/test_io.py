@@ -1,10 +1,12 @@
 """File formats: byte-stable round trips, error reporting, DOT export."""
 
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvlsynth import fileio
 from mvlsynth.fileio import (FileFormatError, bitstream_from_text,
@@ -12,13 +14,14 @@ from mvlsynth.fileio import (FileFormatError, bitstream_from_text,
                              fsm_from_text, fsm_to_text, netlist_from_text,
                              netlist_to_text, table_from_text, table_to_text)
 from mvlsynth.netlist import Gate, GateType, Netlist, NetlistBuilder, validate
+from mvlsynth.oracle import random_table
 from mvlsynth.sim import eval_combinational
 from mvlsynth.synth import (Strategy, build_decoder_1, build_fabric_decoder,
-                            build_fabric_mux, build_nary_dlatch, compile_fsm,
-                            derive_config, synth_tables)
+                            build_fabric_mux, build_nary_dff, build_nary_dlatch,
+                            compile_fsm, derive_config, synth_tables)
 from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
 from mvlsynth.values import Radix
-from test_netlist_diff import FAMILIES
+from test_netlist_diff import FAMILIES, _outcome
 
 SUM3 = TruthTable.make(3, 2, (0, 1, 2, 1, 2, 0, 2, 0, 1))
 
@@ -439,6 +442,73 @@ def test_readme_file_examples_match_the_writer():
               for b in re.findall(r"```json\n(.*?)```", readme, re.S)}
     assert blocks["truth_table"] == table_to_text(SUM3, "sum3")
     assert blocks["fsm"] == fsm_to_text(COUNTER)
+    assert blocks["netlist"] == netlist_to_text(build_decoder_1(2))
+
+
+# -- the netlist writer against one json.dumps call per element ---------------
+
+
+def _reference_text(nl):
+    """The netlist document with each net and gate through json.dumps."""
+    return fileio._dump({
+        "version": "1", "kind": "netlist", "fabric_kind": nl.fabric_kind,
+        "clock": nl.clock, "inputs": list(nl.inputs), "outputs": list(nl.outputs),
+        "nets": [{"id": nid, "radix": radix} for nid, radix in nl.nets.items()],
+        "gates": [{"id": g.gid, "gate": g.kind.value, "param": g.param,
+                   "radix": g.radix, "pins": g.pins} for g in nl.gates.values()],
+        "latch_order": list(nl.latch_order),
+        "state_latches": list(nl.state_latches),
+        "state_groups": [list(grp) for grp in nl.state_groups]})
+
+
+def _builder_netlists(n):
+    """Every strategy, fabric, storage element and FSM compiler at radix n."""
+    rng = random.Random(n)
+    for strategy in Strategy:
+        yield synth_tables([random_table(n, 2, rng)], strategy)
+        spec = FsmSpec(Radix(n), 1, 1, (random_table(n, 2, rng),),
+                       (random_table(n, 2, rng),))
+        yield compile_fsm(spec, strategy)
+    yield build_fabric_decoder(n, 2)
+    yield build_fabric_mux(n, 2)
+    yield build_fabric_mux(n, 2, tree=False)
+    yield build_nary_dlatch(n)
+    yield build_nary_dff(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_builder_netlists_are_written_as_by_json_dumps(n):
+    for nl in _builder_netlists(n):
+        assert netlist_to_text(nl) == _reference_text(nl)
+
+
+# text that json escapes: quotes, backslashes, control characters, non-ASCII
+# (astral too) and lone surrogates
+_TEXT = st.text(st.characters(exclude_categories=())
+                | st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600'),
+                max_size=4)
+_KEY = _TEXT | st.integers(-3, 3) | st.none() | st.booleans() | st.floats()
+# huge: past 2**63, and past the int-to-str digit limit
+_NUMBER = (st.none() | st.integers() | st.booleans() | st.floats()
+           | st.sampled_from([2**64, -2**64, 10**4299, 10**5000]))
+# non-dict pins, one element of which json cannot write
+_PINS = (st.dictionaries(_KEY, _KEY | _NUMBER, max_size=3)
+         | st.lists(_KEY | st.frozensets(st.integers(), max_size=1), max_size=2))
+
+
+@st.composite
+def _netlists(draw):
+    gates = {i: Gate(draw(_KEY), draw(st.sampled_from(GateType)), draw(_PINS),
+                     draw(_NUMBER), draw(_NUMBER))
+             for i in range(draw(st.integers(0, 3)))}
+    nets = draw(st.dictionaries(_KEY, _NUMBER, max_size=3))
+    return Netlist(gates, nets, ["x"], ["y"], [], [], [])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(nl=_netlists())
+def test_hand_built_netlists_are_written_as_by_json_dumps(nl):
+    assert _outcome(netlist_to_text, nl) == _outcome(_reference_text, nl)
 
 
 # -- DOT export ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Simulator semantics: gate evaluation, faults, batching, binary checks."""
 
+import dataclasses
 import itertools
 import random
 
@@ -9,14 +10,14 @@ import reference_sim as ref
 from mvlsynth import sim
 from mvlsynth.netlist import (Gate, GateType, Netlist, NetlistBuilder,
                               NetlistError, levelized, validate)
-from mvlsynth.oracle import (check_fsm_equivalence, random_table,
-                             reference_half_adder)
+from mvlsynth.oracle import (check_equivalence, check_fsm_equivalence,
+                             random_table, reference_half_adder)
 from mvlsynth.sim import (Fault, FaultKind, SimFaultError, SimState,
                           eval_combinational, eval_vectors, load_config,
                           reset_state, step_sequential)
 from mvlsynth.synth import (Strategy, _emit_table, build_decoder_1,
-                            build_mux_1, build_nary_dff, compile_fsm,
-                            synth_tables)
+                            build_fabric_decoder, build_mux_1, build_nary_dff,
+                            compile_fsm, derive_config, synth_tables)
 from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
 from mvlsynth.values import Radix
 from test_netlist_diff import FAMILIES, MUTATIONS, _copy
@@ -401,6 +402,14 @@ def test_validate_after_an_edit_drops_the_compiled_program():
     assert eval_vectors(nl, [(0,), (1,)]) == [(0,), (1,)]
 
 
+def test_a_replaced_copy_compiles_its_own_program():
+    nl = build_decoder_1(3)
+    assert eval_vectors(nl, [(1,)]) == [(0, 1, 0)]
+    copy = dataclasses.replace(nl, outputs=nl.outputs[:1])
+    assert eval_vectors(copy, [(1,)]) == [(0,)]
+    assert eval_vectors(nl, [(1,)]) == [(0, 1, 0)]
+
+
 def _two_programs(nl):
     """The program compiled from the records validate handed over, and the
     one compiled from records derived afresh, as the fault path does."""
@@ -462,6 +471,43 @@ def _ghost(nl):
 def test_an_input_list_naming_no_gate_is_refused_before_any_input(call):
     with pytest.raises(NetlistError,
                        match="input list entry ghost is not an input port"):
+        call()
+
+
+SUM3 = TruthTable.make(3, 2, (0, 1, 2, 1, 2, 0, 2, 0, 1))
+
+
+def _machine(input_arity):
+    table = TruthTable.make(3, 1 + input_arity, (0,) * 3 ** (1 + input_arity))
+    return FsmSpec(Radix(3), 1, input_arity, (table,))
+
+
+def _ghost_latch(nl):
+    """An unvalidated copy whose state latch list also names no gate."""
+    nl = _copy(nl)
+    nl.state_latches.append("ghost")
+    return nl
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_equivalence(
+        _ghost(synth_tables([SUM3], Strategy.DECODER)), SUM3),
+     "input list entry ghost is not an input port"),
+    (lambda: derive_config(SUM3, _ghost(build_fabric_decoder(3, 2))),
+     "input list entry ghost is not an input port"),
+    (lambda: check_fsm_equivalence(
+        _ghost(compile_fsm(_machine(1), Strategy.DECODER)), _machine(2),
+        [0], [[(0, 0)]]),
+     "input list entry ghost is not an input port"),
+    (lambda: check_fsm_equivalence(
+        _ghost_latch(compile_fsm(_machine(1), Strategy.DECODER)), _machine(1),
+        [0], [[(0,)]]),
+     "nary_dlatch ordering list does not match gates")],
+    ids=["check_equivalence", "derive_config", "check_fsm_equivalence-input",
+         "check_fsm_equivalence-state"])
+def test_a_list_entry_naming_no_gate_is_refused_where_its_radix_is_read(
+        call, message):
+    with pytest.raises(NetlistError, match=message):
         call()
 
 
