@@ -178,10 +178,12 @@ class Netlist:
                 if rec[0].kind not in _NOT_COMB]
 
 
-# Refusals of a port or storage list entry, shared by levelized and the
-# radix readers, which check their lists without a validating walk.
+# Refusals of a port, storage or state group list entry, shared by
+# levelized and the radix readers, which check their lists without a
+# validating walk.
 _NOT_A_PORT = "{kind} list entry {gid} is not an {kind} port"
 _BAD_ORDER = "{kind} ordering list does not match gates"
+_BAD_GROUPS = "state_groups do not partition the state latches"
 
 
 def _listed_radixes(nl: Netlist, lst: list[str], kind: GateType,
@@ -294,14 +296,17 @@ def levelized(nl: Netlist) -> list[tuple]:
     collects the drivers, the storage and the records. The first violation
     raises NetlistError.
     When a netlist breaks several rules, the one reported is the first in
-    this order: net radixes, each gate in turn (first, that its key is its
-    id), the drivers of each net, the storage lists, the port lists, the
-    clock, unlisted input ports, combinational cycles.
+    this order: net ids and radixes, each gate in turn (first, that its
+    key is a string and its id), the drivers of each net, the storage
+    lists, the port lists, the clock, unlisted input ports, combinational
+    cycles.
     """
     nets = nl.nets
     number: dict[str, int] = {}
     radixes: list[Optional[int]] = []
     for i, (nid, r) in enumerate(nets.items()):
+        if type(nid) is not str:
+            raise NetlistError(f"net id {nid!r} is not a string")
         if r is not None and (why := radix_problem(r)):
             raise NetlistError(f"net {nid}: {why}")
         number[nid] = i
@@ -314,6 +319,8 @@ def levelized(nl: Netlist) -> list[tuple]:
     state: list[str] = []                   # NARY_DLATCH ids, in gate order
     ports: list[Gate] = []                  # INPUT gates
     for gid, g in nl.gates.items():
+        if type(gid) is not str:
+            raise NetlistError(f"gate id {gid!r} is not a string")
         if g.gid != gid:
             raise NetlistError(f"gate {g.gid} is stored under key {gid!r}")
         kind, pins, radix = g.kind, g.pins, g.radix
@@ -394,7 +401,7 @@ def levelized(nl: Netlist) -> list[tuple]:
             raise NetlistError(_BAD_ORDER.format(kind=kind.value))
     grouped = [gid for grp in nl.state_groups for gid in grp]
     if not all(nl.state_groups) or sorted(grouped) != sorted(nl.state_latches):
-        raise NetlistError("state_groups do not partition the state latches")
+        raise NetlistError(_BAD_GROUPS)
 
     for lst, kind in ((nl.inputs, _INPUT), (nl.outputs, _OUTPUT)):
         for gid in lst:

@@ -8,14 +8,13 @@ otherwise seeded random sampling with the seed recorded in the report.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .netlist import Netlist
-from .sim import Fault, SimFaultError, SimState, eval_vectors, load_config, \
-    reset_state, step_sequential
+from .sim import Fault, SimFaultError, SimState, _exhaustive, eval_vectors, \
+    load_config, reset_state, step_sequential
 from .tables import ConfigBitstream, FsmSpec, TruthTable, _check_arity
 from .values import RadixLike, as_radix
 
@@ -94,8 +93,9 @@ def check_equivalence(nl: Netlist, tt: TruthTable,
 
     exhaustive = n**tt.arity <= cap
     if exhaustive:
-        # every row in row order (MS-first digits): vector k is row k
-        vectors = list(itertools.product(range(n), repeat=tt.arity))
+        # every row in row order (MS-first digits): vector k is row k; the
+        # program keeps them, with their input planes, across bitstreams
+        vectors = _exhaustive(nl)
         wants = tt.entries
     else:
         # MS-first digit tuples sort in row order, so the mismatches come

@@ -15,7 +15,12 @@ blocks each decode the same select digit, and the program decodes it once.
 Every evaluation is one settle loop: sweep, commit the latch inputs,
 repeat until the latch contents stop changing. A settle loads every
 source once, checking each value where it sets its plane: the inputs, the
-clock phase, the latch contents and the configuration bits. Each sweep
+clock phase, the latch contents and the configuration bits. An exhaustive
+sweep's inputs enter another way: the program builds its rows on first
+use and keeps them, with every input level's plane set in closed form,
+and a settle handed those very rows starts from a copy of the kept planes
+with no per-value check, since the program generated every value; so a
+fabric checked under many bitstreams loads its inputs once. Each sweep
 copies those slots and runs the op list; a commit moves a changed latch's
 plane. A latch-free batch settles in one sweep. Radix-N storage elements
 are sources whose contents live in a SimState; a netlist with them
@@ -45,11 +50,13 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .netlist import (GateType, Netlist, fingerprint, levelized,
-                      _AND as _AND_GATE, _CONST as _CONST_GATE, _NOT as _NOT_GATE,
-                      _OR as _OR_GATE, _SWITCH as _SWITCH_GATE, _TLG as _TLG_GATE)
+                      _AND as _AND_GATE, _BAD_GROUPS, _CONST as _CONST_GATE,
+                      _NARY_DLATCH, _NOT as _NOT_GATE, _OR as _OR_GATE,
+                      _SWITCH as _SWITCH_GATE, _TLG as _TLG_GATE,
+                      _listed_radixes)
 from .tables import ConfigBitstream
 
 
@@ -116,7 +123,8 @@ _ONE = (_FULL,)
 _NET, _AND, _OR, _NOT, _FLOAT = range(5)
 
 
-class _Program(NamedTuple):
+@dataclass(slots=True)
+class _Program:
     """A netlist lowered for bit-parallel runs; built once per netlist."""
 
     nslots: int
@@ -129,6 +137,11 @@ class _Program(NamedTuple):
                                     # slots of the switches reading q as
                                     # data, None if anything else reads q
     outputs: tuple                  # planes per nl.outputs entry
+    # (rows, sources) of the exhaustive sweep, built by _exhaustive on
+    # first use: every input vector in row order, and the slots with their
+    # planes loaded. Never written after it is built.
+    domain: Optional[tuple[tuple, list[int]]] = field(
+        default=None, repr=False, compare=False)
 
 
 def _lower(nl: Netlist, records: list[tuple]
@@ -259,6 +272,32 @@ def _compiled(nl: Netlist) -> _Program:
         records, nl._records = nl._records or levelized(nl), None
         program = nl._program = _lower(nl, records)[0]
     return program
+
+
+def _exhaustive(nl: Netlist) -> tuple[tuple[int, ...], ...]:
+    """Every input vector of nl in row order (MS-first digits: vector k is
+    row k), built on first use and kept with the compiled program.
+
+    The sources for the whole sweep are kept beside the rows, each input
+    level's plane set in closed form: for a port of radix r whose later
+    ports span w rows, bit k of level l's plane is set iff
+    (k // w) % r == l. _settle starts a batch that is this very tuple from
+    a copy of them, with no per-value check: the program made every value.
+    """
+    prog = _compiled(nl)
+    if prog.domain is None:
+        rows = tuple(itertools.product(*(range(len(p)) for p in prog.inputs)))
+        sources = [0] * prog.nslots
+        full = sources[_FULL] = (1 << len(rows)) - 1
+        w = len(rows)
+        for planes in prog.inputs:
+            repeat = full // ((1 << w) - 1)  # a 1 every r * (w // r) bits
+            w //= len(planes)
+            block = (1 << w) - 1
+            for lvl, s in enumerate(planes):  # _SINK is shared: OR into it
+                sources[s] |= (block << (lvl * w)) * repeat
+        prog.domain = (rows, sources)
+    return prog.domain[0]
 
 
 def _record(first: dict[int, Fault], new: int, kind: FaultKind, ref: str,
@@ -416,9 +455,11 @@ def _settle(nl: Netlist, prog: _Program, vectors: Sequence, state: SimState,
 
     Every source is loaded once, each value checked in the walk that sets
     its plane: the inputs vector by vector and the clock phase, then the
-    stored latch levels, then the configuration bits. Each sweep copies
-    the loaded slots; a commit that changes a latch moves its plane among
-    them.
+    stored latch levels, then the configuration bits. A batch that is the
+    program's own exhaustive rows (the very tuple _exhaustive returned)
+    starts instead from a copy of the input planes kept with them. Each
+    sweep copies the loaded slots; a commit that changes a latch moves its
+    plane among them.
 
     A sweep that commits a change is normally followed by another. That
     confirming sweep is skipped when every latch that changed is read only
@@ -433,19 +474,24 @@ def _settle(nl: Netlist, prog: _Program, vectors: Sequence, state: SimState,
     later, their contents recur: that is an oscillation fault. A transient
     can thus last up to the product of the latch radixes in sweeps.
     """
-    sources = [0] * prog.nslots
-    n = len(prog.inputs)
-    bit = 1
-    for vec in vectors:
-        if len(vec) != n:
-            raise ValueError(f"expected {n} inputs, got {len(vec)}")
-        for name, planes, x in zip(nl.inputs, prog.inputs, vec):
-            if type(x) is not int or not 0 <= x < len(planes):  # a bool is no digit
-                raise ValueError(
-                    f"input {name}: value {x!r} out of range 0..{len(planes) - 1}")
-            sources[planes[x]] |= bit
-        bit <<= 1
-    full = sources[_FULL] = bit - 1
+    domain = prog.domain
+    if domain is not None and vectors is domain[0]:  # no value to check
+        sources = domain[1].copy()
+        full = sources[_FULL]
+    else:
+        sources = [0] * prog.nslots
+        n = len(prog.inputs)
+        bit = 1
+        for vec in vectors:
+            if len(vec) != n:
+                raise ValueError(f"expected {n} inputs, got {len(vec)}")
+            for name, planes, x in zip(nl.inputs, prog.inputs, vec):
+                if type(x) is not int or not 0 <= x < len(planes):  # a bool is no digit
+                    raise ValueError(
+                        f"input {name}: value {x!r} out of range 0..{len(planes) - 1}")
+                sources[planes[x]] |= bit
+            bit <<= 1
+        full = sources[_FULL] = bit - 1
     if phase is not None:
         sources[prog.clock[phase]] = full
     latches = state.latches
@@ -561,8 +607,10 @@ def reset_state(nl: Netlist, digits: Sequence[int],
             f"expected {len(nl.state_groups)} reset digits, got {len(digits)}")
     resets = [(gid, d) for group, d in zip(nl.state_groups, digits)
               for gid in group]
-    for gid, d in resets:  # every digit is checked before the first write
-        radix = nl.gates[gid].radix
+    radixes = _listed_radixes(nl, [gid for gid, _ in resets], _NARY_DLATCH,
+                              _BAD_GROUPS)
+    # every digit is checked before the first write
+    for (gid, d), radix in zip(resets, radixes):
         if type(d) is not int or not 0 <= d < radix:
             raise ValueError(f"reset digit {d!r} out of range for radix {radix}")
     state.latches.update(resets)

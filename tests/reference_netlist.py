@@ -5,7 +5,9 @@ Test-only reference for ``test_netlist_diff.py``: ``gate_ports`` (a fresh
 list of ``PortSig`` per call), ``_driver_map``, ``_levelize`` and
 ``validate`` are kept verbatim, except that ``validate`` ends with this
 module's ``_levelize`` instead of ``Netlist.eval_order()``, so it never
-reads an order cached on the netlist. Do not change its behaviour.
+reads an order cached on the netlist, and that it refuses a net or gate id
+that is not a string, as the single walk does. Do not change its
+behaviour otherwise.
 """
 
 from __future__ import annotations
@@ -125,9 +127,13 @@ def _levelize(nl: Netlist) -> list[str]:
 def validate(nl: Netlist) -> None:
     """Full structural check: connectivity, drivers, signal kinds, cycles."""
     for nid, radix in nl.nets.items():
+        if type(nid) is not str:
+            raise NetlistError(f"net id {nid!r} is not a string")
         if radix is not None and radix < 2:
             raise NetlistError(f"net {nid}: radix {radix} is below 2")
-    for g in nl.gates.values():
+    for gid, g in nl.gates.items():
+        if type(gid) is not str:
+            raise NetlistError(f"gate id {gid!r} is not a string")
         if g.kind is GateType.NARY_DLATCH and g.radix is None:
             raise NetlistError(f"{g.gid}: {g.kind.value} needs a radix")
         sigs = gate_ports(g)

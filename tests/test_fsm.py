@@ -1,10 +1,12 @@
 """Compiled state machines against software iteration."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+from mvlsynth.netlist import NetlistError
 from mvlsynth.oracle import check_fsm_equivalence
 from mvlsynth.sim import (SimFaultError, SimState, eval_combinational,
                           reset_state, step_sequential)
@@ -199,3 +201,19 @@ def test_fsm_check_refuses_an_input_digit_that_is_not_an_int(digit):
     nl = compile_fsm(_accumulator3(), Strategy.DECODER)
     with pytest.raises(ValueError, match=f"digit {digit} out of range for radix 3"):
         check_fsm_equivalence(nl, _accumulator3(), (0,), [[(digit,)]])
+
+
+@pytest.mark.parametrize("member", ["ghost", "i0"])
+def test_a_state_group_that_names_no_state_latch_is_refused(member):
+    # a group naming a missing gate once raised KeyError; one naming an
+    # input port was reset like a latch
+    spec = _accumulator3()
+    bad = dataclasses.replace(compile_fsm(spec, Strategy.DECODER),
+                              state_groups=[(member,)])
+    message = "^state_groups do not partition the state latches$"
+    with pytest.raises(NetlistError, match=message):
+        check_fsm_equivalence(bad, spec, (0,), [[(1,)]])
+    state = SimState()
+    with pytest.raises(NetlistError, match=message):
+        reset_state(bad, [0], state)
+    assert state.latches == {}

@@ -2,10 +2,11 @@
 
 import pytest
 
+import reference_netlist
 from mvlsynth.netlist import (Gate, GateType, Netlist, NetlistBuilder,
                               NetlistError, gate_ports, validate)
 from mvlsynth.fileio import export_dot
-from mvlsynth.synth import build_nary_dlatch, mux_block_count
+from mvlsynth.synth import build_decoder_1, build_nary_dlatch, mux_block_count
 
 
 def _passthrough():
@@ -322,6 +323,35 @@ def test_a_gate_stored_under_another_key_is_refused():
     nl.gates["renamed"].radix = 1   # the key is checked first
     with pytest.raises(NetlistError, match=r"^gate lat is stored under key 'renamed'$"):
         validate(nl)
+
+
+def _rekey_gate(nl, gid, key, new_gid):
+    nl.gates = {key if k == gid else k: g for k, g in nl.gates.items()}
+    nl.gates[key].gid = new_gid
+
+
+def _rekey_net(nl, nid, key):
+    nl.nets = {key if k == nid else k: r for k, r in nl.nets.items()}
+    for g in nl.gates.values():
+        g.pins = {p: key if n == nid else n for p, n in g.pins.items()}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda nl: _rekey_gate(nl, "dec/not0", 7, 7), "gate id 7 is not a string"),
+    # the key's type is checked before the key is matched with the id
+    (lambda nl: _rekey_gate(nl, "dec/not0", 7, "dec/not0"),
+     "gate id 7 is not a string"),
+    (lambda nl: _rekey_net(nl, "w0", 5), "net id 5 is not a string"),
+], ids=["gate", "gate-key", "net"])
+def test_an_id_that_is_not_a_string_is_refused(edit, message):
+    # the file format cannot carry such an id, so the netlist could be
+    # saved but never read back
+    nl = build_decoder_1(2)
+    edit(nl)
+    with pytest.raises(NetlistError, match=f"^{message}$"):
+        validate(nl)
+    with pytest.raises(NetlistError, match=f"^{message}$"):
+        reference_netlist.validate(nl)
 
 
 def test_validate_rechecks_cycles_after_an_edit():

@@ -6,6 +6,10 @@ on every result, the raised fault's (kind, ref, vector), the fault log in
 order, and the latch contents after every step. The reference's bare
 RuntimeError for latches that never settle is the new OSCILLATION fault,
 which the new simulator also appends to the log.
+
+The exhaustive rows a compiled program keeps, whose input planes are
+loaded in closed form, are checked the same way against the checked walk
+over an equal list of the same rows.
 """
 
 import copy
@@ -16,12 +20,13 @@ import pytest
 
 import reference_sim as ref
 from mvlsynth import sim
-from mvlsynth.netlist import GateType, NetlistBuilder
+from mvlsynth.netlist import GateType, NetlistBuilder, validate
 from mvlsynth.oracle import random_table
 from mvlsynth.sim import FaultKind, SimFaultError, SimState, load_config, reset_state
-from mvlsynth.synth import (Strategy, _emit_table, build_fabric_decoder,
-                            build_fabric_mux, build_nary_dff, build_nary_dlatch,
-                            compile_fsm, synth_tables)
+from mvlsynth.synth import (Strategy, _emit_table, build_decoder_1,
+                            build_fabric_decoder, build_fabric_mux,
+                            build_nary_dff, build_nary_dlatch, compile_fsm,
+                            derive_config, synth_tables)
 from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
 
 
@@ -273,3 +278,88 @@ def test_storage_under_random_gate_sequences(build, n):
         assert set(_steps(nl, reset_state(nl, [reset] * len(nl.state_groups)),
                           vectors)) == {"ok"}
     assert set(_steps(nl, SimState(), [(0, 1)])) == {"fault"}
+
+
+# -- the program's exhaustive rows against the checked walk --------------------
+
+
+FABRICS = {
+    "decoder": build_fabric_decoder,
+    "mux-tree": lambda n, m: build_fabric_mux(n, m, tree=True),
+    "mux-flat": lambda n, m: build_fabric_mux(n, m, tree=False),
+}
+
+
+def _rows_match_the_walk(nl, state=None):
+    """Evaluate nl's kept rows and a fresh list of the same rows, each from
+    a copy of state; both must give the same results and fault log, and
+    the kept planes must be left as they were. Returns the fault log."""
+    state = state or SimState()
+    rows = sim._exhaustive(nl)
+    spans = [2 if r is None else r for r in nl.input_radixes()]
+    walked = list(itertools.product(*(range(s) for s in spans)))
+    assert list(rows) == walked
+    kept = list(nl._program.domain[1])
+    got = _outcome(lambda s: sim.eval_vectors(nl, rows, s), copy.deepcopy(state))
+    want = _outcome(lambda s: sim.eval_vectors(nl, walked, s), copy.deepcopy(state))
+    assert got == want
+    assert nl._program.domain[1] == kept
+    return got[1]
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kept_rows_of_random_tables(strategy, n):
+    rng = random.Random(10 * n + len(strategy.value))
+    for arity in (1, 2, 3):
+        _rows_match_the_walk(synth_tables([random_table(n, arity, rng)], strategy))
+
+
+@pytest.mark.parametrize("kind", sorted(FABRICS))
+def test_kept_rows_of_fabrics_across_bitstreams(kind):
+    rng = random.Random(len(kind))
+    kinds = set()
+    for n, m in ((2, 1), (2, 2), (3, 1), (3, 2)):
+        nl = FABRICS[kind](n, m)
+        faults = _rows_match_the_walk(nl)  # unprogrammed
+        rows = sim._exhaustive(nl)
+        derived = derive_config(random_table(n, m, rng), nl)
+        for i in range(-1, len(derived.bits)):  # derived, then each flip
+            bits = derived if i < 0 else derived.flipped(i)
+            faults += _rows_match_the_walk(nl, load_config(nl, bits))
+            assert sim._exhaustive(nl) is rows  # one tuple for every stream
+        validate(nl)  # drops the program and the rows with it
+        _rows_match_the_walk(nl, load_config(nl, derived))
+        assert sim._exhaustive(nl) is not rows
+        kinds.update(f.kind for f in faults)
+    assert kinds == {FaultKind.UNINITIALIZED_LATCH, FaultKind.CONTENTION,
+                     FaultKind.FLOATING_NET}
+
+
+def test_kept_rows_of_switch_meshes():
+    rng = random.Random(11)
+    faults = 0
+    for _ in range(300):
+        nl = _random_mesh(rng)
+        faults += len(_rows_match_the_walk(nl, _random_config(nl, rng)))
+    assert faults  # the meshes do reach the fault paths
+
+
+def test_kept_rows_load_from_the_kept_planes():
+    # the batch that is the kept tuple is loaded from the kept planes, not
+    # walked: swapping two levels' planes there swaps their results
+    nl = build_decoder_1(3)
+    rows = sim._exhaustive(nl)
+    sources = nl._program.domain[1]
+    (x0, x1, _), = nl._program.inputs
+    sources[x0], sources[x1] = sources[x1], sources[x0]
+    assert sim.eval_vectors(nl, rows) == [(0, 1, 0), (1, 0, 0), (0, 0, 1)]
+    assert sim.eval_vectors(nl, list(rows)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def test_kept_rows_still_check_the_configuration():
+    nl = build_fabric_decoder(2, 1)
+    rows = sim._exhaustive(nl)
+    state = SimState(config=dict.fromkeys(nl.latch_order, 2))
+    with pytest.raises(ValueError, match="is not 0 or 1"):
+        sim.eval_vectors(nl, rows, state)
