@@ -395,12 +395,15 @@ def levelized(nl: Netlist) -> list[tuple]:
         ds = [driver[bad]] + [gid for i, gid in shared if i == bad]
         raise NetlistError(f"net {nid} multiply driven by non-switch gates: {ds}")
 
+    # entry types first: a set of mixed or unhashable entries cannot compare
     for lst, actual, kind in ((nl.latch_order, config, _CONFIG_LATCH),
                               (nl.state_latches, state, _NARY_DLATCH)):
-        if sorted(lst) != sorted(actual) or len(set(lst)) != len(lst):
+        if (any(type(gid) is not str for gid in lst)
+                or len(set(lst)) != len(lst) or set(lst) != set(actual)):
             raise NetlistError(_BAD_ORDER.format(kind=kind.value))
     grouped = [gid for grp in nl.state_groups for gid in grp]
-    if not all(nl.state_groups) or sorted(grouped) != sorted(nl.state_latches):
+    if (not all(nl.state_groups) or any(type(gid) is not str for gid in grouped)
+            or len(grouped) != len(state) or set(grouped) != set(state)):
         raise NetlistError(_BAD_GROUPS)
 
     for lst, kind in ((nl.inputs, _INPUT), (nl.outputs, _OUTPUT)):

@@ -8,9 +8,17 @@ sources first, then the combinational gates in eval order), so it never
 walks the gates again. A run evaluates a whole batch of input vectors at
 once, bit-parallel: a slot holds one Python int whose bit b belongs to
 vector b. A binary net is one mask; a radix-N net is N one-hot masks, one
-per level, so TLG(x > t) is the OR of planes t+1..N-1. Gates that compute
-the same op on the same slots share one op and one slot: a mux tree's
-blocks each decode the same select digit, and the program decodes it once.
+per level. So a binary net that TLG, NOT, AND and OR gates make from one
+radix-N net x is a set of x's levels and needs no op: x > t is levels
+t+1..N-1, NOT the complement, AND and OR the intersection and union. It
+takes a slot only when a reader needs one: one level aliases x's plane,
+no level the all-zero slot, more levels share one OR op. A threshold
+decoder's one-hot lines are thus x's own planes. A switch net whose
+drivers all carry constants, under controls that are disjoint level sets
+of one x covering all of x's levels, is a level function of x: each of
+its planes is the union of its drivers' sets, and it needs no op either.
+A mux block on constants and a one-digit table are such nets. Other gates
+that compute the same op on the same slots share one op and one slot.
 
 Every evaluation is one settle loop: sweep, commit the latch inputs,
 repeat until the latch contents stop changing. A settle loads every
@@ -29,20 +37,24 @@ when every latch that changed is read only as data by switches that are
 off, as in a master-slave flip-flop, so a clock phase costs one sweep.
 
 A switch net is N planes like any radix-N net, and one op per switch-driven
-net computes them from all of its drivers in one walk. Every radix-N
-source sets exactly one plane per vector and a conducting switch copies
-its data's planes (on constant data, only the one plane it sets; a switch
-that is off for the whole batch does no work), so a vector is floating on
-a switch net when none of its planes is set: no switch conducts, or the
-one that does carries a floating value. A floating value is a fault the
-moment anything consumes it, and two simultaneously conducting switch
-drivers are a contention fault outright. A vector's result is the first
-fault it hits in evaluation order: contention when a switch net is
-resolved (just before its first reader, or at the end of the pass for
-nets nothing reads), floating at a net's first consume. Latches that never
-come to rest are an oscillation fault, and reading storage that was never
-set (a state latch not reset, a configuration latch not programmed) is an
-uninitialized-latch fault. Faults are never masked by default values.
+net that is no level function computes them from all of its drivers in
+one walk. Every radix-N source sets exactly one plane per vector and a
+conducting switch copies its data's planes (on constant data, only the one
+plane it sets; a switch that is off for the whole batch does no work), so
+a vector is floating on a switch net when none of its planes is set: no
+switch conducts, or the one that does carries a floating value. A floating
+value is a fault the moment anything consumes it, and two simultaneously
+conducting switch drivers are a contention fault outright. A vector's
+result is the first fault it hits in evaluation order: contention when a
+switch net is resolved (just before its first reader, or at the end of the
+pass for nets nothing reads), floating at a net's first consume. Level
+sets and functions of x change no fault: the TLGs still consume x where
+the netlist does, so a floating or contending x is logged before anything
+reads them, and for a clean x exactly one of a level function's drivers
+conducts. Latches that never come to rest are an oscillation fault, and
+reading storage that was never set (a state latch not reset, a
+configuration latch not programmed) is an uninitialized-latch fault.
+Faults are never masked by default values.
 """
 
 from __future__ import annotations
@@ -119,7 +131,7 @@ _ONE = (_FULL,)
 # planes are _ONE. A driver whose control is 0 costs one test. The op marks
 # vectors where two drivers conduct as contention. _FLOAT records as
 # floating the vectors in which none of the net's planes is set, where the
-# net is consumed.
+# net is consumed. A level function has neither op.
 _NET, _AND, _OR, _NOT, _FLOAT = range(5)
 
 
@@ -145,20 +157,29 @@ class _Program:
 
 
 def _lower(nl: Netlist, records: list[tuple]
-           ) -> tuple[_Program, list[tuple[int, ...]]]:
+           ) -> tuple[_Program, list, list]:
     """Assign slots and emit the op list from a netlist's levelized
-    records, in one pass; also returns each net's planes, by net number.
+    records, in one pass; also returns each net's planes and level sets,
+    by net number.
 
     A net's planes are the slots of its levels, index = level; a binary
-    net is (_SINK, slot). Constants, single-plane comparators and gates
-    whose op an earlier gate already computes emit no op: their planes
-    alias existing slots.
+    net is (_SINK, slot). A binary net that TLG, NOT, AND and OR make from
+    one radix-N net x is a level set of x, (x, mask): it is 1 when x's
+    level is a set bit of mask. A switch net whose drivers all carry
+    constants, under controls that are disjoint level sets of one x
+    covering all of x's levels, is a level function of x, (x, masks):
+    plane k is set when x's level is in masks[k]. Either takes slots only
+    when a reader needs them, so a net may have no planes (None): no level
+    aliases _ZERO, one aliases x's plane, more share one _OR op. Constants
+    and gates whose op an earlier gate already computes emit no op either.
     """
     gates, nets = nl.gates, nl.nets
     names = list(nets)
     number = dict(zip(names, itertools.count()))
     nslots = 3
     planes: list = [None] * len(names)
+    sets: list = [None] * len(names)     # level sets and level functions
+    consts: list = [None] * len(names)   # each constant net's level
 
     def fresh(i: int) -> None:
         nonlocal nslots
@@ -171,7 +192,41 @@ def _lower(nl: Netlist, records: list[tuple]
             nslots += radix
             planes[i] = tuple(range(first, nslots))
 
-    # Per switch net: its drivers, as the _NET op holds them.
+    # No two _AND/_OR/_NOT ops share a key: a later gate or level set with
+    # the same key shares the earlier one's slot. Mux blocks each decode
+    # the same select digit, so their sets of several levels recur.
+    shared: dict[tuple, int] = {}
+
+    def emit(op: int, ins: list[int]) -> int:
+        nonlocal nslots
+        key = (op, ins[0], tuple(ins[1:]))
+        slot = shared.get(key)
+        if slot is None:
+            slot = shared[key] = nslots
+            nslots += 1
+            ops.append((op, slot, key[1], key[2]))
+        return slot
+
+    def union(x: int, mask: int) -> int:
+        if not mask & (mask - 1):  # no level or one
+            return planes[x][mask.bit_length() - 1] if mask else _ZERO
+        return emit(_OR, [s for lvl, s in enumerate(planes[x]) if mask >> lvl & 1])
+
+    def slots(i: int) -> tuple[int, ...]:
+        """Net i's planes, given slots at its first reader that needs them."""
+        got = planes[i]
+        if got is None:
+            x, mask = sets[i]
+            if type(mask) is int:
+                got = (_SINK, union(x, mask))
+            else:
+                got = tuple(union(x, m) for m in mask)
+            planes[i] = got
+        return got
+
+    # Per switch net: its drivers, as the _NET op holds them. While every
+    # driver so far carries a constant under a level set, the net has no
+    # planes and each driver is (control net, level).
     drivers: dict[int, list[tuple]] = {}
     ops: list[tuple] = []
     resolved: set[int] = set()
@@ -181,65 +236,115 @@ def _lower(nl: Netlist, records: list[tuple]
     readers: dict[int, Optional[tuple[int, ...]]] = {
         number[gates[gid].pins["q"]]: () for gid in nl.state_latches}
 
-    def read(i: int, consume: bool,
-             control: Optional[int] = None) -> tuple[int, ...]:
+    def spill(y: int) -> None:
+        """Give switch net y its planes, and its constant drivers theirs."""
+        fresh(y)
+        py = planes[y]
+        drivers[y] = [(slots(c)[1], py[lvl], _ONE) for c, lvl in drivers[y]]
+
+    def function(y: int) -> bool:
+        """Make switch net y a level function if its drivers' controls are
+        disjoint level sets of one net that cover all of its levels."""
+        x, seen, masks = None, 0, [0] * nets[names[y]]
+        for c, lvl in drivers[y]:
+            got = sets[c]
+            if got is None or x is not None and got[0] != x or got[1] & seen:
+                return False
+            x, mask = got
+            seen |= mask
+            masks[lvl] |= mask
+        if x is None or seen != (1 << len(planes[x])) - 1:
+            return False
+        sets[y] = (x, tuple(masks))
+        del drivers[y]
+        return True
+
+    def read(i: int, consume: bool, control: Optional[int] = None) -> None:
+        """Note a read of radix-N net i: a switch net is resolved at its
+        first read, as a level function or by its _NET op, and gets its
+        _FLOAT op at its first consume."""
         if i in readers and readers[i] is not None:
             readers[i] = None if control is None else readers[i] + (control,)
         if i in drivers:
             if i not in resolved:
                 resolved.add(i)
+                if planes[i] is None:  # constants under level sets, all of them
+                    if function(i):  # it can neither float nor contend
+                        return
+                    spill(i)
                 ops.append((_NET, names[i], tuple(drivers[i]), None))
             if consume and i not in consumed:
                 consumed.add(i)
                 ops.append((_FLOAT, names[i], planes[i], None))
-        return planes[i]
 
-    # The binary output of a TLG with two or more planes, a NOT, an AND or
-    # an OR takes the next slot, unless an earlier gate computes the same
-    # op on the same slots: then it shares that gate's slot and emits no
-    # op. Mux blocks repeat their select decoders, so this folds them.
-    shared: dict[tuple, int] = {}
     for rec in records:
         g, y = rec[0], rec[1]
         kind = g.kind
         if kind is _TLG_GATE:
-            ins = read(rec[2], True)[g.param + 1:]
-            if len(ins) <= 1:
-                planes[y] = (_SINK, ins[0] if ins else _ZERO)
+            x = rec[2]
+            read(x, True)
+            got = sets[x]
+            if got is None:  # levels param+1..N-1 of x
+                sets[y] = (x, (1 << len(planes[x])) - (1 << (g.param + 1)))
+            else:  # a level function's planes param+1..N-1
+                x, masks = got
+                mask = 0
+                for m in masks[g.param + 1:]:
+                    mask |= m
+                sets[y] = (x, mask)
+            continue
+        if kind is _NOT_GATE:
+            got = sets[rec[2]]
+            if got is not None:
+                x, mask = got
+                sets[y] = (x, mask ^ ((1 << len(planes[x])) - 1))
                 continue
-            op = _OR
-        elif kind is _AND_GATE or kind is _OR_GATE or kind is _NOT_GATE:
-            op = _AND if kind is _AND_GATE else _OR if kind is _OR_GATE else _NOT
-            ins = [planes[x][1] for x in rec[2:]]
+            op = _NOT
+        elif kind is _AND_GATE or kind is _OR_GATE:
+            got = sets[rec[2]]
+            if got is not None:
+                x, mask = got
+                for a in rec[3:]:
+                    got = sets[a]
+                    if got is None or got[0] != x:
+                        break
+                    mask = mask & got[1] if kind is _AND_GATE else mask | got[1]
+                else:  # all are level sets of x
+                    sets[y] = (x, mask)
+                    continue
+            op = _AND if kind is _AND_GATE else _OR
         elif kind is _SWITCH_GATE:  # inputs (d, c)
-            c = planes[rec[3]][1]
-            d = read(rec[2], False, c)
-            if y not in drivers:  # its first driver
-                fresh(y)
-                drivers[y] = []
-            if _ZERO in d:  # constant data: only its conducting level
-                drivers[y].append((c, planes[y][d.index(_FULL)], _ONE))
+            d = rec[2]
+            lvl = consts[d]
+            ds = drivers.get(y)
+            if ds is None:  # its first driver
+                ds = drivers[y] = []
+            py = planes[y]
+            if py is None:
+                if lvl is not None and sets[rec[3]] is not None:
+                    ds.append((rec[3], lvl))  # it may yet be a level function
+                    continue
+                spill(y)
+                py, ds = planes[y], drivers[y]
+            c = (planes[rec[3]] or slots(rec[3]))[1]
+            if lvl is not None:  # constant data: only its conducting level
+                ds.append((c, py[lvl], _ONE))
             else:
-                drivers[y].append((c, planes[y][0], d))
+                read(d, False, c)
+                ds.append((c, py[0], planes[d] or slots(d)))
             continue
         elif kind is _CONST_GATE:
-            levels = 2 if g.radix is None else g.radix
-            planes[y] = tuple(_FULL if lvl == g.param else _ZERO
-                              for lvl in range(levels))
+            lvl = consts[y] = g.param
+            n = 2 if g.radix is None else g.radix
+            planes[y] = (_ZERO,) * lvl + (_FULL,) + (_ZERO,) * (n - 1 - lvl)
             continue
         else:  # inputs and storage
             fresh(y)
             continue
-        key = (op, ins[0], tuple(ins[1:]))
-        slot = shared.get(key)
-        if slot is None:
-            slot = shared[key] = nslots
-            nslots += 1
-            ops.append((op, slot, key[1], key[2]))
-        planes[y] = (_SINK, slot)
+        planes[y] = (_SINK, emit(op, [(planes[a] or slots(a))[1] for a in rec[2:]]))
 
     # Contention must surface even on nets nothing happened to read.
-    for i in drivers:
+    for i in list(drivers):
         read(i, False)
     for gid in nl.state_latches:
         read(number[gates[gid].pins["d"]], True)
@@ -247,20 +352,23 @@ def _lower(nl: Netlist, records: list[tuple]
         read(number[nl.net_of_output(gid)], True)
 
     def net(gid: str, pin: str) -> tuple[int, ...]:
-        return planes[number[gates[gid].pins[pin]]]
+        return slots(number[gates[gid].pins[pin]])
 
+    # the outputs and latch inputs may take their slots only now
+    latches = tuple((gid, net(gid, "q"), net(gid, "d"),
+                     readers[number[gates[gid].pins["q"]]])
+                    for gid in nl.state_latches)
+    outputs = tuple(net(gid, "a") for gid in nl.outputs)
     program = _Program(
         nslots=nslots,
         ops=tuple(ops),
         inputs=tuple(net(gid, "y") for gid in nl.inputs),
         clock=None if nl.clock is None else planes[number[nl.clock]],
         config=tuple((gid, net(gid, "q")[1]) for gid in nl.latch_order),
-        latches=tuple((gid, net(gid, "q"), net(gid, "d"),
-                       readers[number[gates[gid].pins["q"]]])
-                      for gid in nl.state_latches),
-        outputs=tuple(net(gid, "a") for gid in nl.outputs),
+        latches=latches,
+        outputs=outputs,
     )
-    return program, planes
+    return program, planes, sets
 
 
 def _compiled(nl: Netlist) -> _Program:
@@ -395,10 +503,11 @@ class _Cone:
     from a latch's d net through the netlist and derives the value the net
     held for the one vector: a level, None for floating, or the Fault
     poisoning it (first poisoned input of a gate, first poisoned
-    conducting driver of a switch net). Levels of clean nets, sources
-    included, are read from the run's slots. Only the settle loop's fault
-    path builds one; it derives the netlist's records afresh, by the walk
-    validate makes.
+    conducting driver of a switch net). Levels of sources are read from
+    the run's slots; a gate's level is computed from its inputs' levels,
+    since a level set or function may have no slot. Only the settle
+    loop's fault path builds one; it derives the netlist's records
+    afresh, by the walk validate makes.
     """
 
     def __init__(self, nl: Netlist, v: list[int], vector: tuple[int, ...]):
@@ -439,12 +548,26 @@ class _Cone:
             else:
                 got = None
         else:
-            got = next((x for x in map(self.consume, drivers[0][2:])
+            g, _, *ins = drivers[0]
+            got = next((x for x in map(self.consume, ins)
                         if isinstance(x, Fault)), None)
             if got is None:
-                got = _levels(self.v, self.planes[i], 1)[0]
+                got = self._level(g, [self.memo[x] for x in ins], i)
         self.memo[i] = got
         return got
+
+    def _level(self, g, ins: list[int], i: int) -> int:
+        """The level gate g drives onto net i from its clean input levels."""
+        kind = g.kind
+        if kind is GateType.TLG:
+            return int(ins[0] > g.param)
+        if kind is GateType.NOT:
+            return 1 - ins[0]
+        if kind is GateType.AND:
+            return int(all(ins))
+        if kind is GateType.OR:
+            return int(any(ins))
+        return _levels(self.v, self.planes[i], 1)[0]  # a source
 
 
 def _settle(nl: Netlist, prog: _Program, vectors: Sequence, state: SimState,

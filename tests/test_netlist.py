@@ -6,7 +6,8 @@ import reference_netlist
 from mvlsynth.netlist import (Gate, GateType, Netlist, NetlistBuilder,
                               NetlistError, gate_ports, validate)
 from mvlsynth.fileio import export_dot
-from mvlsynth.synth import build_decoder_1, build_nary_dlatch, mux_block_count
+from mvlsynth.synth import (build_decoder_1, build_fabric_decoder, build_nary_dff,
+                            build_nary_dlatch, mux_block_count)
 
 
 def _passthrough():
@@ -171,6 +172,25 @@ def test_state_groups_must_partition_latches():
     nl.state_groups.insert(0, ())  # an empty group takes a reset digit
     with pytest.raises(NetlistError, match="partition"):
         validate(nl)
+
+
+def test_a_storage_list_entry_that_is_no_string_is_refused():
+    # sorting a list of str and int entries once raised TypeError
+    fabric = build_fabric_decoder(2, 1)
+    fabric.latch_order[-1] = 7
+    with pytest.raises(NetlistError, match="^config_latch ordering list"):
+        validate(fabric)
+    dff = build_nary_dff(2)
+    dff.state_latches[-1] = 7
+    with pytest.raises(NetlistError, match="^nary_dlatch ordering list"):
+        validate(dff)
+    dff = build_nary_dff(2)
+    dff.state_groups = [(dff.state_latches[0], 7)]
+    with pytest.raises(NetlistError, match="partition"):
+        validate(dff)
+    dff.state_groups = [tuple(dff.state_latches), [["unhashable"]]]
+    with pytest.raises(NetlistError, match="partition"):
+        validate(dff)
 
 
 def test_port_lists_checked():

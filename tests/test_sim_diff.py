@@ -20,10 +20,10 @@ import pytest
 
 import reference_sim as ref
 from mvlsynth import sim
-from mvlsynth.netlist import GateType, NetlistBuilder, validate
+from mvlsynth.netlist import GateType, NetlistBuilder, levelized, validate
 from mvlsynth.oracle import random_table
 from mvlsynth.sim import FaultKind, SimFaultError, SimState, load_config, reset_state
-from mvlsynth.synth import (Strategy, _emit_table, build_decoder_1,
+from mvlsynth.synth import (Strategy, _emit_decoder_1, _emit_table, build_decoder_1,
                             build_fabric_decoder, build_fabric_mux,
                             build_nary_dff, build_nary_dlatch, compile_fsm,
                             derive_config, synth_tables)
@@ -102,11 +102,41 @@ def _inverter(b, prefix, d, n):
     return _emit_table(b, prefix, [d], tt, Strategy.DECODER)
 
 
-def _random_mesh(rng, latches=0):
+def _bank(b, rng, prefix, x, n, kinds):
+    """A constant bank on select x, as the decoder strategy builds one:
+    level k's constant is switched on by the OR of a group of x's one-hot
+    lines. The groups cover each line once, or one line is in two groups
+    (contention), or in none (floating); the kind drawn is added to kinds.
+    Returns the bank's net, {prefix}y."""
+    lines = _emit_decoder_1(b, f"{prefix}dec/", x, n)
+    groups = [[] for _ in range(n)]
+    for line in lines:
+        rng.choice(groups).append(line)
+    kind = rng.choice(["cover", "overlap", "gap"])
+    kinds.add(kind)
+    if kind != "cover":
+        line = rng.choice(lines)
+        home = next(g for g in groups if line in g)
+        if kind == "gap":
+            home.remove(line)
+        else:
+            rng.choice([g for g in groups if g is not home]).append(line)
+    y = b.net(n, nid=f"{prefix}y")
+    for level, group in enumerate(groups):
+        if group:
+            ctl = group[0] if len(group) == 1 else b.or_(f"{prefix}or{level}", group)
+            b.switch(f"{prefix}sw{level}", b.const(level, n), ctl, y)
+    return y
+
+
+def _random_mesh(rng, latches=0, banks=None):
     """Switch meshes with contention, floating nets and poison chains.
 
     Every gate reads nets made before it; latch outputs are made first so
-    that latch inputs can depend on them.
+    that latch inputs can depend on them. Given a set as banks, some gates
+    are constant banks (see _bank), half of them on a select that is a
+    switch net of the mesh, which may float or contend; the kinds drawn,
+    and "switch select", are added to the set.
     """
     b = NetlistBuilder()
     n = rng.choice([2, 3, 4])
@@ -121,7 +151,15 @@ def _random_mesh(rng, latches=0):
         bins.append(b.config_latch(f"cfg{i}"))
     qs = [b.net(n) for _ in range(latches)]
     rad.extend(qs)
+    sws = []  # the switch nets
     for i in range(rng.randint(4, 16)):
+        if banks is not None and rng.random() < 0.3:
+            x = rng.choice(rad)
+            if sws and rng.random() < 0.5:
+                x = rng.choice(sws)
+                banks.add("switch select")
+            rad.append(_bank(b, rng, f"bank{i}/", x, n, banks))
+            continue
         pick = rng.random()
         if pick < 0.2:
             bins.append(b.tlg(f"t{i}", rng.choice(rad), rng.randint(-1, n - 1)))
@@ -138,6 +176,7 @@ def _random_mesh(rng, latches=0):
             for k in range(rng.randint(1, 3)):
                 b.switch(f"sw{i}_{k}", rng.choice(rad), rng.choice(bins), y)
             rad.append(y)
+            sws.append(y)
     for i, q in enumerate(qs):
         b.add_gate(f"lat{i}", GateType.NARY_DLATCH,
                    {"d": rng.choice(rad), "q": q}, radix=n)
@@ -199,10 +238,10 @@ def _settle_endings(monkeypatch):
     return endings
 
 
-def _latch_mesh_steps(rng):
+def _latch_mesh_steps(rng, banks=None):
     """Draw a latch mesh, its configuration, a reset and four input
     vectors from rng, and step them through both simulators."""
-    nl = _random_mesh(rng, latches=rng.randint(1, 3))
+    nl = _random_mesh(rng, latches=rng.randint(1, 3), banks=banks)
     state = _random_config(nl, rng)
     if rng.random() < 0.9:
         reset_state(nl, [rng.randrange(nl.gates[g[0]].radix)
@@ -227,6 +266,39 @@ def test_a_mesh_that_oscillates_past_the_sweep_bound():
     # loop that stopped at the sweep bound would leave {lat0: 1, lat1: 1,
     # lat2: 1} after the first step, the first recurrence {1, 0, 0}.
     assert _latch_mesh_steps(random.Random(6)) == ["oscillation"] * 4
+
+
+def _bank_faults(nl, faults):
+    """The kinds of the faults on bank nets, and the number of nl's
+    switch nets that lower as level functions."""
+    levels = sim._lower(nl, levelized(nl))[2]
+    functions = sum(type(got[1]) is tuple for got in levels if got)
+    return {f.kind for f in faults if f.ref.startswith("bank")}, functions
+
+
+def test_constant_banks():
+    rng = random.Random(14)
+    drawn, kinds, functions = set(), set(), 0
+    for _ in range(300):
+        nl = _random_mesh(rng, banks=drawn)
+        state = _random_config(nl, rng)
+        _batch(nl, _all_vectors(nl, rng), state)
+        got = _bank_faults(nl, state.faults)
+        kinds |= got[0]
+        functions += got[1]
+    assert drawn == {"cover", "overlap", "gap", "switch select"}
+    assert functions and kinds == {FaultKind.CONTENTION, FaultKind.FLOATING_NET}
+
+
+def test_constant_banks_in_latch_meshes(monkeypatch):
+    endings = _settle_endings(monkeypatch)
+    rng = random.Random(15)
+    drawn, seen = set(), set()
+    for _ in range(250):
+        seen.update(_latch_mesh_steps(rng, drawn))
+    assert drawn == {"cover", "overlap", "gap", "switch select"}
+    assert seen == {"ok", "fault", "oscillation"}
+    assert endings == {"early", "confirmed"}
 
 
 def test_two_poisons_meeting_at_a_latch():

@@ -1,7 +1,8 @@
 """The lowered program: gates that compute the same op on the same slots
-share one op, a switch net is one op over all of its drivers, a switch on
-constant data drives one plane, and none of it changes what the simulator
-reports."""
+share one op, a threshold decoder's lines are level sets of the digit it
+decodes and cost no op, a switch net is one op over all of its drivers
+unless it is a level function of one digit, a switch on constant data
+drives one plane, and none of it changes what the simulator reports."""
 
 import random
 
@@ -9,9 +10,11 @@ import pytest
 
 from mvlsynth import sim
 from mvlsynth.netlist import GateType, NetlistBuilder, levelized
-from mvlsynth.sim import eval_vectors, reset_state
-from mvlsynth.synth import (GateStats, Strategy, build_mux_m, gate_stats,
-                            synth_tables)
+from mvlsynth.oracle import random_table
+from mvlsynth.sim import eval_vectors, load_config, reset_state
+from mvlsynth.synth import (GateStats, Strategy, build_decoder_1,
+                            build_fabric_mux, build_mux_m, derive_config,
+                            gate_stats, synth_tables)
 from mvlsynth.tables import TruthTable
 import test_sim_diff
 from test_sim_diff import _all_vectors, _batch, _random_config, _steps
@@ -19,9 +22,10 @@ from test_sim_diff import _all_vectors, _batch, _random_config, _steps
 
 class _TwinBuilder(NetlistBuilder):
     """Emits some TLG, NOT, AND and OR gates a second time on the same
-    inputs (a twin, which must share the first one's slot) and some ANDs
-    and ORs as the other kind too (a cousin, which must not), and hands
-    back either output, so that later gates read both."""
+    inputs (a twin, which must lower as the first one does) and some ANDs
+    and ORs as the other kind too (a cousin, which may share a slot only
+    when both are the same level set), and hands back either output, so
+    that later gates read both."""
 
     def __init__(self, rng):
         super().__init__()
@@ -64,16 +68,27 @@ def test_twin_gates_share_a_slot_and_match_the_reference(latches, monkeypatch):
         return builders[-1]
 
     monkeypatch.setattr(test_sim_diff, "NetlistBuilder", builder)
-    faults = twins = 0
+    faults = twins = sets = 0
     for _ in range(150):
         nl = test_sim_diff._random_mesh(rng, latches)
         b = builders[-1]
         number = {nid: i for i, nid in enumerate(nl.nets)}
-        planes = sim._lower(nl, levelized(nl))[1]
+        _, planes, levels = sim._lower(nl, levelized(nl))
         for y, twin in b.twins:
-            assert planes[number[y]] == planes[number[twin]]
+            y, twin = number[y], number[twin]
+            assert levels[y] == levels[twin]
+            if levels[y] is None or planes[y] and planes[twin]:
+                assert planes[y] == planes[twin]
         for y, cousin in b.cousins:
-            assert planes[number[y]] != planes[number[cousin]]
+            y, cousin = number[y], number[cousin]
+            if levels[y] is not None:  # both are level sets of one digit
+                sets += 1
+                if planes[y] and planes[cousin]:
+                    assert ((planes[y] == planes[cousin])
+                            == (levels[y] == levels[cousin]))
+            else:
+                assert levels[cousin] is None
+                assert planes[y] != planes[cousin]
         twins += len(b.twins)
         state = _random_config(nl, rng)
         if not latches:
@@ -86,7 +101,8 @@ def test_twin_gates_share_a_slot_and_match_the_reference(latches, monkeypatch):
                                  for r in nl.input_radixes())
                            for _ in range(4)])
         faults += len(state.faults)
-    assert twins and faults  # twins were emitted and the fault paths reached
+    # twins were emitted, cousins were level sets, the fault paths reached
+    assert twins and sets and faults
 
 
 def _logic_ops(prog):
@@ -115,14 +131,49 @@ def test_a_mux_tree_lowers_to_fewer_ops_than_its_gates():
 
 
 def test_a_switch_on_constant_data_drives_its_conducting_plane():
+    # a mux fabric's constant banks: configuration latches, no level sets,
+    # control each bank's switches, so each bank is one _NET op
     tt = TruthTable.make(3, 1, (2, 0, 1))
-    nl = synth_tables([tt], Strategy.MUX_TREE)
+    nl = build_fabric_mux(3, 1)
+    prog, planes, _ = sim._lower(nl, levelized(nl))
+    number = {nid: i for i, nid in enumerate(nl.nets)}
+    latches = dict(prog.config)
+    nets = {op[1]: op[2] for op in prog.ops if op[0] == sim._NET}
+    for k in range(3):
+        bank = nl.gates[f"selb{k}/sw0"].pins["y"]
+        assert nets[bank] == tuple((latches[f"selb{k}/d{v}"], y, (sim._FULL,))
+                                   for v, y in enumerate(planes[number[bank]]))
+    state = load_config(nl, derive_config(tt, nl))
+    assert eval_vectors(nl, [(0,), (1,), (2,)], state) == [(2,), (0,), (1,)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_one_digit_decoder_lowers_to_no_op(n):
+    # each line is a level set of one level: it aliases that level's plane
+    nl = build_decoder_1(n)
     prog = sim._compiled(nl)
-    switches = [drv for op in prog.ops if op[0] == sim._NET for drv in op[2]]
-    assert switches and all(d == (sim._FULL,) for _, _, d in switches)
-    out = prog.outputs[0]
-    assert sorted(y for _, y, _ in switches) == sorted(out[lvl] for lvl in tt.entries)
-    assert eval_vectors(nl, [(0,), (1,), (2,)]) == [(2,), (0,), (1,)]
+    assert prog.ops == ()
+    (x,) = prog.inputs
+    assert prog.outputs == tuple((sim._SINK, plane) for plane in x)
+    rows = [(v,) for v in range(n)]
+    assert eval_vectors(nl, rows) == [tuple(int(k == v) for k in range(n))
+                                      for v in range(n)]
+
+
+@pytest.mark.parametrize("strategy", [Strategy.DECODER, Strategy.MUX_TREE])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_one_digit_table_has_no_switch_net_op(strategy, n):
+    # its selector is a level function of the digit: each output plane is
+    # the OR of the input planes of the rows that give that level
+    rng = random.Random(n)
+    for tt in [TruthTable.make(n, 1, [0] * n)] + [random_table(n, 1, rng)
+                                                  for _ in range(5)]:
+        nl = synth_tables([tt], strategy)
+        prog = sim._compiled(nl)
+        assert {op[0] for op in prog.ops} <= {sim._OR}
+        assert len(prog.ops) == sum(tt.entries.count(v) > 1 for v in range(n))
+        assert eval_vectors(nl, [(v,) for v in range(n)]) == [
+            (e,) for e in tt.entries]
 
 
 def test_one_op_per_switch_net():
