@@ -23,7 +23,13 @@ that compute the same op on the same slots share one op and one slot.
 Every evaluation is one settle loop: sweep, commit the latch inputs,
 repeat until the latch contents stop changing. A settle loads every
 source once, checking each value where it sets its plane: the inputs, the
-clock phase, the latch contents and the configuration bits. An exhaustive
+clock phase, the latch contents and the configuration bits stored in
+SimState.config. A configuration bitstream is checked once when it is
+made (ConfigBitstream refuses any bit but 0 and 1, and keeps a tuple) and
+once where it enters, by load_config or check_equivalence (its type, its
+fingerprint, its length); only bits stored in SimState.config by hand are
+checked one by one. check_equivalence hands the stream's own bits to the
+settle, which sets the plane of each 1 bit with no lookup. An exhaustive
 sweep's inputs enter another way: the program builds its rows on first
 use and keeps them, with every input level's plane set in closed form,
 and a settle handed those very rows starts from a copy of the kept planes
@@ -107,6 +113,10 @@ class SimState:
     config: dict[str, int] = field(default_factory=dict)
     latches: dict[str, int] = field(default_factory=dict)
     faults: list[Fault] = field(default_factory=list)
+    # A checked stream's bits in latch_order, loaded in place of config;
+    # set only on check_equivalence's own state.
+    _bits: Optional[tuple[int, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
 
 # -- compiled program ---------------------------------------------------------
@@ -503,19 +513,33 @@ class _Cone:
     from a latch's d net through the netlist and derives the value the net
     held for the one vector: a level, None for floating, or the Fault
     poisoning it (first poisoned input of a gate, first poisoned
-    conducting driver of a switch net). Levels of sources are read from
-    the run's slots; a gate's level is computed from its inputs' levels,
-    since a level set or function may have no slot. Only the settle
-    loop's fault path builds one; it derives the netlist's records
-    afresh, by the walk validate makes.
+    conducting driver of a switch net). A source's level is read from the
+    run's slots, at the planes the program's inputs, clock, config and
+    latches fields give it; a constant's is its gate's param. A gate's
+    level is computed from its inputs' levels, since a level set or
+    function may have no slot. Only the settle loop's fault path builds
+    one; it derives the netlist's drivers afresh, by the walk validate
+    makes.
     """
 
-    def __init__(self, nl: Netlist, v: list[int], vector: tuple[int, ...]):
+    def __init__(self, nl: Netlist, prog: _Program, v: list[int],
+                 vector: tuple[int, ...]):
         self.v, self.vector = v, vector
         records = levelized(nl)
         self.names = list(nl.nets)
-        self.number = dict(zip(self.names, itertools.count()))
-        self.planes = _lower(nl, records)[1]
+        number = self.number = dict(zip(self.names, itertools.count()))
+        gates = nl.gates
+
+        def net(gid: str, pin: str) -> int:
+            return number[gates[gid].pins[pin]]
+
+        # each input's and storage element's planes, as the program loads them
+        sources = {net(gid, "y"): p for gid, p in zip(nl.inputs, prog.inputs)}
+        sources.update((net(gid, "q"), (_SINK, s)) for gid, s in prog.config)
+        sources.update((net(gid, "q"), q) for gid, q, _, _ in prog.latches)
+        if nl.clock is not None:
+            sources[number[nl.clock]] = prog.clock
+        self.sources = sources
         self.drivers: dict[int, list] = {}
         for rec in records:
             self.drivers.setdefault(rec[1], []).append(rec)
@@ -567,7 +591,9 @@ class _Cone:
             return int(all(ins))
         if kind is GateType.OR:
             return int(any(ins))
-        return _levels(self.v, self.planes[i], 1)[0]  # a source
+        if kind is GateType.CONST:
+            return g.param
+        return _levels(self.v, self.sources[i], 1)[0]  # an input or storage
 
 
 def _settle(nl: Netlist, prog: _Program, vectors: Sequence, state: SimState,
@@ -578,11 +604,16 @@ def _settle(nl: Netlist, prog: _Program, vectors: Sequence, state: SimState,
 
     Every source is loaded once, each value checked in the walk that sets
     its plane: the inputs vector by vector and the clock phase, then the
-    stored latch levels, then the configuration bits. A batch that is the
-    program's own exhaustive rows (the very tuple _exhaustive returned)
-    starts instead from a copy of the input planes kept with them. Each
-    sweep copies the loaded slots; a commit that changes a latch moves its
-    plane among them.
+    stored latch levels, then the configuration bits stored in
+    state.config. A batch that is the program's own exhaustive rows (the
+    very tuple _exhaustive returned) starts instead from a copy of the
+    input planes kept with them. A state that carries a stream's bits
+    (state._bits, set by check_equivalence) loads them in place of
+    state.config, setting each 1 bit's plane in prog.config order with no
+    lookup and no test: the stream was checked when it was made and again
+    where it entered, so only bits stored in state.config by hand are
+    checked one by one. Each sweep copies the loaded slots; a commit that
+    changes a latch moves its plane among them.
 
     A sweep that commits a change is normally followed by another. That
     confirming sweep is skipped when every latch that changed is read only
@@ -626,20 +657,25 @@ def _settle(nl: Netlist, prog: _Program, vectors: Sequence, state: SimState,
             raise ValueError(
                 f"latch {gid}: stored level {level!r} not in 0..{len(q) - 1}")
         sources[q[level]] = full
-    config = state.config
-    for gid, s in prog.config:
-        bit = config.get(gid)
-        if type(bit) is not int or not 0 <= bit <= 1:  # a bool is no bit
-            if gid not in config:
-                raise _logged(state, Fault(FaultKind.UNINITIALIZED_LATCH, gid))
-            raise ValueError(f"configuration latch {gid}: bit {bit!r} is not 0 or 1")
-        if bit:
+    if state._bits is not None:
+        for _, s in itertools.compress(prog.config, state._bits):
             sources[s] = full
+    else:
+        config = state.config
+        for gid, s in prog.config:
+            bit = config.get(gid)
+            if type(bit) is not int or not 0 <= bit <= 1:  # a bool is no bit
+                if gid not in config:
+                    raise _logged(state, Fault(FaultKind.UNINITIALIZED_LATCH, gid))
+                raise ValueError(f"configuration latch {gid}: bit {bit!r} is not 0 or 1")
+            if bit:
+                sources[s] = full
     bound, seen = len(prog.latches) + 2, set()
     for sweep in itertools.count(1):
         v = sources.copy()
         first = _run(prog, v, vectors)
-        cone = _Cone(nl, v, tuple(vectors[0])) if first and prog.latches else None
+        cone = (_Cone(nl, prog, v, tuple(vectors[0]))
+                if first and prog.latches else None)
         changed = []
         for gid, q, d, readers in prog.latches:
             if cone is None:  # a clean sweep of one vector: one plane is 1
@@ -702,21 +738,30 @@ def eval_combinational(nl: Netlist, inputs: Sequence[int],
     return result, state
 
 
+def _stream_bits(nl: Netlist, stream: ConfigBitstream) -> tuple[int, ...]:
+    """The bits of a stream that may program nl; each bit was checked when
+    the stream was made. A stream that carries a fingerprint must carry
+    this fabric's."""
+    if not isinstance(stream, ConfigBitstream):
+        raise ValueError(f"config must be a ConfigBitstream, got {stream!r}")
+    if stream.fingerprint is not None and stream.fingerprint != fingerprint(nl):
+        raise ValueError(
+            f"bitstream fingerprint {stream.fingerprint} does not match the "
+            f"netlist ({fingerprint(nl)}); refusing to load")
+    if len(stream.bits) != len(nl.latch_order):
+        raise ValueError(
+            f"bitstream has {len(stream.bits)} bits; fabric has "
+            f"{len(nl.latch_order)} configuration latches")
+    return stream.bits
+
+
 def load_config(nl: Netlist, bits: ConfigBitstream,
                 state: Optional[SimState] = None) -> SimState:
-    """Program the configuration latches, in latch_order. A stream that
-    carries a fingerprint must carry this fabric's."""
+    """Program the configuration latches, in latch_order, by filling
+    state.config, which a caller may still edit by hand."""
     if state is None:
         state = SimState()
-    if bits.fingerprint is not None and bits.fingerprint != fingerprint(nl):
-        raise ValueError(
-            f"bitstream fingerprint {bits.fingerprint} does not match the "
-            f"netlist ({fingerprint(nl)}); refusing to load")
-    if len(bits.bits) != len(nl.latch_order):
-        raise ValueError(
-            f"bitstream has {len(bits.bits)} bits; fabric has "
-            f"{len(nl.latch_order)} configuration latches")
-    state.config = dict(zip(nl.latch_order, bits.bits))
+    state.config = dict(zip(nl.latch_order, _stream_bits(nl, bits)))
     return state
 
 

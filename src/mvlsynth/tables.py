@@ -115,12 +115,23 @@ class FsmSpec:
 
 @dataclass(frozen=True)
 class ConfigBitstream:
-    """Binary values for a fabric's configuration latches, in latch_order."""
+    """Binary values for a fabric's configuration latches, in latch_order.
+
+    The bits are kept as a tuple, so the values checked here cannot change
+    afterwards: the simulator loads them with no per-bit check.
+    """
 
     bits: tuple[int, ...]
     fingerprint: Optional[str] = None
 
     def __post_init__(self):
+        if type(self.bits) is not tuple:
+            try:
+                bits = tuple(self.bits)
+            except TypeError:  # not iterable
+                raise ValueError(
+                    f"bitstream bits must be a sequence, got {self.bits!r}") from None
+            object.__setattr__(self, "bits", bits)
         for b in self.bits:
             if type(b) is not int or not 0 <= b <= 1:  # a bool is no bit
                 raise ValueError(f"bitstream values must be 0 or 1, got {b!r}")

@@ -93,6 +93,33 @@ def test_a_stream_for_another_fabric_is_refused():
     assert check_equivalence(mux, sum_tt, bare).summary() == "3/9 vectors, FAIL"
 
 
+@pytest.mark.parametrize("config", [(1, 0), [1, 0], {"c0": 1}])
+def test_a_config_that_is_no_bitstream_is_refused(config):
+    # each once raised AttributeError on its missing fingerprint
+    nl = build_fabric_decoder(2, 1)
+    tt = TruthTable.make(2, 1, (0, 1))
+    for load in (lambda: load_config(nl, config),
+                 lambda: check_equivalence(nl, tt, config=config)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"config must be a ConfigBitstream, got {config!r}")):
+            load()
+
+
+def test_a_bitstream_keeps_its_own_bits():
+    # bits built from a list are copied into a tuple: editing the list
+    # afterwards changes neither the stream nor a check run under it
+    nl = build_fabric_decoder(2, 1)
+    tt = TruthTable.make(2, 1, (1, 0))
+    raw = list(derive_config(tt, nl).bits)
+    stream = ConfigBitstream(raw)
+    assert type(stream.bits) is tuple and stream.bits == tuple(raw)
+    before = check_equivalence(nl, tt, config=stream)
+    assert before.passed
+    raw[:] = [1 - b for b in raw]
+    assert stream.bits == tuple(1 - b for b in raw)
+    assert check_equivalence(nl, tt, config=stream) == before
+
+
 def test_flat_selector_fabric():
     nl = build_fabric_mux(3, 2, tree=False)
     sum_tt = TruthTable.make(3, 2, SUM3)

@@ -4,13 +4,15 @@ import random
 
 import pytest
 
-from mvlsynth.oracle import (DEFAULT_CAP, EquivalenceReport, Mismatch,
-                             check_equivalence, check_fsm_equivalence,
+from mvlsynth.oracle import (DEFAULT_CAP, DEFAULT_SEED, EquivalenceReport,
+                             Mismatch, check_equivalence, check_fsm_equivalence,
                              oracle_eval, random_table, reference_half_adder)
-from mvlsynth.netlist import Gate, GateType, validate
-from mvlsynth.sim import Fault, FaultKind, SimState, eval_vectors, load_config
-from mvlsynth.synth import (Strategy, build_fabric_decoder, build_nary_dff,
-                            compile_fsm, derive_config, synth_tables)
+from mvlsynth.netlist import Gate, GateType, fingerprint, validate
+from mvlsynth.sim import (Fault, FaultKind, SimState, _exhaustive, eval_vectors,
+                          load_config)
+from mvlsynth.synth import (Strategy, build_fabric_decoder, build_fabric_mux,
+                            build_nary_dff, compile_fsm, derive_config,
+                            synth_tables)
 from mvlsynth.tables import ConfigBitstream, FsmSpec, TruthTable
 from mvlsynth.values import Radix, tt_digits, tt_index
 
@@ -144,6 +146,56 @@ def test_report_matches_indexed_lookup(cap):
     assert len(report.mismatches) > 1
     if report.exhaustive:
         assert {type(mm.got) for mm in report.mismatches} == {Fault, tuple}
+
+
+def _report_through_the_config_dict(nl, tt, config, cap):
+    """The report built by loading the stream into SimState.config, where
+    the settle checks each bit again: load_config, eval_vectors over the
+    same vectors, then a per-row compare."""
+    n = tt.radix.n
+    state = load_config(nl, config, SimState())
+    exhaustive = n**tt.arity <= cap
+    if exhaustive:
+        vectors, wants = _exhaustive(nl), tt.entries
+    else:
+        rng = random.Random(DEFAULT_SEED)
+        vectors = sorted(tuple(rng.randrange(n) for _ in range(tt.arity))
+                         for _ in range(cap))
+        wants = [tt.lookup(vec) for vec in vectors]
+    results = eval_vectors(nl, vectors, state)
+    mismatches = [Mismatch(vec, (want,), got) for vec, want, got
+                  in zip(vectors, wants, results) if got != (want,)]
+    return EquivalenceReport(len(vectors), tuple(mismatches), exhaustive,
+                             None if exhaustive else DEFAULT_SEED)
+
+
+@pytest.mark.parametrize("build", [
+    build_fabric_decoder,
+    lambda n, m: build_fabric_mux(n, m, tree=True),
+    lambda n, m: build_fabric_mux(n, m, tree=False)],
+    ids=["decoder", "mux-tree", "mux-flat"])
+def test_a_stream_handed_over_reports_as_one_loaded_into_the_dict(build):
+    # check_equivalence hands the stream's own bits to the settle; its
+    # report, faults included, must be the one the checked dict gives
+    rng = random.Random(26)
+    kinds = set()
+    for n, m in ((2, 1), (3, 2), (4, 2)):
+        nl = build(n, m)
+        tt = random_table(n, m, rng)
+        other = TruthTable(tt.radix, m, ((tt.entries[0] + 1) % n,) + tt.entries[1:])
+        derived = derive_config(tt, nl)
+        marked = ConfigBitstream(derived.bits, fingerprint(nl))
+        cases = [(tt, derived), (tt, marked), (other, marked)]
+        cases += [(tt, derived.flipped(i)) for i in range(len(derived.bits))]
+        for want, stream in cases:
+            for cap in (DEFAULT_CAP, n**m - 1):  # exhaustive, then sampled
+                got = check_equivalence(nl, want, config=stream, cap=cap)
+                assert got == _report_through_the_config_dict(nl, want, stream, cap)
+                kinds.update(mm.got.kind for mm in got.mismatches
+                             if isinstance(mm.got, Fault))
+        assert check_equivalence(nl, tt, config=marked).passed
+        assert not check_equivalence(nl, other, config=marked).passed
+    assert kinds == {FaultKind.CONTENTION, FaultKind.FLOATING_NET}
 
 
 def test_rejects_unsuitable_netlists():

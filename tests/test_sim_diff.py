@@ -261,6 +261,26 @@ def test_latch_meshes_with_poison_chains(monkeypatch):
     assert endings == {"early", "confirmed"}
 
 
+def test_a_faulting_latch_step_lowers_its_netlist_only_once(monkeypatch):
+    # the cone a faulting sweep walks reads its sources' planes from the
+    # compiled program: each mesh is lowered by its first step and never
+    # again, whatever its steps fault on
+    lowered = []
+    lower = sim._lower
+
+    def counted(nl, records):
+        lowered.append(nl)
+        return lower(nl, records)
+
+    monkeypatch.setattr(sim, "_lower", counted)
+    rng = random.Random(16)
+    seen = []
+    for _ in range(60):
+        seen += _latch_mesh_steps(rng, set())
+    assert "fault" in seen
+    assert len(lowered) == len(set(map(id, lowered))) == 60
+
+
 def test_a_mesh_that_oscillates_past_the_sweep_bound():
     # Three latches that cycle through their contents without settling: a
     # loop that stopped at the sweep bound would leave {lat0: 1, lat1: 1,

@@ -186,6 +186,13 @@ def test_bitstream_refuses_all_but_the_ints_0_and_1(bit):
         ConfigBitstream((0, bit, 1))
 
 
+@pytest.mark.parametrize("bits", [None, 5])
+def test_bitstream_refuses_bits_that_are_no_sequence(bits):
+    # each once raised TypeError on its iteration
+    with pytest.raises(ValueError, match=f"bits must be a sequence, got {bits!r}"):
+        ConfigBitstream(bits)
+
+
 def test_bitstream_validation_and_flip():
     bits = ConfigBitstream((0, 1, 1))
     assert bits.flipped(0).bits == (1, 1, 1)
