@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .netlist import Netlist
-from .sim import Fault, SimFaultError, SimState, _exhaustive, _stream_bits, \
-    eval_vectors, reset_state, step_sequential
+from .sim import Fault, SimFaultError, SimState, _exhaustive, eval_vectors, \
+    load_config, reset_state, step_sequential
 from .tables import ConfigBitstream, FsmSpec, TruthTable, _check_arity
 from .values import RadixLike, as_radix
 
@@ -67,16 +67,18 @@ def check_equivalence(nl: Netlist, tt: TruthTable,
     """Compare a single-output netlist against a table on its full domain.
 
     A configuration bitstream is required exactly when the netlist has
-    configuration latches. It is checked here once, as load_config checks
-    it (type, fingerprint, length), and its own bits are handed to the
-    settle: each was checked when the stream was made, so none is checked
-    again. Simulator faults count as mismatches.
+    configuration latches; it is loaded by load_config, with its checks.
+    A space over cap vectors is sampled from random.Random(seed), so the
+    seed must be an int: the report records it. Simulator faults count as
+    mismatches.
     """
     n = tt.radix.n
     if type(cap) is not int:  # a bool is no cap
         raise ValueError(f"exhaustive cap {cap!r} is not an integer")
     if cap < 1:
         raise ValueError(f"exhaustive cap must be at least 1, got {cap}")
+    if type(seed) is not int:  # None would draw from OS entropy
+        raise ValueError(f"seed {seed!r} is not an integer")
     if nl.clock is not None or nl.state_latches:
         raise ValueError("equivalence sweep needs a combinational netlist")
     if len(nl.outputs) != 1:
@@ -90,9 +92,7 @@ def check_equivalence(nl: Netlist, tt: TruthTable,
             raise ValueError("netlist has configuration latches; config required")
         raise ValueError("config given for a netlist without latches")
 
-    state = SimState()
-    if config is not None:
-        state._bits = _stream_bits(nl, config)
+    state = SimState() if config is None else load_config(nl, config)
 
     exhaustive = n**tt.arity <= cap
     if exhaustive:

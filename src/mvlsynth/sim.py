@@ -23,24 +23,24 @@ that compute the same op on the same slots share one op and one slot.
 Every evaluation is one settle loop: sweep, commit the latch inputs,
 repeat until the latch contents stop changing. A settle loads every
 source once, checking each value where it sets its plane: the inputs, the
-clock phase, the latch contents and the configuration bits stored in
-SimState.config. A configuration bitstream is checked once when it is
-made (ConfigBitstream refuses any bit but 0 and 1, and keeps a tuple) and
-once where it enters, by load_config or check_equivalence (its type, its
-fingerprint, its length); only bits stored in SimState.config by hand are
-checked one by one. check_equivalence hands the stream's own bits to the
-settle, which sets the plane of each 1 bit with no lookup. An exhaustive
-sweep's inputs enter another way: the program builds its rows on first
-use and keeps them, with every input level's plane set in closed form,
-and a settle handed those very rows starts from a copy of the kept planes
-with no per-value check, since the program generated every value; so a
-fabric checked under many bitstreams loads its inputs once. Each sweep
-copies those slots and runs the op list; a commit moves a changed latch's
-plane. A latch-free batch settles in one sweep. Radix-N storage elements
-are sources whose contents live in a SimState; a netlist with them
-settles a batch of one. The sweep that would confirm a commit is skipped
-when every latch that changed is read only as data by switches that are
-off, as in a master-slave flip-flop, so a clock phase costs one sweep.
+clock phase, the latch contents and the configuration bitstream held in
+SimState.config. A bitstream is checked once when it is made
+(ConfigBitstream refuses any bit but 0 and 1, and keeps a tuple), and by
+one check (its type, its fingerprint, its length) wherever it enters:
+load_config, and every settle, so a stream assigned by hand is refused
+as load_config would refuse it. The settle then sets the plane of each 1
+bit with no per-bit test. An exhaustive sweep's inputs enter another
+way: the program builds its rows on first use and keeps them, with every
+input level's plane set in closed form, and a settle handed those very
+rows starts from a copy of the kept planes with no per-value check, since
+the program generated every value; so a fabric checked under many
+bitstreams loads its inputs once. Each sweep copies those slots and runs
+the op list; a commit moves a changed latch's plane. A latch-free batch
+settles in one sweep. Radix-N storage elements are sources whose
+contents live in a SimState; a netlist with them settles a batch of one.
+The sweep that would confirm a commit is skipped when every latch that
+changed is read only as data by switches that are off, as in a
+master-slave flip-flop, so a clock phase costs one sweep.
 
 A switch net is N planes like any radix-N net, and one op per switch-driven
 net that is no level function computes them from all of its drivers in
@@ -104,19 +104,16 @@ class SimFaultError(RuntimeError):
 
 @dataclass
 class SimState:
-    """Simulator-owned storage: configuration bits, latch values, fault log.
+    """Simulator-owned storage: configuration bitstream (None while the
+    fabric is unprogrammed), latch values, fault log.
 
     Single-owner during an evaluation; distinct states over one shared
     netlist may run in parallel.
     """
 
-    config: dict[str, int] = field(default_factory=dict)
+    config: Optional[ConfigBitstream] = None
     latches: dict[str, int] = field(default_factory=dict)
     faults: list[Fault] = field(default_factory=list)
-    # A checked stream's bits in latch_order, loaded in place of config;
-    # set only on check_equivalence's own state.
-    _bits: Optional[tuple[int, ...]] = field(
-        default=None, init=False, repr=False, compare=False)
 
 
 # -- compiled program ---------------------------------------------------------
@@ -164,6 +161,9 @@ class _Program:
     # planes loaded. Never written after it is built.
     domain: Optional[tuple[tuple, list[int]]] = field(
         default=None, repr=False, compare=False)
+    # The netlist's fingerprint, hashed by _stream_bits at the first check
+    # of a stream that carries one.
+    fingerprint: Optional[str] = field(default=None, repr=False, compare=False)
 
 
 def _lower(nl: Netlist, records: list[tuple]
@@ -604,16 +604,15 @@ def _settle(nl: Netlist, prog: _Program, vectors: Sequence, state: SimState,
 
     Every source is loaded once, each value checked in the walk that sets
     its plane: the inputs vector by vector and the clock phase, then the
-    stored latch levels, then the configuration bits stored in
-    state.config. A batch that is the program's own exhaustive rows (the
-    very tuple _exhaustive returned) starts instead from a copy of the
-    input planes kept with them. A state that carries a stream's bits
-    (state._bits, set by check_equivalence) loads them in place of
-    state.config, setting each 1 bit's plane in prog.config order with no
-    lookup and no test: the stream was checked when it was made and again
-    where it entered, so only bits stored in state.config by hand are
-    checked one by one. Each sweep copies the loaded slots; a commit that
-    changes a latch moves its plane among them.
+    stored latch levels, then the bitstream in state.config. A batch that
+    is the program's own exhaustive rows (the very tuple _exhaustive
+    returned) starts instead from a copy of the input planes kept with
+    them. The bitstream gets load_config's one check, whoever stored it,
+    and then each 1 bit's plane is set in prog.config order with no
+    per-bit test: ConfigBitstream checked every bit when it was made. A
+    program with configuration latches and no bitstream is an
+    uninitialized-latch fault on the first of them. Each sweep copies the
+    loaded slots; a commit that changes a latch moves its plane among them.
 
     A sweep that commits a change is normally followed by another. That
     confirming sweep is skipped when every latch that changed is read only
@@ -657,19 +656,12 @@ def _settle(nl: Netlist, prog: _Program, vectors: Sequence, state: SimState,
             raise ValueError(
                 f"latch {gid}: stored level {level!r} not in 0..{len(q) - 1}")
         sources[q[level]] = full
-    if state._bits is not None:
-        for _, s in itertools.compress(prog.config, state._bits):
+    if state.config is not None:
+        for _, s in itertools.compress(
+                prog.config, _stream_bits(nl, prog, state.config)):
             sources[s] = full
-    else:
-        config = state.config
-        for gid, s in prog.config:
-            bit = config.get(gid)
-            if type(bit) is not int or not 0 <= bit <= 1:  # a bool is no bit
-                if gid not in config:
-                    raise _logged(state, Fault(FaultKind.UNINITIALIZED_LATCH, gid))
-                raise ValueError(f"configuration latch {gid}: bit {bit!r} is not 0 or 1")
-            if bit:
-                sources[s] = full
+    elif prog.config:
+        raise _logged(state, Fault(FaultKind.UNINITIALIZED_LATCH, prog.config[0][0]))
     bound, seen = len(prog.latches) + 2, set()
     for sweep in itertools.count(1):
         v = sources.copy()
@@ -738,30 +730,35 @@ def eval_combinational(nl: Netlist, inputs: Sequence[int],
     return result, state
 
 
-def _stream_bits(nl: Netlist, stream: ConfigBitstream) -> tuple[int, ...]:
-    """The bits of a stream that may program nl; each bit was checked when
-    the stream was made. A stream that carries a fingerprint must carry
-    this fabric's."""
+def _stream_bits(nl: Netlist, prog: _Program,
+                 stream: ConfigBitstream) -> tuple[int, ...]:
+    """The bits of a stream that may program nl, compiled as prog; each bit
+    was checked when the stream was made. A stream that carries a
+    fingerprint must carry this fabric's, hashed once per program."""
     if not isinstance(stream, ConfigBitstream):
         raise ValueError(f"config must be a ConfigBitstream, got {stream!r}")
-    if stream.fingerprint is not None and stream.fingerprint != fingerprint(nl):
-        raise ValueError(
-            f"bitstream fingerprint {stream.fingerprint} does not match the "
-            f"netlist ({fingerprint(nl)}); refusing to load")
-    if len(stream.bits) != len(nl.latch_order):
+    if stream.fingerprint is not None:
+        if prog.fingerprint is None:
+            prog.fingerprint = fingerprint(nl)
+        if stream.fingerprint != prog.fingerprint:
+            raise ValueError(
+                f"bitstream fingerprint {stream.fingerprint} does not match the "
+                f"netlist ({prog.fingerprint}); refusing to load")
+    if len(stream.bits) != len(prog.config):
         raise ValueError(
             f"bitstream has {len(stream.bits)} bits; fabric has "
-            f"{len(nl.latch_order)} configuration latches")
+            f"{len(prog.config)} configuration latches")
     return stream.bits
 
 
 def load_config(nl: Netlist, bits: ConfigBitstream,
                 state: Optional[SimState] = None) -> SimState:
-    """Program the configuration latches, in latch_order, by filling
-    state.config, which a caller may still edit by hand."""
+    """Program the configuration latches, in latch_order, by storing the
+    checked bitstream in state.config."""
+    _stream_bits(nl, _compiled(nl), bits)
     if state is None:
         state = SimState()
-    state.config = dict(zip(nl.latch_order, _stream_bits(nl, bits)))
+    state.config = bits
     return state
 
 

@@ -59,11 +59,14 @@ class _Pass:
                     "netlist has a clock pin; drive it with step_sequential")
             self.values[nl.clock] = [clock_value] * self.nbatch
 
+        # each configuration latch's bit, read from the stream in latch_order
+        config = ({} if state.config is None
+                  else dict(zip(nl.latch_order, state.config.bits)))
         for g in nl.gates.values():
             if g.kind is GateType.CONST:
                 self.values[g.pins["y"]] = [g.param] * self.nbatch
             elif g.kind is GateType.CONFIG_LATCH:
-                self.values[g.pins["q"]] = [state.config.get(g.gid, 0)] * self.nbatch
+                self.values[g.pins["q"]] = [config.get(g.gid, 0)] * self.nbatch
             elif g.kind is GateType.NARY_DLATCH:
                 if g.gid not in state.latches:
                     fault = Fault(FaultKind.UNINITIALIZED_LATCH, g.gid)

@@ -6,6 +6,7 @@ import pytest
 
 from mvlsynth import sim
 from mvlsynth.fileio import fingerprint
+from mvlsynth.netlist import validate
 from mvlsynth.oracle import check_equivalence, reference_half_adder
 from mvlsynth.sim import (Fault, FaultKind, SimFaultError, SimState,
                           eval_combinational, eval_vectors, load_config)
@@ -89,7 +90,7 @@ def test_a_stream_for_another_fabric_is_refused():
     assert check_equivalence(dec, sum_tt, stream).passed
     # a stream with no fingerprint is not checked
     bare = ConfigBitstream(stream.bits)
-    assert load_config(mux, bare).config == dict(zip(mux.latch_order, bare.bits))
+    assert load_config(mux, bare).config is bare
     assert check_equivalence(mux, sum_tt, bare).summary() == "3/9 vectors, FAIL"
 
 
@@ -120,6 +121,38 @@ def test_a_bitstream_keeps_its_own_bits():
     assert check_equivalence(nl, tt, config=stream) == before
 
 
+def test_a_fabric_is_hashed_once_per_program(monkeypatch):
+    # the fingerprint a stream must match is hashed at the first check of
+    # one that carries it and kept with the compiled program; a program
+    # checked only under bare streams, or under none, is never hashed
+    hashed = []
+
+    def counted(nl):
+        hashed.append(nl)
+        return fingerprint(nl)
+
+    monkeypatch.setattr(sim, "fingerprint", counted)
+    nl = build_fabric_mux(5, 2)  # 125 configuration latches
+    tt = TruthTable.make(5, 2, [(a + b) % 5 for a in range(5) for b in range(5)])
+    bare = derive_config(tt, nl)
+    assert check_equivalence(nl, tt, config=bare).passed
+    assert hashed == []
+    stream = ConfigBitstream(bare.bits, fingerprint(nl))
+    for _ in range(3):
+        assert eval_vectors(nl, [(1, 3)], load_config(nl, stream)) == [(4,)]
+        assert check_equivalence(nl, tt, config=stream).passed
+        with pytest.raises(ValueError, match="refusing to load"):
+            load_config(nl, ConfigBitstream(stream.bits, "sha256:0"))
+    assert hashed == [nl]
+    validate(nl)  # a new program hashes again, once
+    for _ in range(3):
+        assert check_equivalence(nl, tt, config=stream).passed
+    assert hashed == [nl, nl]
+    plain = synth_tables([tt], Strategy.MUX_TREE)
+    assert check_equivalence(plain, tt).passed
+    assert hashed == [nl, nl]
+
+
 def test_flat_selector_fabric():
     nl = build_fabric_mux(3, 2, tree=False)
     sum_tt = TruthTable.make(3, 2, SUM3)
@@ -146,26 +179,33 @@ def test_unconfigured_fabric_is_an_uninitialized_latch_fault():
 
 
 def test_first_unprogrammed_latch_in_latch_order_is_named():
+    # a state whose stream is taken away is unprogrammed again, and a
+    # batch names the first latch in latch_order, as a single vector does
     nl = build_fabric_mux(3, 1)
     state = load_config(nl, derive_config(TruthTable.make(3, 1, (2, 0, 1)), nl))
-    for gid in (nl.latch_order[5], nl.latch_order[2]):
-        del state.config[gid]
+    assert eval_vectors(nl, [(0,), (1,)], state) == [(2,), (0,)]
+    state.config = None
     with pytest.raises(SimFaultError) as err:
         eval_vectors(nl, [(0,), (1,)], state)
     assert err.value.fault == Fault(FaultKind.UNINITIALIZED_LATCH,
-                                    nl.latch_order[2])
+                                    nl.latch_order[0])
     assert state.faults == [err.value.fault]
 
 
 @pytest.mark.parametrize("bit", [2, -1, "0", True, False, 1.0, 0.0, None])
 def test_a_configuration_bit_that_is_not_0_or_1_is_refused(bit):
-    # set by hand: load_config only takes a ConfigBitstream's 0s and 1s
+    # no stream can hold it, and bits stored by hand as anything but a
+    # stream are refused at the settle, before any sweep
     nl = build_fabric_decoder(3, 1)
     state = load_config(nl, derive_config(TruthTable.make(3, 1, (2, 0, 1)), nl))
-    gid = nl.latch_order[4]
-    state.config[gid] = bit
-    with pytest.raises(ValueError,
-                       match=re.escape(f"latch {gid}: bit {bit!r} is not 0 or 1")):
+    bits = list(state.config.bits)
+    bits[4] = bit
+    with pytest.raises(ValueError, match=re.escape(
+            f"bitstream values must be 0 or 1, got {bit!r}")):
+        ConfigBitstream(bits)
+    state.config = bits
+    with pytest.raises(ValueError, match=re.escape(
+            f"config must be a ConfigBitstream, got {bits!r}")):
         eval_vectors(nl, [(0,), (1,), (2,)], state)
     assert state.faults == []
 

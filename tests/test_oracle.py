@@ -1,9 +1,11 @@
 """Equivalence checking against table semantics, and the reference tables."""
 
 import random
+import re
 
 import pytest
 
+import reference_sim as ref
 from mvlsynth.oracle import (DEFAULT_CAP, DEFAULT_SEED, EquivalenceReport,
                              Mismatch, check_equivalence, check_fsm_equivalence,
                              oracle_eval, random_table, reference_half_adder)
@@ -91,6 +93,17 @@ def test_a_cap_that_is_no_integer_is_refused(cap):
         check_equivalence(synth_tables([SUM3], Strategy.DECODER), SUM3, cap=cap)
 
 
+@pytest.mark.parametrize("seed", [None, True, 2.5, "7", [1]])
+def test_a_seed_that_is_no_integer_is_refused(seed):
+    # None once sampled from OS entropy and reported "(sampled, seed
+    # None)"; [1] died with TypeError. Refused even when nothing is sampled
+    nl = synth_tables([SUM3], Strategy.DECODER)
+    for cap in (DEFAULT_CAP, 4):
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed {seed!r} is not an integer")):
+            check_equivalence(nl, SUM3, cap=cap, seed=seed)
+
+
 def test_config_argument_matches_latches():
     fabric = build_fabric_decoder(3, 2)
     bits = derive_config(SUM3, fabric)
@@ -148,10 +161,10 @@ def test_report_matches_indexed_lookup(cap):
         assert {type(mm.got) for mm in report.mismatches} == {Fault, tuple}
 
 
-def _report_through_the_config_dict(nl, tt, config, cap):
-    """The report built by loading the stream into SimState.config, where
-    the settle checks each bit again: load_config, eval_vectors over the
-    same vectors, then a per-row compare."""
+def _report_through_the_reference(nl, tt, config, cap):
+    """The report the reference simulator gives, which reads each latch's
+    bit from the stream in latch_order: load_config, its eval_vectors over
+    the same vectors, then a per-row compare."""
     n = tt.radix.n
     state = load_config(nl, config, SimState())
     exhaustive = n**tt.arity <= cap
@@ -162,7 +175,7 @@ def _report_through_the_config_dict(nl, tt, config, cap):
         vectors = sorted(tuple(rng.randrange(n) for _ in range(tt.arity))
                          for _ in range(cap))
         wants = [tt.lookup(vec) for vec in vectors]
-    results = eval_vectors(nl, vectors, state)
+    results = ref.eval_vectors(nl, vectors, state)
     mismatches = [Mismatch(vec, (want,), got) for vec, want, got
                   in zip(vectors, wants, results) if got != (want,)]
     return EquivalenceReport(len(vectors), tuple(mismatches), exhaustive,
@@ -174,9 +187,10 @@ def _report_through_the_config_dict(nl, tt, config, cap):
     lambda n, m: build_fabric_mux(n, m, tree=True),
     lambda n, m: build_fabric_mux(n, m, tree=False)],
     ids=["decoder", "mux-tree", "mux-flat"])
-def test_a_stream_handed_over_reports_as_one_loaded_into_the_dict(build):
-    # check_equivalence hands the stream's own bits to the settle; its
-    # report, faults included, must be the one the checked dict gives
+def test_a_loaded_stream_reports_as_in_the_reference_simulator(build):
+    # check_equivalence sets the planes of the stream's 1 bits, over the
+    # program's kept rows; its report, faults included, must be the one
+    # the reference gives
     rng = random.Random(26)
     kinds = set()
     for n, m in ((2, 1), (3, 2), (4, 2)):
@@ -190,7 +204,7 @@ def test_a_stream_handed_over_reports_as_one_loaded_into_the_dict(build):
         for want, stream in cases:
             for cap in (DEFAULT_CAP, n**m - 1):  # exhaustive, then sampled
                 got = check_equivalence(nl, want, config=stream, cap=cap)
-                assert got == _report_through_the_config_dict(nl, want, stream, cap)
+                assert got == _report_through_the_reference(nl, want, stream, cap)
                 kinds.update(mm.got.kind for mm in got.mismatches
                              if isinstance(mm.got, Fault))
         assert check_equivalence(nl, tt, config=marked).passed

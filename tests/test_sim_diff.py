@@ -15,12 +15,14 @@ over an equal list of the same rows.
 import copy
 import itertools
 import random
+import re
 
 import pytest
 
 import reference_sim as ref
 from mvlsynth import sim
-from mvlsynth.netlist import GateType, NetlistBuilder, levelized, validate
+from mvlsynth.netlist import (GateType, NetlistBuilder, fingerprint, levelized,
+                              validate)
 from mvlsynth.oracle import random_table
 from mvlsynth.sim import FaultKind, SimFaultError, SimState, load_config, reset_state
 from mvlsynth.synth import (Strategy, _emit_decoder_1, _emit_table, build_decoder_1,
@@ -450,8 +452,18 @@ def test_kept_rows_load_from_the_kept_planes():
 
 
 def test_kept_rows_still_check_the_configuration():
+    # a stream stored by hand gets load_config's refusals at the settle,
+    # on the kept rows as on the checked walk, before any sweep
     nl = build_fabric_decoder(2, 1)
+    other = build_fabric_mux(2, 1)  # same latch count, another addressing
     rows = sim._exhaustive(nl)
-    state = SimState(config=dict.fromkeys(nl.latch_order, 2))
-    with pytest.raises(ValueError, match="is not 0 or 1"):
-        sim.eval_vectors(nl, rows, state)
+    bits = derive_config(TruthTable.make(2, 1, (1, 0)), nl).bits
+    for stream in (ConfigBitstream(bits, fingerprint(other)),
+                   ConfigBitstream(bits[:-1]), bits, list(bits)):
+        with pytest.raises(ValueError) as refused:
+            load_config(nl, stream)
+        for vectors in (rows, list(rows)):
+            state = SimState(config=stream)
+            with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+                sim.eval_vectors(nl, vectors, state)
+            assert state.faults == []
