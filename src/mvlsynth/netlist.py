@@ -10,6 +10,7 @@ at most one conducts at a time).
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -74,8 +75,19 @@ class PortSig(NamedTuple):
 _ANY = -1
 _OWN = -2                           # in a layout: the gate's own radix
 
+# Gate kinds of the combinational core; the others are sources and sinks.
+_COMB = (_TLG, _AND, _OR, _NOT, _SWITCH)
+
+
+@functools.lru_cache(maxsize=256)
+def _fan_in_names(n: int) -> tuple[str, ...]:
+    """Port names a0..a{n-1} of an AND/OR of fan-in n."""
+    return tuple(f"a{i}" for i in range(n))
+
+
 # Port layouts, as (name, is_input, radix) triples, keyed by id(kind) as
 # _PORTS is. AND and OR have ports a0..a{n-1}, y for fan-in n instead.
+# Every layout lists its inputs before its one output, if it has one.
 _LAYOUTS = {
     id(_TLG): (("d", True, _ANY), ("y", False, None)),
     id(_NOT): (("a", True, None), ("y", False, None)),
@@ -87,15 +99,19 @@ _LAYOUTS = {
     id(_OUTPUT): (("a", True, _OWN),),
 }
 
-# Shared port signatures and their port-name sets, keyed by (id(kind),
-# fan-in) for AND/OR and by (id(kind), radix) for every other kind: a
-# GateType member is a singleton, and hashing the member itself runs
-# Enum.__hash__ in Python. Only signatures that built cleanly are stored,
-# so a bad fan-in or an unknown kind raises on every call.
-_PORTS: dict[tuple, tuple[tuple[PortSig, ...], frozenset[str]]] = {}
+# One port plan per signature, keyed by (id(kind), fan-in) for AND/OR and
+# by (id(kind), radix) for every other kind: a GateType member is a
+# singleton, and hashing the member itself runs Enum.__hash__ in Python.
+# A plan is (the shared PortSig tuple, its name set, the inputs as (name,
+# radix) pairs, the output as one such pair or None, whether the kind is
+# combinational). Only plans that built cleanly are stored, so a bad
+# fan-in or an unknown kind raises on every call. A plan's size grows with
+# its fan-in, so the table starts afresh past _PLANS of them.
+_PORTS: dict[tuple, tuple] = {}
+_PLANS = 256
 
 
-def _signature(g: Gate) -> tuple[tuple[PortSig, ...], frozenset[str]]:
+def _signature(g: Gate) -> tuple:
     # before the cache read: 2.0 or True would find radix 2's or 1's entry
     if g.radix is not None and (why := radix_problem(g.radix)):
         raise NetlistError(f"gate {g.gid}: {why}")
@@ -109,7 +125,7 @@ def _signature(g: Gate) -> tuple[tuple[PortSig, ...], frozenset[str]]:
         if counted:
             if g.param < 1:
                 raise NetlistError(f"{g.gid}: fan-in must be >= 1")
-            layout = [(f"a{i}", True, None) for i in range(g.param)]
+            layout = [(name, True, None) for name in _fan_in_names(g.param)]
             layout.append(("y", False, None))
         elif id(k) in _LAYOUTS:
             layout = [(name, is_input, g.radix if radix == _OWN else radix)
@@ -117,7 +133,12 @@ def _signature(g: Gate) -> tuple[tuple[PortSig, ...], frozenset[str]]:
         else:
             raise NetlistError(f"unknown gate kind {k!r}")
         ports = tuple(PortSig(*p) for p in layout)
-        sig = _PORTS[key] = (ports, frozenset(p.name for p in ports))
+        last = ports[-1]
+        if len(_PORTS) >= _PLANS:
+            _PORTS.clear()
+        sig = _PORTS[key] = (ports, frozenset(p.name for p in ports),
+                             tuple((p.name, p.radix) for p in ports if p.is_input),
+                             None if last.is_input else (last.name, last.radix), k in _COMB)
     return sig
 
 
@@ -127,10 +148,6 @@ def gate_ports(g: Gate) -> tuple[PortSig, ...]:
     The tuple is shared by every gate with the same signature.
     """
     return _signature(g)[0]
-
-
-# Gate kinds outside the combinational core: sources, sinks and storage.
-_NOT_COMB = (*STATEFUL, GateType.INPUT, GateType.CONST, GateType.OUTPUT)
 
 
 @dataclass
@@ -174,8 +191,7 @@ class Netlist:
         """Topological order of the combinational core, derived afresh by
         the walk validate makes; raises NetlistError if the netlist is
         invalid."""
-        return [rec[0].gid for rec in levelized(self)
-                if rec[0].kind not in _NOT_COMB]
+        return [rec[0].gid for rec in levelized(self) if rec[0].kind in _COMB]
 
 
 # Refusals of a port, storage or state group list entry, shared by
@@ -190,10 +206,12 @@ def _listed_radixes(nl: Netlist, lst: list[str], kind: GateType,
                     error: str) -> list[Optional[int]]:
     """The radix of each gate lst names; an entry naming no gate of the
     given kind raises NetlistError with validate's message for it."""
+    if not isinstance(lst, _LIST):  # a str would name its characters
+        raise NetlistError(error.format(kind=kind.value, gid=repr(lst)))
     gates = nl.gates
     radixes = []
     for gid in lst:
-        g = gates.get(gid)
+        g = gates.get(gid) if type(gid) is str else None  # a list is unhashable
         if g is None or g.kind is not kind:
             raise NetlistError(error.format(kind=kind.value, gid=gid))
         radixes.append(g.radix)
@@ -212,29 +230,28 @@ def _driver_map(nl: Netlist) -> dict[str, list[str]]:
     levelized(nl)
     drivers: dict[str, list[str]] = {nid: [] for nid in nl.nets}
     for g in nl.gates.values():
-        for sig in gate_ports(g):
-            if not sig.is_input:
-                drivers[g.pins[sig.name]].append(g.gid)
+        out = _signature(g)[3]
+        if out is not None:
+            drivers[g.pins[out[0]]].append(g.gid)
     return drivers
 
 
-def _levelize(comb: list[tuple], nnets: int) -> list[tuple]:
+def _levelize(comb: list[tuple], ins: list[list[int]],
+              pending: list[int]) -> list[tuple]:
     """Kahn order over the combinational gates; other drivers act as sources.
 
-    A gate becomes ready once every one of its input nets is resolved; a
-    net resolves once all of its combinational drivers have run. Ready
-    gates join one queue, which is walked as it grows. Raises on
-    combinational cycles.
+    Takes from levelized's walk each gate's record and input nets, and each
+    net's count of combinational drivers, which it uses up. A gate becomes
+    ready once every one of its input nets is resolved; a net resolves once
+    all of its combinational drivers have run. Ready gates join one queue,
+    which is walked as it grows. Raises on combinational cycles.
     """
-    pending = [0] * nnets                   # unrun drivers, per net
-    for gate in comb:
-        pending[gate[1]] += 1
     waiting: list[int] = []                 # unresolved inputs, per gate
-    watchers: list[Optional[list[int]]] = [None] * nnets  # per net
+    watchers: list[Optional[list[int]]] = [None] * len(pending)  # per net
     queue: list[tuple] = []
-    for i, gate in enumerate(comb):
+    for i, xs in enumerate(ins):
         unresolved = 0
-        for x in gate[2:]:
+        for x in xs:
             if pending[x]:
                 unresolved += 1
                 if watchers[x] is None:
@@ -243,7 +260,7 @@ def _levelize(comb: list[tuple], nnets: int) -> list[tuple]:
                     watchers[x].append(i)
         waiting.append(unresolved)
         if not unresolved:
-            queue.append(gate)
+            queue.append(comb[i])
 
     for gate in queue:
         y = gate[1]
@@ -282,26 +299,35 @@ def _bad_param(g: Gate, what: str, bound: str) -> NetlistError:
     return NetlistError(f"{g.gid}: {what} {g.param!r} is not an integer")
 
 
-def levelized(nl: Netlist) -> list[tuple]:
+class _Records(list):
+    """levelized's records; number maps each net id to the number they use."""
+    __slots__ = ("number",)
+
+
+_LIST = (list, tuple)  # the types a port, storage or state group list may have
+
+
+def levelized(nl: Netlist) -> _Records:
     """Check every structural rule; return one record per driving gate.
 
     A record is a flat tuple (gate, y, *ins): the gate, the number of its
     output net and the numbers of its input nets in port order, with nets
-    numbered in nl.nets order. The sources (inputs, constants and storage,
-    which have no ins) come first in gate order, then the combinational
-    gates in eval order. Flat tuples keep small the records a netlist holds
-    until its first lowering.
+    numbered in nl.nets order, which the list's number attribute holds.
+    The sources (inputs, constants and storage, which have no ins) come
+    first in gate order, then the combinational gates in eval order. Flat
+    tuples keep small the records a netlist holds until its first lowering.
 
-    One walk over every gate's ports checks them, numbers their nets and
-    collects the drivers, the storage and the records. The first violation
-    raises NetlistError.
-    When a netlist breaks several rules, the one reported is the first in
-    this order: net ids and radixes, each gate in turn (first, that its
-    key is a string and its id), the drivers of each net, the storage
-    lists, the port lists, the clock, unlisted input ports, combinational
-    cycles.
+    One walk over every gate checks its ports by its signature's port
+    plan (the inputs, then the output), numbers their nets and collects
+    the drivers, the storage, the records and each net's count of
+    combinational drivers for the Kahn order. The first violation raises
+    NetlistError. When a netlist breaks several rules, the one reported is
+    the first in this order: net ids and radixes, each gate in turn (first,
+    that its key is a string, that it is a Gate, and its id), the drivers
+    of each net, the storage lists, the port lists, the clock, unlisted
+    input ports, combinational cycles.
     """
-    nets = nl.nets
+    nets, gates = nl.nets, nl.gates
     number: dict[str, int] = {}
     radixes: list[Optional[int]] = []
     for i, (nid, r) in enumerate(nets.items()):
@@ -312,81 +338,96 @@ def levelized(nl: Netlist) -> list[tuple]:
         number[nid] = i
         radixes.append(r)
     driver: list[Optional[str]] = [None] * len(radixes)  # first, per net
+    pending = [0] * len(radixes)            # combinational drivers, per net
     shared: list[tuple[int, str]] = []      # each further driver, with its net
     sources: list[tuple] = []
     comb: list[tuple] = []
+    comb_ins: list[list[int]] = []          # each combinational gate's inputs
     config: list[str] = []                  # CONFIG_LATCH ids, in gate order
     state: list[str] = []                   # NARY_DLATCH ids, in gate order
     ports: list[Gate] = []                  # INPUT gates
-    for gid, g in nl.gates.items():
-        if type(gid) is not str:
-            raise NetlistError(f"gate id {gid!r} is not a string")
-        if g.gid != gid:
-            raise NetlistError(f"gate {g.gid} is stored under key {gid!r}")
-        kind, pins, radix = g.kind, g.pins, g.radix
-        # a bad radix first: -1 would read as _ANY
-        if radix is not None and (why := radix_problem(radix)):
-            raise NetlistError(f"gate {g.gid}: {why}")
-        if kind is _NARY_DLATCH and radix is None:
-            raise NetlistError(f"{g.gid}: {kind.value} needs a radix")
-        if kind in _FAN_IN:
-            # before the signature, whose size grows with the declared fan-in
-            if type(g.param) is int and g.param > len(pins):
-                raise NetlistError(f"{g.gid}: fan-in {g.param} exceeds its {len(pins)} pins")
-            sig = _PORTS.get((id(kind), g.param)) if type(g.param) is int else None
-        else:
-            sig = _PORTS.get((id(kind), radix))
-        # _signature's cache read inline: the call costs more than the
-        # lookup; a miss builds it, or raises for a bad fan-in
-        sigs, names = sig or _signature(g)
-        if pins.keys() != names:
-            missing = sorted(names - set(pins))
-            extra = sorted(set(pins) - names)
-            raise NetlistError(
-                f"{g.gid}: dangling or unknown ports (missing {missing}, extra {extra})"
-            )
-        ins: list[int] = []
-        out = -1
-        for name, is_input, want in sigs:
-            i = number.get(pins[name])
-            if i is None or radixes[i] != want and (want != _ANY or radixes[i] is None):
-                raise _port_error(g, name, want, i, radixes)
-            if is_input:
-                ins.append(i)
+    for gid, g in gates.items():
+        try:
+            if type(gid) is not str:
+                raise NetlistError(f"gate id {gid!r} is not a string")
+            if g.gid != gid:
+                raise NetlistError(f"gate {g.gid} is stored under key {gid!r}")
+            kind, pins, radix = g.kind, g.pins, g.radix
+            # a bad radix first: -1 would read as _ANY
+            if radix is not None and (why := radix_problem(radix)):
+                raise NetlistError(f"gate {gid}: {why}")
+            if kind is _NARY_DLATCH and radix is None:
+                raise NetlistError(f"{gid}: {kind.value} needs a radix")
+            if kind in _FAN_IN:
+                # before the plan, whose size grows with the declared fan-in
+                if type(g.param) is int and g.param > len(pins):
+                    raise NetlistError(f"{gid}: fan-in {g.param} exceeds its {len(pins)} pins")
+                plan = _PORTS.get((id(kind), g.param)) if type(g.param) is int else None
             else:
-                out = i
-                if driver[i] is None:
-                    driver[i] = g.gid
-                else:
-                    shared.append((i, g.gid))
-        if kind in _NOT_COMB:
-            if kind is _CONST:
-                hi = 1 if radix is None else radix - 1
-                if type(g.param) is not int or not 0 <= g.param <= hi:
-                    raise _bad_param(g, "constant", f"out of range 0..{hi}")
-            elif kind is _CONFIG_LATCH:
-                config.append(g.gid)
-            elif kind is _NARY_DLATCH:
-                state.append(g.gid)
-            elif kind is _INPUT:
-                ports.append(g)
-            if kind is not _OUTPUT:
+                plan = _PORTS.get((id(kind), radix))
+            # _signature's cache read inline: the call costs more than the
+            # lookup; a miss builds the plan, or raises for a bad fan-in
+            _, names, wants, drives, is_comb = plan or _signature(g)
+            if pins.keys() != names:
+                missing = sorted(names - set(pins))
+                extra = sorted(set(pins) - names)
+                raise NetlistError(
+                    f"{gid}: dangling or unknown ports (missing {missing}, extra {extra})"
+                )
+            ins: list[int] = []
+            for name, want in wants:
+                i = number.get(pins[name])
+                if i is None or radixes[i] != want and (want != _ANY or radixes[i] is None):
+                    raise _port_error(g, name, want, i, radixes)
+                ins.append(i)
+            if drives is None:  # an output port
+                continue
+            name, want = drives
+            out = number.get(pins[name])
+            if out is None or radixes[out] != want and (want != _ANY or radixes[out] is None):
+                raise _port_error(g, name, want, out, radixes)
+            if driver[out] is None:
+                driver[out] = gid
+            else:
+                shared.append((out, gid))
+            if not is_comb:
+                if kind is _CONST:
+                    hi = 1 if radix is None else radix - 1
+                    if type(g.param) is not int or not 0 <= g.param <= hi:
+                        raise _bad_param(g, "constant", f"out of range 0..{hi}")
+                elif kind is _CONFIG_LATCH:
+                    config.append(gid)
+                elif kind is _NARY_DLATCH:
+                    state.append(gid)
+                elif kind is _INPUT:
+                    ports.append(g)
                 sources.append((g, out))
-            continue
-        if kind is _SWITCH:
-            if radixes[ins[0]] != radixes[out]:
-                raise NetlistError(f"{g.gid}: switch data radix {radixes[ins[0]]} "
-                                   f"!= output radix {radixes[out]}")
-        elif kind is _TLG:
-            n = radixes[ins[0]]
-            if type(g.param) is not int or not -1 <= g.param <= n - 1:
-                raise _bad_param(g, "threshold", f"outside -1..{n - 1} for radix {n}")
-        comb.append((g, out, *ins))
+                continue
+            pending[out] += 1
+            if kind is _SWITCH:
+                if radixes[ins[0]] != radixes[out]:
+                    raise NetlistError(f"{gid}: switch data radix {radixes[ins[0]]} "
+                                       f"!= output radix {radixes[out]}")
+            elif kind is _TLG:
+                n = radixes[ins[0]]
+                if type(g.param) is not int or not -1 <= g.param <= n - 1:
+                    raise _bad_param(g, "threshold", f"outside -1..{n - 1} for radix {n}")
+            comb.append((g, out, *ins))
+            comb_ins.append(ins)
+        except (AttributeError, TypeError):  # the clean path tests none of these
+            if type(g) is not Gate:
+                raise NetlistError(f"gate {gid} is not a Gate: {g!r}") from None
+            if type(g.pins) is not dict:
+                raise NetlistError(f"{gid}: pins {g.pins!r} is not a dict") from None
+            for name, nid in g.pins.items():
+                if type(nid) is not str:
+                    raise NetlistError(f"{gid}.{name}: unknown net {nid!r}") from None
+            raise
 
     bad = driver.index(None) if None in driver else len(driver)
     for i, gid in shared:
-        if i < bad and (nl.gates[gid].kind is not _SWITCH
-                        or nl.gates[driver[i]].kind is not _SWITCH):
+        if i < bad and (gates[gid].kind is not _SWITCH
+                        or gates[driver[i]].kind is not _SWITCH):
             bad = i
     if bad < len(driver):
         nid = list(nets)[bad]
@@ -398,32 +439,41 @@ def levelized(nl: Netlist) -> list[tuple]:
     # entry types first: a set of mixed or unhashable entries cannot compare
     for lst, actual, kind in ((nl.latch_order, config, _CONFIG_LATCH),
                               (nl.state_latches, state, _NARY_DLATCH)):
-        if (any(type(gid) is not str for gid in lst)
+        if not isinstance(lst, _LIST) or (lst or actual) and (
+                any(type(gid) is not str for gid in lst)
                 or len(set(lst)) != len(lst) or set(lst) != set(actual)):
             raise NetlistError(_BAD_ORDER.format(kind=kind.value))
-    grouped = [gid for grp in nl.state_groups for gid in grp]
-    if (not all(nl.state_groups) or any(type(gid) is not str for gid in grouped)
-            or len(grouped) != len(state) or set(grouped) != set(state)):
+    groups = nl.state_groups
+    if not isinstance(groups, _LIST) or (groups or state) and (
+            not all(isinstance(grp, _LIST) and grp for grp in groups)
+            or any(type(gid) is not str for grp in groups for gid in grp)
+            or sum(map(len, groups)) != len(state)
+            or {gid for grp in groups for gid in grp} != set(state)):
         raise NetlistError(_BAD_GROUPS)
 
     for lst, kind in ((nl.inputs, _INPUT), (nl.outputs, _OUTPUT)):
+        if not isinstance(lst, _LIST):
+            raise NetlistError(f"{kind.value} list {lst!r} is not a list")
         for gid in lst:
-            if gid not in nl.gates or nl.gates[gid].kind is not kind:
+            if type(gid) is not str or gid not in gates or gates[gid].kind is not kind:
                 raise NetlistError(_NOT_A_PORT.format(kind=kind.value, gid=gid))
         if len(set(lst)) != len(lst):
             raise NetlistError(f"{kind.value} list repeats an entry")
+    listed = set(nl.inputs)
     if nl.clock is not None:
-        if nl.clock not in number:
+        if type(nl.clock) is not str or nl.clock not in number:
             raise NetlistError(f"clock net {nl.clock} does not exist")
         first = driver[number[nl.clock]]
-        if nl.gates[first].kind is not _INPUT or first in nl.inputs:
+        if gates[first].kind is not _INPUT or first in listed:
             raise NetlistError(
                 f"clock net {nl.clock} is not driven by a dedicated input port")
     for g in ports:
-        if g.gid not in nl.inputs and g.pins["y"] != nl.clock:
+        if g.gid not in listed and g.pins["y"] != nl.clock:
             raise NetlistError(f"input port {g.gid} is neither listed nor the clock")
 
-    return sources + _levelize(comb, len(radixes))
+    records = _Records(sources + _levelize(comb, comb_ins, pending))
+    records.number = number
+    return records
 
 
 def validate(nl: Netlist) -> None:
@@ -437,12 +487,18 @@ def validate(nl: Netlist) -> None:
     nl._records = levelized(nl)
 
 
+# Internal net names w0..w255, formatted once; later ones as they are made.
+_WIRES = tuple(f"w{k}" for k in range(256))
+
+
 class NetlistBuilder:
     """Incremental construction with deterministic ids.
 
-    Internal nets are numbered w0, w1, ... in creation order; input ports
-    drive nets named after the port. Gate ids are hierarchical paths
-    supplied by the synthesis layer (e.g. "dec/tlg1").
+    Internal nets are numbered w0, w1, ... in creation order, their names
+    read from one fixed table up to its length; input ports drive nets
+    named after the port. Gate ids are hierarchical paths supplied by the
+    synthesis layer (e.g. "dec/tlg1"), which formats each block's ids once.
+    An AND/OR's pins take the names of the port plan for its fan-in.
     """
 
     def __init__(self):
@@ -461,8 +517,9 @@ class NetlistBuilder:
 
     def net(self, radix: Optional[int] = None, nid: Optional[str] = None) -> str:
         if nid is None:
-            nid = f"w{self._wire_seq}"
-            self._wire_seq += 1
+            k = self._wire_seq
+            nid = _WIRES[k] if k < len(_WIRES) else f"w{k}"
+            self._wire_seq = k + 1
         if nid in self.nets:
             raise NetlistError(f"duplicate net id {nid!r}")
         self.nets[nid] = radix
@@ -492,7 +549,7 @@ class NetlistBuilder:
 
     def tlg(self, gid: str, d: str, threshold: int) -> str:
         y = self.net(None)
-        self.add_gate(gid, _TLG, {"d": d, "y": y}, param=threshold)
+        self.add_gate(gid, _TLG, {"d": d, "y": y}, threshold)
         return y
 
     def not_(self, gid: str, a: str) -> str:
@@ -511,9 +568,9 @@ class NetlistBuilder:
         if len(ins) == 1:
             return ins[0]
         y = self.net(None)
-        pins = {f"a{i}": n for i, n in enumerate(ins)}
+        pins = dict(zip(_fan_in_names(len(ins)), ins))
         pins["y"] = y
-        self.add_gate(gid, kind, pins, param=len(ins))
+        self.add_gate(gid, kind, pins, len(ins))
         return y
 
     def switch(self, gid: str, d: str, c: str, y: str) -> None:
@@ -521,14 +578,13 @@ class NetlistBuilder:
 
     def const(self, value: int, radix: Optional[int]) -> str:
         """Constant driver, deduplicated per (value, radix)."""
-        key = (value, radix)
-        if key not in self._consts:
+        y = self._consts.get((value, radix))
+        if y is None:
             tag = "b" if radix is None else f"r{radix}"
             gid = f"const_{tag}_{value}"
-            y = self.net(radix, nid=f"{gid}_w")
-            self.add_gate(gid, _CONST, {"y": y}, param=value, radix=radix)
-            self._consts[key] = y
-        return self._consts[key]
+            y = self._consts[value, radix] = self.net(radix, nid=f"{gid}_w")
+            self.add_gate(gid, _CONST, {"y": y}, value, radix)
+        return y
 
     def config_latch(self, gid: str) -> str:
         q = self.net(None)

@@ -1,24 +1,25 @@
 """Netlist evaluation: combinational settling, clock stepping, configuration.
 
-On first simulation each netlist is lowered into a compiled program, cached
-on the netlist: every net gets integer slots, and one flat op list follows
-the levelized order of the acyclic core. The lowering consumes, in one
-pass, the one record list that the netlist's validate handed over (the
-sources first, then the combinational gates in eval order), so it never
-walks the gates again. A run evaluates a whole batch of input vectors at
-once, bit-parallel: a slot holds one Python int whose bit b belongs to
-vector b. A binary net is one mask; a radix-N net is N one-hot masks, one
-per level. So a binary net that TLG, NOT, AND and OR gates make from one
-radix-N net x is a set of x's levels and needs no op: x > t is levels
-t+1..N-1, NOT the complement, AND and OR the intersection and union. It
-takes a slot only when a reader needs one: one level aliases x's plane,
-no level the all-zero slot, more levels share one OR op. A threshold
-decoder's one-hot lines are thus x's own planes. A switch net whose
-drivers all carry constants, under controls that are disjoint level sets
-of one x covering all of x's levels, is a level function of x: each of
-its planes is the union of its drivers' sets, and it needs no op either.
-A mux block on constants and a one-digit table are such nets. Other gates
-that compute the same op on the same slots share one op and one slot.
+On first simulation each netlist is lowered into a compiled program,
+cached on the netlist: every net gets integer slots, and one flat op list
+follows the levelized order of the acyclic core. The lowering consumes, in
+one pass, the one record list that the netlist's validate handed over (the
+sources first, then the combinational gates in eval order) with the net
+numbering it carries, so it never walks the gates again. A run evaluates a
+whole batch of input vectors at once, bit-parallel: a slot holds one
+Python int whose bit b belongs to vector b. A binary net is one mask; a
+radix-N net is N one-hot masks, one per level. So a binary net that TLG,
+NOT, AND and OR gates make from one radix-N net x is a set of x's levels
+and needs no op: x > t is levels t+1..N-1, NOT the complement, AND and OR
+the intersection and union. It takes a slot only when a reader needs one:
+one level aliases x's plane, no level the all-zero slot, more levels share
+one OR op. A threshold decoder's one-hot lines are thus x's own planes. A
+switch net whose drivers all carry constants, under controls that are
+disjoint level sets of one x covering all of x's levels, is a level
+function of x: each of its planes is the union of its drivers' sets, and
+it needs no op either. A mux block on constants and a one-digit table are
+such nets. Other gates that compute the same op on the same slots share
+one op and one slot.
 
 Every evaluation is one settle loop: sweep, commit the latch inputs,
 repeat until the latch contents stop changing. A settle loads every
@@ -170,7 +171,8 @@ def _lower(nl: Netlist, records: list[tuple]
            ) -> tuple[_Program, list, list]:
     """Assign slots and emit the op list from a netlist's levelized
     records, in one pass; also returns each net's planes and level sets,
-    by net number.
+    by net number. The net numbering is the one the records carry, built
+    by the levelized walk that made them, so it is dropped with them.
 
     A net's planes are the slots of its levels, index = level; a binary
     net is (_SINK, slot). A binary net that TLG, NOT, AND and OR make from
@@ -183,9 +185,8 @@ def _lower(nl: Netlist, records: list[tuple]
     aliases _ZERO, one aliases x's plane, more share one _OR op. Constants
     and gates whose op an earlier gate already computes emit no op either.
     """
-    gates, nets = nl.gates, nl.nets
-    names = list(nets)
-    number = dict(zip(names, itertools.count()))
+    gates, nets, number = nl.gates, nl.nets, records.number
+    names = list(number)
     nslots = 3
     planes: list = [None] * len(names)
     sets: list = [None] * len(names)     # level sets and level functions
@@ -526,8 +527,8 @@ class _Cone:
                  vector: tuple[int, ...]):
         self.v, self.vector = v, vector
         records = levelized(nl)
-        self.names = list(nl.nets)
-        number = self.number = dict(zip(self.names, itertools.count()))
+        number = self.number = records.number
+        self.names = list(number)
         gates = nl.gates
 
         def net(gid: str, pin: str) -> int:

@@ -10,6 +10,8 @@ as switch wiring onto a shared net, never as arithmetic.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,19 +31,27 @@ class Strategy(enum.Enum):
 # -- primitive blocks (emitted into a shared builder) -------------------------
 
 
+@functools.lru_cache(maxsize=1024)
+def _ids(prefix: str, stem: str, count: int, end: str = "") -> tuple[str, ...]:
+    """The ids f"{prefix}{stem}{k}{end}" for k < count. A block's gate ids
+    are a pure function of (prefix, radix, digits), so they are formatted
+    once per block shape and read back after that."""
+    return tuple(f"{prefix}{stem}{k}{end}" for k in range(count))
+
+
 def _emit_decoder_1(b: NetlistBuilder, prefix: str, x: str, n: int) -> list[str]:
     """One-hot decode of a single radix-n net: returns nets for b_0..b_{n-1}.
 
     y_t = (x > t) for thresholds n-2 down to 0; the boundary lines collapse
     to a plain inverter (b_0) and a direct wire (b_{n-1}).
     """
-    y = {}
-    for t in range(n - 2, -1, -1):
-        y[t] = b.tlg(f"{prefix}tlg{t}", x, t)
-    outs = [b.not_(f"{prefix}not0", y[0])]
+    tlgs, nots, ands = (_ids(prefix, "tlg", n - 1), _ids(prefix, "not", n - 1),
+                        _ids(prefix, "and", n - 1))
+    y = [b.tlg(tlgs[t], x, t) for t in range(n - 2, -1, -1)][::-1]  # y[t]
+    outs = [b.not_(nots[0], y[0])]
     for v in range(1, n - 1):
-        ybar = b.not_(f"{prefix}not{v}", y[v])
-        outs.append(b.and_(f"{prefix}and{v}", [ybar, y[v - 1]]))
+        ybar = b.not_(nots[v], y[v])
+        outs.append(b.and_(ands[v], [ybar, y[v - 1]]))
     outs.append(y[n - 2])
     return outs
 
@@ -56,14 +66,12 @@ def _emit_decoder_m(b: NetlistBuilder, prefix: str, xs: Sequence[str],
     m = len(xs)
     if m == 1:
         return _emit_decoder_1(b, prefix, xs[0], n)
-    per = []
-    for j in range(m):  # j = positional weight
-        per.append(_emit_decoder_1(b, f"{prefix}d{j}/", xs[m - 1 - j], n))
-    outs = []
-    for k in range(n**m):
-        ins = [per[j][(k // n**j) % n] for j in range(m - 1, -1, -1)]
-        outs.append(b.and_(f"{prefix}and{k}", ins))
-    return outs
+    per = [_emit_decoder_1(b, p, xs[m - 1 - j], n)
+           for j, p in enumerate(_ids(prefix, "d", m, "/"))]  # j = positional weight
+    per.reverse()  # MS-first, as each row's digits
+    rows = itertools.product(range(n), repeat=m)  # line k's digits are row k's
+    return [b.and_(gid, [p[d] for p, d in zip(per, digits)])
+            for gid, digits in zip(_ids(prefix, "and", n**m), rows)]
 
 
 def _emit_mux_m(b: NetlistBuilder, prefix: str, data: Sequence[str],
@@ -79,16 +87,14 @@ def _emit_mux_m(b: NetlistBuilder, prefix: str, data: Sequence[str],
         layer = list(data)
         for j in range(m):
             s = sels[m - 1 - j]  # stage j consumes digit of weight j
-            layer = [
-                _emit_mux_m(b, f"{prefix}s{j}m{q}/", layer[q * n:(q + 1) * n],
-                            [s], n, tree=False)
-                for q in range(len(layer) // n)
-            ]
+            groups = _ids(prefix, f"s{j}m", len(layer) // n, "/")
+            layer = [_emit_mux_m(b, group, layer[q * n:(q + 1) * n], [s], n, tree=False)
+                     for q, group in enumerate(groups)]
         return layer[0]
     ctl = _emit_decoder_m(b, f"{prefix}dec/", sels, n)
     y = b.net(n)
-    for k in range(n**m):
-        b.switch(f"{prefix}sw{k}", data[k], ctl[k], y)
+    for k, gid in enumerate(_ids(prefix, "sw", n**m)):
+        b.switch(gid, data[k], ctl[k], y)
     return y
 
 
@@ -112,12 +118,15 @@ def _emit_table(b: NetlistBuilder, prefix: str, ins: Sequence[str],
     if lines is None:
         lines = _emit_decoder_m(b, f"{prefix}dec/", ins, n)
     y = b.net(n)
-    for level in range(n):
-        rows = [lines[k] for k, e in enumerate(tt.entries) if e == level]
+    groups: list[list[str]] = [[] for _ in range(n)]  # each level's rows' lines
+    for line, e in zip(lines, tt.entries):
+        groups[e].append(line)
+    ors, switches = _ids(prefix, "or", n), _ids(prefix, "sw", n)
+    for level, rows in enumerate(groups):
         if not rows:
             continue
-        ctl = b.or_(f"{prefix}or{level}", rows)
-        b.switch(f"{prefix}sw{level}", b.const(level, n), ctl, y)
+        ctl = b.or_(ors[level], rows)
+        b.switch(switches[level], b.const(level, n), ctl, y)
     return y
 
 

@@ -374,6 +374,67 @@ def test_an_id_that_is_not_a_string_is_refused(edit, message):
         reference_netlist.validate(nl)
 
 
+def _set_pin(gid, pin, net):
+    def edit(nl):
+        nl.gates[gid].pins[pin] = net
+    return edit
+
+
+def _set_field(name, value):
+    return lambda nl: setattr(nl, name, value)
+
+
+def _decoder():
+    return build_decoder_1(2)
+
+
+@pytest.mark.parametrize("build, edit, message", [
+    (_decoder, lambda nl: nl.gates.update({"dec/not0": "g"}),
+     "gate dec/not0 is not a Gate: 'g'"),
+    (_decoder, lambda nl: setattr(nl.gates["dec/not0"], "pins", [("a", "w0")]),
+     r"dec/not0: pins \[\('a', 'w0'\)\] is not a dict"),
+    # an AND counts its pins before it reads them
+    (lambda: build_decoder_1(3), lambda nl: setattr(nl.gates["dec/and1"], "pins", None),
+     "dec/and1: pins None is not a dict"),
+    (_decoder, _set_pin("dec/not0", "a", ["w0"]),
+     r"dec/not0.a: unknown net \['w0'\]"),
+    (_decoder, _set_field("inputs", [["x"]]),
+     r"input list entry \['x'\] is not an input port"),
+    (_decoder, _set_field("outputs", ["b0", ["b1"]]),
+     r"output list entry \['b1'\] is not an output port"),
+    (_decoder, _set_field("inputs", "x"), "input list 'x' is not a list"),
+    (_decoder, _set_field("outputs", None), "output list None is not a list"),
+    (_decoder, _set_field("clock", ["x"]), r"clock net \['x'\] does not exist"),
+    (lambda: build_fabric_decoder(2, 1), _set_field("latch_order", None),
+     "config_latch ordering list does not match gates"),
+    (_decoder, _set_field("state_latches", None),
+     "nary_dlatch ordering list does not match gates"),
+    (lambda: build_nary_dff(2), _set_field("state_groups", [1]),
+     "state_groups do not partition the state latches"),
+    (_decoder, _set_field("state_groups", None),
+     "state_groups do not partition the state latches"),
+], ids=["gate", "pins", "and-pins", "pin-net", "inputs-entry", "outputs-entry",
+        "inputs-str", "outputs-none", "clock", "latch-order", "state-latches",
+        "group", "groups"])
+def test_a_field_of_the_wrong_type_is_named(build, edit, message):
+    # each of these once escaped validate as a TypeError or AttributeError,
+    # and a port list that is a str passed
+    nl = build()
+    edit(nl)
+    with pytest.raises(NetlistError, match=f"^{message}$"):
+        validate(nl)
+
+
+@pytest.mark.parametrize("inputs, named", [([["x"]], r"\['x'\]"), ("x", "'x'"),
+                                           (None, "None")])
+def test_radix_readers_refuse_a_port_list_of_the_wrong_type(inputs, named):
+    # an unhashable entry raised TypeError; a str read its characters
+    nl = build_decoder_1(2)
+    nl.inputs = inputs
+    with pytest.raises(NetlistError, match=f"^input list entry {named} is not an input port$"):
+        nl.input_radixes()
+
+
 def test_validate_rechecks_cycles_after_an_edit():
     b = NetlistBuilder()
     x = b.add_input("x", 3)
