@@ -415,9 +415,9 @@ def levelized(nl: Netlist) -> _Records:
             comb.append((g, out, *ins))
             comb_ins.append(ins)
         except (AttributeError, TypeError):  # the clean path tests none of these
-            if type(g) is not Gate:
+            if not isinstance(g, Gate):
                 raise NetlistError(f"gate {gid} is not a Gate: {g!r}") from None
-            if type(g.pins) is not dict:
+            if not isinstance(g.pins, dict):
                 raise NetlistError(f"{gid}: pins {g.pins!r} is not a dict") from None
             for name, nid in g.pins.items():
                 if type(nid) is not str:
