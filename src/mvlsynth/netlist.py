@@ -10,7 +10,6 @@ at most one conducts at a time).
 from __future__ import annotations
 
 import enum
-import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -79,10 +78,33 @@ _OWN = -2                           # in a layout: the gate's own radix
 _COMB = (_TLG, _AND, _OR, _NOT, _SWITCH)
 
 
-@functools.lru_cache(maxsize=256)
+# Per-signature caches. An entry's size grows with its fan-in, so each
+# cache starts afresh once its entries would hold more than _HELD ports in
+# all; the few small fan-ins that netlists use stay cached.
+_HELD = 2048
+_held: dict[int, int] = {}  # ports held, by id() of the cache
+
+
+def _keep(cache: dict, key, value, ports: int):
+    """Store value, an entry of ports ports, in cache; returns value."""
+    held = _held.get(id(cache), 0) + ports
+    if held > _HELD:
+        cache.clear()
+        held = ports
+    _held[id(cache)] = held
+    cache[key] = value
+    return value
+
+
+_NAMES: dict[int, tuple[str, ...]] = {}
+
+
 def _fan_in_names(n: int) -> tuple[str, ...]:
     """Port names a0..a{n-1} of an AND/OR of fan-in n."""
-    return tuple(f"a{i}" for i in range(n))
+    names = _NAMES.get(n)
+    if names is None:
+        names = _keep(_NAMES, n, tuple(f"a{i}" for i in range(n)), n)
+    return names
 
 
 # Port layouts, as (name, is_input, radix) triples, keyed by id(kind) as
@@ -105,10 +127,9 @@ _LAYOUTS = {
 # A plan is (the shared PortSig tuple, its name set, the inputs as (name,
 # radix) pairs, the output as one such pair or None, whether the kind is
 # combinational). Only plans that built cleanly are stored, so a bad
-# fan-in or an unknown kind raises on every call. A plan's size grows with
-# its fan-in, so the table starts afresh past _PLANS of them.
+# fan-in or an unknown kind raises on every call. The table is bounded by
+# _HELD ports, as _NAMES is.
 _PORTS: dict[tuple, tuple] = {}
-_PLANS = 256
 
 
 def _signature(g: Gate) -> tuple:
@@ -134,11 +155,10 @@ def _signature(g: Gate) -> tuple:
             raise NetlistError(f"unknown gate kind {k!r}")
         ports = tuple(PortSig(*p) for p in layout)
         last = ports[-1]
-        if len(_PORTS) >= _PLANS:
-            _PORTS.clear()
-        sig = _PORTS[key] = (ports, frozenset(p.name for p in ports),
-                             tuple((p.name, p.radix) for p in ports if p.is_input),
-                             None if last.is_input else (last.name, last.radix), k in _COMB)
+        sig = _keep(_PORTS, key, (ports, frozenset(p.name for p in ports),
+                                  tuple((p.name, p.radix) for p in ports if p.is_input),
+                                  None if last.is_input else (last.name, last.radix),
+                                  k in _COMB), len(ports))
     return sig
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .netlist import Netlist
-from .sim import Fault, SimFaultError, SimState, _exhaustive, eval_vectors, \
-    load_config, reset_state, step_sequential
+from .sim import Fault, SimFaultError, SimState, _exhaustive, _Stepper, \
+    eval_vectors, load_config, reset_state
 from .tables import ConfigBitstream, FsmSpec, TruthTable, _check_arity
 from .values import RadixLike, as_radix
 
@@ -129,8 +129,11 @@ def check_fsm_equivalence(nl: Netlist, spec: FsmSpec, reset: Sequence[int],
     """Drive the compiled machine through each input sequence and compare
     every step's outputs against software iteration of the tables.
 
-    A mismatch records the sequence consumed up to and including the
-    failing step; a fault abandons the rest of that sequence.
+    Each sequence runs on one stepper over its own reset_state, as
+    step_sequential would step it: the first step loads every source, and
+    each later one reloads only the input planes. A mismatch records the
+    sequence consumed up to and including the failing step; a fault
+    abandons the rest of that sequence.
     """
     expected_outs = (spec.state_arity if spec.output is None
                      else len(spec.output))
@@ -146,7 +149,7 @@ def check_fsm_equivalence(nl: Netlist, spec: FsmSpec, reset: Sequence[int],
     total = 0
     mismatches = []
     for seq in input_seqs:
-        state = reset_state(nl, reset)
+        stepper = _Stepper(nl, reset_state(nl, reset))
         soft = tuple(reset)
         for t, ins in enumerate(seq):
             ins = tuple(ins)
@@ -154,7 +157,7 @@ def check_fsm_equivalence(nl: Netlist, spec: FsmSpec, reset: Sequence[int],
             soft = spec.step(soft, ins)
             expected = spec.observe(soft, ins)
             try:
-                got, state = step_sequential(nl, ins, state)
+                got = stepper.step(ins)
             except SimFaultError as e:
                 got = e.fault
             if got != expected:

@@ -21,27 +21,32 @@ it needs no op either. A mux block on constants and a one-digit table are
 such nets. Other gates that compute the same op on the same slots share
 one op and one slot.
 
-Every evaluation is one settle loop: sweep, commit the latch inputs,
-repeat until the latch contents stop changing. A settle loads every
-source once, checking each value where it sets its plane: the inputs, the
-clock phase, the latch contents and the configuration bitstream held in
-SimState.config. A bitstream is checked once when it is made
-(ConfigBitstream refuses any bit but 0 and 1, and keeps a tuple), and by
-one check (its type, its fingerprint, its length) wherever it enters:
-load_config, and every settle, so a stream assigned by hand is refused
-as load_config would refuse it. The settle then sets the plane of each 1
-bit with no per-bit test. An exhaustive sweep's inputs enter another
-way: the program builds its rows on first use and keeps them, with every
-input level's plane set in closed form, and a settle handed those very
-rows starts from a copy of the kept planes with no per-value check, since
-the program generated every value; so a fabric checked under many
-bitstreams loads its inputs once. Each sweep copies those slots and runs
-the op list; a commit moves a changed latch's plane. A latch-free batch
-settles in one sweep. Radix-N storage elements are sources whose
-contents live in a SimState; a netlist with them settles a batch of one.
-The sweep that would confirm a commit is skipped when every latch that
-changed is read only as data by switches that are off, as in a
-master-slave flip-flop, so a clock phase costs one sweep.
+Every evaluation loads every source once, checking each value where it
+sets its plane: the inputs, the clock phase, the latch contents and the
+configuration bitstream held in SimState.config. A bitstream is checked
+once when it is made (ConfigBitstream refuses any bit but 0 and 1, and
+keeps a tuple), and by one check (its type, its fingerprint, its length)
+wherever it enters: load_config, and every load, so a stream assigned by
+hand is refused as load_config would refuse it. The load then sets the
+plane of each 1 bit with no per-bit test. An exhaustive sweep's inputs
+enter another way: the program builds its rows on first use and keeps
+them, with every input level's plane set in closed form, and a load
+handed those very rows starts from a copy of the kept planes with no
+per-value check, since the program generated every value; so a fabric
+checked under many bitstreams loads its inputs once.
+
+On that load runs one settle loop: sweep, commit the latch inputs, repeat
+until the latch contents stop changing. Each sweep copies the loaded
+slots and runs the op list; a commit moves a changed latch's plane among
+them, so they stay the load of the latch contents. A latch-free batch
+settles in one sweep. Radix-N storage elements are sources whose contents
+live in a SimState; a netlist with them settles a batch of one. A clock
+step settles twice on one load, with the clock at level 0 and then 1, and
+check_fsm_equivalence carries that load through a whole sequence: each
+later step clears and reloads only the input planes. The sweep that would
+confirm a commit is skipped when every latch that changed is read only as
+data by switches that are off, as in a master-slave flip-flop, so a clock
+phase costs one sweep.
 
 A switch net is N planes like any radix-N net, and one op per switch-driven
 net that is no level function computes them from all of its drivers in
@@ -400,8 +405,8 @@ def _exhaustive(nl: Netlist) -> tuple[tuple[int, ...], ...]:
     The sources for the whole sweep are kept beside the rows, each input
     level's plane set in closed form: for a port of radix r whose later
     ports span w rows, bit k of level l's plane is set iff
-    (k // w) % r == l. _settle starts a batch that is this very tuple from
-    a copy of them, with no per-value check: the program made every value.
+    (k // w) % r == l. _load starts a batch that is this very tuple from a
+    copy of them, with no per-value check: the program made every value.
     """
     prog = _compiled(nl)
     if prog.domain is None:
@@ -597,36 +602,39 @@ class _Cone:
         return _levels(self.v, self.sources[i], 1)[0]  # an input or storage
 
 
-def _settle(nl: Netlist, prog: _Program, vectors: Sequence, state: SimState,
-            phase: Optional[int] = None) -> tuple[list[int], dict[int, Fault]]:
-    """Sweep a batch, commit the latch inputs, repeat to rest; phase, if
-    given, is the clock's level in every vector. A latch netlist settles a
-    batch of one.
+def _load_inputs(nl: Netlist, prog: _Program, vectors: Sequence,
+                 sources: list[int]) -> int:
+    """Set the input planes of a batch in sources, checking each value in
+    the walk that sets its plane; returns the batch's all-ones mask."""
+    n = len(prog.inputs)
+    bit = 1
+    for vec in vectors:
+        if len(vec) != n:
+            raise ValueError(f"expected {n} inputs, got {len(vec)}")
+        for name, planes, x in zip(nl.inputs, prog.inputs, vec):
+            if type(x) is not int or not 0 <= x < len(planes):  # a bool is no digit
+                raise ValueError(
+                    f"input {name}: value {x!r} out of range 0..{len(planes) - 1}")
+            sources[planes[x]] |= bit
+        bit <<= 1
+    return bit - 1
 
-    Every source is loaded once, each value checked in the walk that sets
-    its plane: the inputs vector by vector and the clock phase, then the
-    stored latch levels, then the bitstream in state.config. A batch that
-    is the program's own exhaustive rows (the very tuple _exhaustive
-    returned) starts instead from a copy of the input planes kept with
-    them. The bitstream gets load_config's one check, whoever stored it,
-    and then each 1 bit's plane is set in prog.config order with no
-    per-bit test: ConfigBitstream checked every bit when it was made. A
-    program with configuration latches and no bitstream is an
-    uninitialized-latch fault on the first of them. Each sweep copies the
-    loaded slots; a commit that changes a latch moves its plane among them.
 
-    A sweep that commits a change is normally followed by another. That
-    confirming sweep is skipped when every latch that changed is read only
-    as data by switches whose control is 0 in this sweep: those switches
-    add nothing whatever the latch holds, so the next sweep would match
-    this one in every slot but the changed latches' own planes, which
-    nothing reads, and would commit no change.
+def _load(nl: Netlist, prog: _Program, vectors: Sequence, state: SimState,
+          phase: Optional[int] = None) -> list[int]:
+    """Every source of a settle, loaded once; phase, if given, is the
+    clock's level in every vector.
 
-    A sweep is a function of the inputs and the latch contents, so latch
-    contents that recur after a changing sweep never settle. The loop
-    sweeps on until the latches settle or, at sweep len(latches) + 2 or
-    later, their contents recur: that is an oscillation fault. A transient
-    can thus last up to the product of the latch radixes in sweeps.
+    Each value is checked in the walk that sets its plane: the inputs
+    vector by vector and the clock phase, then the stored latch levels,
+    then the bitstream in state.config. A batch that is the program's own
+    exhaustive rows (the very tuple _exhaustive returned) starts instead
+    from a copy of the input planes kept with them. The bitstream gets
+    load_config's one check, whoever stored it, and then each 1 bit's plane
+    is set in prog.config order with no per-bit test: ConfigBitstream
+    checked every bit when it was made. A program with configuration
+    latches and no bitstream is an uninitialized-latch fault on the first
+    of them.
     """
     domain = prog.domain
     if domain is not None and vectors is domain[0]:  # no value to check
@@ -634,18 +642,7 @@ def _settle(nl: Netlist, prog: _Program, vectors: Sequence, state: SimState,
         full = sources[_FULL]
     else:
         sources = [0] * prog.nslots
-        n = len(prog.inputs)
-        bit = 1
-        for vec in vectors:
-            if len(vec) != n:
-                raise ValueError(f"expected {n} inputs, got {len(vec)}")
-            for name, planes, x in zip(nl.inputs, prog.inputs, vec):
-                if type(x) is not int or not 0 <= x < len(planes):  # a bool is no digit
-                    raise ValueError(
-                        f"input {name}: value {x!r} out of range 0..{len(planes) - 1}")
-                sources[planes[x]] |= bit
-            bit <<= 1
-        full = sources[_FULL] = bit - 1
+        full = sources[_FULL] = _load_inputs(nl, prog, vectors, sources)
     if phase is not None:
         sources[prog.clock[phase]] = full
     latches = state.latches
@@ -663,6 +660,32 @@ def _settle(nl: Netlist, prog: _Program, vectors: Sequence, state: SimState,
             sources[s] = full
     elif prog.config:
         raise _logged(state, Fault(FaultKind.UNINITIALIZED_LATCH, prog.config[0][0]))
+    return sources
+
+
+def _settle(nl: Netlist, prog: _Program, vectors: Sequence, state: SimState,
+            sources: list[int]) -> tuple[list[int], dict[int, Fault]]:
+    """Sweep a batch from its loaded sources, commit the latch inputs,
+    repeat to rest. A latch netlist settles a batch of one; a clocked one
+    settles once per clock phase on one load. Each sweep copies the loaded
+    slots; a commit that changes a latch moves its plane among them, so
+    they stay the load of state.latches.
+
+    A sweep that commits a change is normally followed by another. That
+    confirming sweep is skipped when every latch that changed is read only
+    as data by switches whose control is 0 in this sweep: those switches
+    add nothing whatever the latch holds, so the next sweep would match
+    this one in every slot but the changed latches' own planes, which
+    nothing reads, and would commit no change.
+
+    A sweep is a function of the inputs and the latch contents, so latch
+    contents that recur after a changing sweep never settle. The loop
+    sweeps on until the latches settle or, at sweep len(latches) + 2 or
+    later, their contents recur: that is an oscillation fault. A transient
+    can thus last up to the product of the latch radixes in sweeps.
+    """
+    full = sources[_FULL]
+    latches = state.latches
     bound, seen = len(prog.latches) + 2, set()
     for sweep in itertools.count(1):
         v = sources.copy()
@@ -709,7 +732,7 @@ def eval_vectors(nl: Netlist, vectors: Sequence[Sequence[int]],
     if nl.clock is not None:
         raise ValueError("netlist has a clock pin; drive it with step_sequential")
     prog = _compiled(nl)
-    v, first = _settle(nl, prog, vectors, state)
+    v, first = _settle(nl, prog, vectors, state, _load(nl, prog, vectors, state))
     state.faults.extend(first[b] for b in sorted(first))
     return _results(prog, v, first, len(vectors))
 
@@ -783,18 +806,64 @@ def reset_state(nl: Netlist, digits: Sequence[int],
     return state
 
 
+class _Stepper:
+    """Clocks one netlist a cycle at a time on one load of its sources.
+
+    The first step refuses a netlist without a clock, then loads every
+    source from state, clock at level 0. Each later step clears and reloads
+    only the input planes and moves the clock back to 0: the last commit
+    left the latch planes in the list as it left state.latches, and the
+    bitstream in state.config was checked by the first load. So the
+    stepper must own state: nothing else may write it between steps.
+    """
+
+    __slots__ = ("nl", "state", "prog", "sources")
+
+    def __init__(self, nl: Netlist, state: SimState):
+        self.nl, self.state = nl, state
+        self.prog: Optional[_Program] = None
+        self.sources: Optional[list[int]] = None
+
+    def step(self, inputs: Sequence[int]) -> tuple[int, ...]:
+        """One full clock cycle (low phase, then high); returns the
+        outputs, or raises SimFaultError on any fault."""
+        nl, state, sources = self.nl, self.state, self.sources
+        vectors = [inputs]
+        if sources is None:
+            if nl.clock is None:
+                raise ValueError("netlist has no clock; use eval_combinational")
+            prog = self.prog = _compiled(nl)
+            sources = self.sources = _load(nl, prog, vectors, state, 0)
+        else:
+            prog = self.prog
+            for planes in prog.inputs:
+                for s in planes:
+                    sources[s] = 0
+            _load_inputs(nl, prog, vectors, sources)
+            # a batch of one: a set plane is 1
+            sources[prog.clock[1]], sources[prog.clock[0]] = 0, 1
+        _settle(nl, prog, vectors, state, sources)
+        sources[prog.clock[0]], sources[prog.clock[1]] = 0, 1
+        v, first = _settle(nl, prog, vectors, state, sources)
+        if first:
+            raise _logged(state, first[0])
+        # a clean vector's level is its net's highest set plane: level 0
+        # of a binary net is _SINK, which holds no level
+        out = []
+        for planes in prog.outputs:
+            lvl = len(planes) - 1
+            while lvl and not v[planes[lvl]]:
+                lvl -= 1
+            out.append(lvl)
+        return tuple(out)
+
+
 def step_sequential(nl: Netlist, inputs: Sequence[int],
                     state: SimState) -> tuple[tuple[int, ...], SimState]:
-    """Apply one full clock cycle (low phase, then high) and read outputs.
+    """Apply one full clock cycle (low phase, then high) and read outputs:
+    one step of a fresh _Stepper, which loads every source from state once
+    and settles each phase on that load.
 
     Requires every storage element to have been reset first.
     """
-    if nl.clock is None:
-        raise ValueError("netlist has no clock; use eval_combinational")
-    prog = _compiled(nl)
-    for phase in (0, 1):
-        v, first = _settle(nl, prog, [inputs], state, phase)
-    result = _results(prog, v, first, 1)[0]
-    if isinstance(result, Fault):
-        raise _logged(state, result)
-    return result, state
+    return _Stepper(nl, state).step(inputs), state

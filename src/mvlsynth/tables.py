@@ -58,9 +58,14 @@ class TruthTable:
         return TruthTable(r, arity, entries)
 
     def lookup(self, digits: Sequence[int]) -> int:
+        return self.entries[self._row(digits)]
+
+    def _row(self, digits: Sequence[int]) -> int:
+        """The row of a digit tuple; refuses a wrong count or a digit that
+        is not an int in range."""
         if len(digits) != self.arity:
             raise ValueError(f"expected {self.arity} digits, got {len(digits)}")
-        return self.entries[tt_index(digits, self.radix)]
+        return tt_index(digits, self.radix)
 
 
 @dataclass(frozen=True)
@@ -101,16 +106,27 @@ class FsmSpec:
                 )
 
     def step(self, state: Sequence[int], inputs: Sequence[int]) -> tuple[int, ...]:
-        """Next state digits for one software-iterated step."""
-        combined = tuple(state) + tuple(inputs)
-        return tuple(tt.lookup(combined) for tt in self.transition)
+        """Next state digits for one software-iterated step.
+
+        The row of (state, inputs) is worked out once, with
+        TruthTable.lookup's refusals, and each transition table's entry is
+        read at that row; observe reads its output tables the same way.
+        """
+        return self._at_row(self.transition, state, inputs)
 
     def observe(self, state: Sequence[int], inputs: Sequence[int]) -> tuple[int, ...]:
         """Visible outputs: output tables if declared, else the state digits."""
         if self.output is None:
             return tuple(state)
-        combined = tuple(state) + tuple(inputs)
-        return tuple(tt.lookup(combined) for tt in self.output)
+        return self._at_row(self.output, state, inputs)
+
+    def _at_row(self, tables: tuple[TruthTable, ...], state: Sequence[int],
+                inputs: Sequence[int]) -> tuple[int, ...]:
+        digits = tuple(state) + tuple(inputs)
+        if not tables:  # output=(): no table to read
+            return ()
+        row = tables[0]._row(digits)  # every table has this radix and arity
+        return tuple([tt.entries[row] for tt in tables])
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ taken before the builders formatted their names from tables, so they pin
 that the tables change no byte. Also checks that those tables stay within
 their fixed bounds however many netlists are built."""
 
+import gc
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -86,13 +88,35 @@ def test_name_tables_stay_within_their_bounds():
     assert len(wires) > len(netlist._WIRES) == 256
     assert wires == [f"w{k}" for k in range(len(wires))]
     assert nl.gates["f299/s0m0/dec/tlg0"].pins["d"] == "x"
+    info = synth._ids.cache_info()
+    assert info.maxsize is not None and info.currsize == info.maxsize
     # more distinct AND/OR fan-ins than the port-name and plan tables hold
+    assert _fan_ins().gates["or299"].pins["a298"] == "x"
+    for table, ports in ((netlist._PORTS, lambda plan: len(plan[0])),
+                         (netlist._NAMES, len)):
+        held = sum(map(ports, table.values()))
+        assert held == netlist._held[id(table)] <= netlist._HELD
+
+
+def _fan_ins():
+    """ORs of the fan-ins 2..299 on one input x."""
     b = NetlistBuilder()
     x = b.add_input("x", None)
     for k in range(2, 300):
         b.add_output(f"y{k}", b.or_(f"or{k}", [x] * k))
-    assert b.finish().gates["or299"].pins["a298"] == x
-    assert len(netlist._PORTS) <= netlist._PLANS
-    for table in (synth._ids, netlist._fan_in_names):
-        info = table.cache_info()
-        assert info.maxsize is not None and info.currsize == info.maxsize
+    return b.finish()
+
+
+def test_dropped_fan_ins_leave_their_plans_and_names_bounded():
+    # each table is bounded by the ports it holds, not by its entries: 298
+    # distinct fan-ins once left 4.8 MB in them after the netlist went
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _fan_ins()
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left < 1_000_000

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
@@ -217,3 +218,28 @@ def test_a_state_group_that_names_no_state_latch_is_refused(member):
     with pytest.raises(NetlistError, match=message):
         reset_state(bad, [0], state)
     assert state.latches == {}
+
+
+@pytest.mark.parametrize("outputs", [False, True], ids=["state", "tables"])
+@pytest.mark.parametrize("state, inputs, message", [
+    ((0,), (), "expected 2 digits, got 1"),
+    ((0,), (1, 2), "expected 2 digits, got 3"),
+    ((True,), (1,), "digit True out of range for radix 3"),
+    ((0,), (1.0,), "digit 1.0 out of range for radix 3"),
+    ((0,), (3,), "digit 3 out of range for radix 3"),
+])
+def test_software_model_refuses_as_table_lookup_does(outputs, state, inputs, message):
+    # step and observe work out the row once for all tables, with
+    # TruthTable.lookup's refusals and messages; observe reads no table,
+    # and so refuses nothing, on a machine whose outputs are its state
+    spec = _accumulator3()
+    calls = [lambda: spec.transition[0].lookup(state + inputs),
+             lambda: spec.step(state, inputs)]
+    if outputs:
+        spec = dataclasses.replace(spec, output=spec.transition * 2)
+        calls.append(lambda: spec.observe(state, inputs))
+    else:
+        assert spec.observe(state, inputs) == state
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()

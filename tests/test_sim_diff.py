@@ -13,6 +13,7 @@ over an equal list of the same rows.
 """
 
 import copy
+import dataclasses
 import itertools
 import random
 import re
@@ -23,8 +24,10 @@ import reference_sim as ref
 from mvlsynth import sim
 from mvlsynth.netlist import (GateType, NetlistBuilder, fingerprint, levelized,
                               validate)
-from mvlsynth.oracle import random_table
-from mvlsynth.sim import FaultKind, SimFaultError, SimState, load_config, reset_state
+from mvlsynth.oracle import (EquivalenceReport, Mismatch, check_fsm_equivalence,
+                             random_table)
+from mvlsynth.sim import (Fault, FaultKind, SimFaultError, SimState, load_config,
+                          reset_state)
 from mvlsynth.synth import (Strategy, _emit_decoder_1, _emit_table, build_decoder_1,
                             build_fabric_decoder, build_fabric_mux,
                             build_nary_dff, build_nary_dlatch, compile_fsm,
@@ -360,6 +363,80 @@ def test_fsms_with_and_without_reset():
             _same(lambda s: sim.step_sequential(nl, vec, s)[0],
                   lambda s: ref.step_sequential(nl, vec, s)[0],
                   state, ref_state)
+
+
+def _reference_report(nl, spec, reset, input_seqs):
+    """check_fsm_equivalence's report as stepping the reference one
+    step_sequential at a time from reset_state gives it."""
+    total, mismatches = 0, []
+    for seq in input_seqs:
+        state, soft = reset_state(nl, reset), tuple(reset)
+        for t, ins in enumerate(seq):
+            total += 1
+            soft = spec.step(soft, ins)
+            expected = spec.observe(soft, ins)
+            try:
+                got = ref.step_sequential(nl, ins, state)[0]
+            except SimFaultError as e:
+                got = e.fault
+            if got != expected:
+                mismatches.append(Mismatch(tuple(seq[:t + 1]), expected, got))
+                if isinstance(got, Fault):
+                    break
+    return EquivalenceReport(total, tuple(mismatches))
+
+
+def _broken(nl, rng):
+    """nl with one switch of its tables removed, from a net that other
+    switches still drive: the net floats on the rows that switch served,
+    which a machine may reach only some steps into a sequence."""
+    drivers = {}
+    for g in nl.gates.values():
+        if g.kind is GateType.SWITCH and not g.gid.startswith("dff"):
+            drivers.setdefault(g.pins["y"], []).append(g.gid)
+    shared = [gids for gids in drivers.values() if len(gids) > 1]
+    gone = rng.choice(rng.choice(shared))
+    gates = {gid: g for gid, g in nl.gates.items() if gid != gone}
+    return dataclasses.replace(nl, gates=gates, nets=dict(nl.nets))
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_fsm_checks_match_the_reference_stepped_one_step_at_a_time(strategy):
+    # check_fsm_equivalence carries one load of the sources through each
+    # sequence; stepping the reference from a fresh reset_state per
+    # sequence must give the same report: totals, mismatches in order, and
+    # each fault's kind, ref and vector. Every third machine is checked
+    # against other tables (mismatches, no fault), every third has a
+    # switch removed (faults)
+    rng = random.Random(17 + len(strategy.value))
+    faulted_at, mismatched = [], 0
+    for i in range(24):
+        n = rng.choice([2, 3, 4])
+        sa = rng.randint(1, 2)
+        ia = rng.randint(1, 3 - sa)
+
+        def machine():
+            def tables(count):
+                return tuple(random_table(n, sa + ia, rng) for _ in range(count))
+            return FsmSpec(tables(1)[0].radix, sa, ia, tables(sa),
+                           tables(1) if i % 2 else None)
+        spec = machine()
+        nl = compile_fsm(spec, strategy)
+        if i % 3 == 1:
+            spec = machine()
+        elif i % 3 == 2:
+            nl = _broken(nl, rng)
+        reset = tuple(rng.randrange(n) for _ in range(sa))
+        seqs = [[tuple(rng.randrange(n) for _ in range(ia))
+                 for _ in range(rng.randint(1, 6))] for _ in range(3)]
+        report = check_fsm_equivalence(nl, spec, reset, seqs)
+        assert report == _reference_report(nl, spec, reset, seqs)
+        assert report.passed or i % 3
+        faulted_at += [len(m.inputs) for m in report.mismatches
+                       if isinstance(m.got, Fault)]
+        mismatched += sum(not isinstance(m.got, Fault) for m in report.mismatches)
+    # some machines fault some steps into a sequence, whose rest is dropped
+    assert mismatched and faulted_at and max(faulted_at) > 1
 
 
 @pytest.mark.parametrize("build", [build_nary_dlatch, build_nary_dff])
