@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .netlist import Netlist
-from .sim import Fault, SimFaultError, SimState, _exhaustive, _Stepper, \
-    eval_vectors, load_config, reset_state
+from .sim import Fault, SimFaultError, SimState, _exhaustive, _radixes, \
+    _Stepper, eval_vectors, load_config, reset_state
 from .tables import ConfigBitstream, FsmSpec, TruthTable, _check_arity
 from .values import RadixLike, as_radix
 
@@ -129,7 +129,9 @@ def check_fsm_equivalence(nl: Netlist, spec: FsmSpec, reset: Sequence[int],
     """Drive the compiled machine through each input sequence and compare
     every step's outputs against software iteration of the tables.
 
-    Each sequence runs on one stepper over its own reset_state, as
+    The port and state radixes are read off the compiled program, and the
+    reset digits checked by one reset_state, once per call. Each sequence
+    runs on one stepper over its own copy of that reset, as
     step_sequential would step it: the first step loads every source, and
     each later one reloads only the input planes. A mismatch records the
     sequence consumed up to and including the failing step; a fault
@@ -141,15 +143,15 @@ def check_fsm_equivalence(nl: Netlist, spec: FsmSpec, reset: Sequence[int],
         raise ValueError("netlist ports do not match the machine spec")
     n = spec.radix.n
     # the clock may take any radix
-    for gid, r in zip(nl.inputs + nl.state_latches,
-                      nl.input_radixes() + nl.state_radixes()):
+    for gid, r in _radixes(nl)[0]:
         if r != n:
             raise ValueError(f"{gid} has radix {r}, not the machine radix {n}")
+    reset_latches = reset_state(nl, reset).latches
 
     total = 0
     mismatches = []
     for seq in input_seqs:
-        stepper = _Stepper(nl, reset_state(nl, reset))
+        stepper = _Stepper(nl, SimState(latches=dict(reset_latches)))
         soft = tuple(reset)
         for t, ins in enumerate(seq):
             ins = tuple(ins)

@@ -21,19 +21,31 @@ it needs no op either. A mux block on constants and a one-digit table are
 such nets. Other gates that compute the same op on the same slots share
 one op and one slot.
 
-Every evaluation loads every source once, checking each value where it
-sets its plane: the inputs, the clock phase, the latch contents and the
+A load sets every source once, checking each value where it sets its
+plane: the inputs, the clock phase, the latch contents and the
 configuration bitstream held in SimState.config. A bitstream is checked
 once when it is made (ConfigBitstream refuses any bit but 0 and 1, and
 keeps a tuple), and by one check (its type, its fingerprint, its length)
-wherever it enters: load_config, and every load, so a stream assigned by
-hand is refused as load_config would refuse it. The load then sets the
+wherever it enters: load_config, every load and every sweep that starts
+from a kept one (below), so a stream assigned by hand is refused as
+load_config would refuse it. The load then sets the
 plane of each 1 bit with no per-bit test. An exhaustive sweep's inputs
 enter another way: the program builds its rows on first use and keeps
 them, with every input level's plane set in closed form, and a load
 handed those very rows starts from a copy of the kept planes with no
 per-value check, since the program generated every value; so a fabric
 checked under many bitstreams loads its inputs once.
+
+A latch-free sweep of those rows under a bitstream goes further: the
+program keeps the last one (its bits, its slots and each faulting op's
+raw fault mask), and the next starts from a copy of those slots, sets
+only the configuration planes whose bits changed and reruns only the ops
+they reach, in op order (selective re-evaluation, after Ulrich,
+"Exclusive simulation of activity in digital networks", CACM 1969). So a
+one-bit flip of a fabric's stream reruns a handful of ops. Sampled or
+caller-given vectors, a netlist with state latches or a clock, a sweep
+with no bitstream and a program's first sweep of its rows take the load
+and settle loop below.
 
 On that load runs one settle loop: sweep, commit the latch inputs, repeat
 until the latch contents stop changing. Each sweep copies the loaded
@@ -59,7 +71,10 @@ value is a fault the moment anything consumes it, and two simultaneously
 conducting switch drivers are a contention fault outright. A vector's
 result is the first fault it hits in evaluation order: contention when a
 switch net is resolved (just before its first reader, or at the end of the
-pass for nets nothing reads), floating at a net's first consume. Level
+pass for nets nothing reads), floating at a net's first consume. Each op
+that faults records its raw mask, every vector it faults, and a vector's
+first fault is the earliest op whose mask holds it; so an op not rerun
+keeps its mask, and full and partial sweeps report alike. Level
 sets and functions of x change no fault: the TLGs still consume x where
 the netlist does, so a floating or contending x is logged before anything
 reads them, and for a clean x exactly one of a level function's drivers
@@ -77,10 +92,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .netlist import (GateType, Netlist, fingerprint, levelized,
-                      _AND as _AND_GATE, _BAD_GROUPS, _CONST as _CONST_GATE,
-                      _NARY_DLATCH, _NOT as _NOT_GATE, _OR as _OR_GATE,
-                      _SWITCH as _SWITCH_GATE, _TLG as _TLG_GATE,
-                      _listed_radixes)
+                      _AND as _AND_GATE, _CONST as _CONST_GATE,
+                      _NOT as _NOT_GATE, _OR as _OR_GATE,
+                      _SWITCH as _SWITCH_GATE, _TLG as _TLG_GATE)
 from .tables import ConfigBitstream
 
 
@@ -131,10 +145,10 @@ _SINK, _ZERO, _FULL = 0, 1, 2
 _ONE = (_FULL,)
 
 # Opcodes. Every op is a 4-tuple (opcode, out, a, b):
-#   _NET        (op, net id, drivers, None)
+#   _NET        (op, net id, drivers, its index in the op list)
 #   _AND/_OR    (op, y, first input slot, other input slots)
 #   _NOT        (op, y, input slot, ())
-#   _FLOAT      (op, net id, planes, None)
+#   _FLOAT      (op, net id, planes, its index in the op list)
 # No two _AND/_OR/_NOT ops share (op, a, b): a later gate with the same key
 # reads the earlier one's slot. A switch net of radix N owns N planes and
 # is one _NET op, emitted at its first read, after all of its drivers'
@@ -144,7 +158,8 @@ _ONE = (_FULL,)
 # planes are _ONE. A driver whose control is 0 costs one test. The op marks
 # vectors where two drivers conduct as contention. _FLOAT records as
 # floating the vectors in which none of the net's planes is set, where the
-# net is consumed. A level function has neither op.
+# net is consumed. A level function has neither op. Both record their
+# faults under their own index, which orders them.
 _NET, _AND, _OR, _NOT, _FLOAT = range(5)
 
 
@@ -166,6 +181,20 @@ class _Program:
     # first use: every input vector in row order, and the slots with their
     # planes loaded. Never written after it is built.
     domain: Optional[tuple[tuple, list[int]]] = field(
+        default=None, repr=False, compare=False)
+    # (bits, slots, masks) of the last sweep of those rows under a
+    # bitstream: its bits as _key packs them, the sweep's own slot list
+    # (never written after it is kept) and each faulting op's raw fault
+    # mask, by op index.
+    kept: Optional[tuple[int, list[int], dict[int, int]]] = field(
+        default=None, repr=False, compare=False)
+    # Per configuration latch, the indices of the ops its plane reaches,
+    # and each _NET op's planes; built by _cones on first need.
+    cones: Optional[tuple] = field(default=None, repr=False, compare=False)
+    # ((gid, radix) per nl.inputs entry, then per nl.state_latches entry;
+    # per nl.state_groups entry, its latches' (gid, radix) pairs), built by
+    # _radixes on first need.
+    radixes: Optional[tuple[tuple, tuple]] = field(
         default=None, repr=False, compare=False)
     # The netlist's fingerprint, hashed by _stream_bits at the first check
     # of a stream that carries one.
@@ -288,10 +317,10 @@ def _lower(nl: Netlist, records: list[tuple]
                     if function(i):  # it can neither float nor contend
                         return
                     spill(i)
-                ops.append((_NET, names[i], tuple(drivers[i]), None))
+                ops.append((_NET, names[i], tuple(drivers[i]), len(ops)))
             if consume and i not in consumed:
                 consumed.add(i)
-                ops.append((_FLOAT, names[i], planes[i], None))
+                ops.append((_FLOAT, names[i], planes[i], len(ops)))
 
     for rec in records:
         g, y = rec[0], rec[1]
@@ -398,6 +427,20 @@ def _compiled(nl: Netlist) -> _Program:
     return program
 
 
+def _radixes(nl: Netlist) -> tuple[tuple, tuple]:
+    """The port and state radixes and the state groups of nl, as
+    prog.radixes holds them, read off the compiled program: the walk that
+    compiled it checked every list they come from."""
+    prog = _compiled(nl)
+    if prog.radixes is None:
+        gates = nl.gates
+        prog.radixes = (
+            tuple((gid, gates[gid].radix) for gid in nl.inputs + nl.state_latches),
+            tuple(tuple((gid, gates[gid].radix) for gid in group)
+                  for group in nl.state_groups))
+    return prog.radixes
+
+
 def _exhaustive(nl: Netlist) -> tuple[tuple[int, ...], ...]:
     """Every input vector of nl in row order (MS-first digits: vector k is
     row k), built on first use and kept with the compiled program.
@@ -424,29 +467,20 @@ def _exhaustive(nl: Netlist) -> tuple[tuple[int, ...], ...]:
     return prog.domain[0]
 
 
-def _record(first: dict[int, Fault], new: int, kind: FaultKind, ref: str,
-            vectors: list) -> None:
-    while new:
-        low = new & -new
-        b = low.bit_length() - 1
-        first[b] = Fault(kind, ref, tuple(vectors[b]))
-        new ^= low
-
-
 def _logged(state: SimState, fault: Fault) -> SimFaultError:
     """Log a fault that ends an evaluation; returns the error to raise."""
     state.faults.append(fault)
     return SimFaultError(fault)
 
 
-def _run(prog: _Program, v: list[int], vectors: list) -> dict[int, Fault]:
-    """One bit-parallel sweep over v, whose sources are set and other slots
-    0; returns each faulted vector's first fault. Slots of a faulted vector
-    hold no meaningful level."""
+def _run(ops: Sequence[tuple], v: list[int], masks: dict[int, int]) -> None:
+    """One bit-parallel sweep of ops over v, whose sources are set and
+    whose planes that a _NET op ORs into are 0. Each _NET or _FLOAT op that
+    faults a vector stores its raw fault mask in masks, under its index:
+    every vector it faults, whether or not an earlier op faulted it first.
+    Slots of a faulted vector hold no meaningful level."""
     full = v[_FULL]
-    first: dict[int, Fault] = {}
-    already = 0
-    for op, y, a, b in prog.ops:
+    for op, y, a, b in ops:
         if op == _NET:
             seen = clash = 0
             for c, y0, d in a:
@@ -456,10 +490,8 @@ def _run(prog: _Program, v: list[int], vectors: list) -> dict[int, Fault]:
                     seen |= c
                     for yp, dp in enumerate(d, y0):
                         v[yp] |= c & v[dp]
-            new = clash & ~already
-            if new:
-                already |= new
-                _record(first, new, FaultKind.CONTENTION, y, vectors)
+            if clash:
+                masks[b] = clash
         elif op == _AND:
             r = v[a]
             for s in b:
@@ -473,13 +505,29 @@ def _run(prog: _Program, v: list[int], vectors: list) -> dict[int, Fault]:
         elif op == _NOT:
             v[y] = full ^ v[a]
         else:  # _FLOAT
-            r = already
+            r = 0
             for s in a:
                 r |= v[s]
-            new = full ^ r
-            if new:
-                already |= new
-                _record(first, new, FaultKind.FLOATING_NET, y, vectors)
+            if r != full:
+                masks[b] = full ^ r
+
+
+def _first(prog: _Program, masks: dict[int, int],
+           vectors: Sequence) -> dict[int, Fault]:
+    """Each faulted vector's first fault, in evaluation order: the earliest
+    op whose raw mask holds the vector."""
+    first: dict[int, Fault] = {}
+    already = 0
+    for i in sorted(masks):
+        new = masks[i] & ~already
+        already |= new
+        op, ref = prog.ops[i][:2]
+        kind = FaultKind.CONTENTION if op == _NET else FaultKind.FLOATING_NET
+        while new:
+            low = new & -new
+            b = low.bit_length() - 1
+            first[b] = Fault(kind, ref, tuple(vectors[b]))
+            new ^= low
     return first
 
 
@@ -664,12 +712,14 @@ def _load(nl: Netlist, prog: _Program, vectors: Sequence, state: SimState,
 
 
 def _settle(nl: Netlist, prog: _Program, vectors: Sequence, state: SimState,
-            sources: list[int]) -> tuple[list[int], dict[int, Fault]]:
+            sources: list[int]) -> tuple[list[int], dict[int, int]]:
     """Sweep a batch from its loaded sources, commit the latch inputs,
-    repeat to rest. A latch netlist settles a batch of one; a clocked one
-    settles once per clock phase on one load. Each sweep copies the loaded
-    slots; a commit that changes a latch moves its plane among them, so
-    they stay the load of state.latches.
+    repeat to rest; returns the last sweep's slots and raw fault masks. A
+    latch netlist settles a batch of one; a clocked one settles once per
+    clock phase on one load. Each sweep copies the loaded slots; a commit
+    that changes a latch moves its plane among them, so they stay the load
+    of state.latches. A clean sweep holds a latch whose plane at its stored
+    level is still set, and reads the level of any other off its d planes.
 
     A sweep that commits a change is normally followed by another. That
     confirming sweep is skipped when every latch that changed is read only
@@ -689,26 +739,31 @@ def _settle(nl: Netlist, prog: _Program, vectors: Sequence, state: SimState,
     bound, seen = len(prog.latches) + 2, set()
     for sweep in itertools.count(1):
         v = sources.copy()
-        first = _run(prog, v, vectors)
+        masks: dict[int, int] = {}
+        _run(prog.ops, v, masks)
         cone = (_Cone(nl, prog, v, tuple(vectors[0]))
-                if first and prog.latches else None)
+                if masks and prog.latches else None)
         changed = []
         for gid, q, d, readers in prog.latches:
+            old = latches[gid]
             if cone is None:  # a clean sweep of one vector: one plane is 1
+                if v[d[old]]:
+                    continue  # it holds
                 new = [v[s] for s in d].index(1)
             else:
                 new = cone.consume(cone.number[nl.gates[gid].pins["d"]])
                 if isinstance(new, Fault):
                     raise _logged(state, new)
-            if latches[gid] != new:
-                sources[q[latches[gid]]] = 0
-                sources[q[new]] = full
-                latches[gid] = new
-                changed.append((gid, readers))
+                if new == old:
+                    continue
+            sources[q[old]] = 0
+            sources[q[new]] = full
+            latches[gid] = new
+            changed.append((gid, readers))
         if not changed or all(
                 readers is not None and not any(v[c] for c in readers)
                 for _, readers in changed):
-            return v, first
+            return v, masks
         contents = tuple(latches[gid] for gid, _, _, _ in prog.latches)
         if sweep >= bound and contents in seen:
             # name the first latch that changed in this sweep
@@ -732,9 +787,103 @@ def eval_vectors(nl: Netlist, vectors: Sequence[Sequence[int]],
     if nl.clock is not None:
         raise ValueError("netlist has a clock pin; drive it with step_sequential")
     prog = _compiled(nl)
-    v, first = _settle(nl, prog, vectors, state, _load(nl, prog, vectors, state))
+    domain = prog.domain
+    if (state.config is not None and domain is not None
+            and vectors is domain[0] and not prog.latches):
+        v, masks = _resweep(nl, prog, vectors, state)
+    else:
+        v, masks = _settle(nl, prog, vectors, state,
+                           _load(nl, prog, vectors, state))
+    first = _first(prog, masks, vectors)
     state.faults.extend(first[b] for b in sorted(first))
     return _results(prog, v, first, len(vectors))
+
+
+def _resweep(nl: Netlist, prog: _Program, rows: tuple,
+             state: SimState) -> tuple[list[int], dict[int, int]]:
+    """Sweep a latch-free program's own exhaustive rows under the
+    bitstream in state.config, and keep the sweep in prog.kept.
+
+    The first such sweep is a load and settle. A later one checks the
+    stream as every load does, then starts from a copy of the kept slots,
+    sets only the configuration planes whose bits changed, and runs only
+    the ops those planes reach, in op order, clearing each _NET op's planes
+    first. Every other slot, and every other op's raw fault mask, is a
+    function of planes that did not change, so it holds what a full sweep
+    would give it.
+    """
+    kept = prog.kept
+    if kept is None:
+        v, masks = _settle(nl, prog, rows, state, _load(nl, prog, rows, state))
+        key = _key(state.config.bits)
+    else:
+        bits = _stream_bits(nl, prog, state.config)
+        key = _key(bits)
+        old, v, masks = kept
+        v = v.copy()
+        diff = key ^ old
+        if diff:
+            cones, planes = prog.cones or _cones(prog)
+            changed = []
+            while diff:  # bit 8k of diff is set when bit k changed
+                low = diff & -diff
+                changed.append(low.bit_length() >> 3)
+                diff ^= low
+            if len(changed) == 1:
+                reach = cones[changed[0]]
+            else:
+                reach = sorted({i for k in changed for i in cones[k]})
+            full, masks = v[_FULL], masks.copy()
+            for k in changed:
+                v[prog.config[k][1]] = full if bits[k] else 0
+            ops = [prog.ops[i] for i in reach]
+            for op, _, _, b in ops:
+                if op == _NET:
+                    masks.pop(b, None)
+                    for s in planes[b]:
+                        v[s] = 0
+                elif op == _FLOAT:
+                    masks.pop(b, None)
+            _run(ops, v, masks)
+    prog.kept = (key, v, masks)
+    return v, masks
+
+
+def _key(bits: tuple[int, ...]) -> int:
+    """A stream's bits as one int whose byte k is bit k, made in C."""
+    return int.from_bytes(bytes(bits), "little")
+
+
+def _cones(prog: _Program) -> tuple[tuple, dict[int, range]]:
+    """Per configuration latch, in prog.config order, the indices of the
+    ops its plane reaches, directly or through other ops, in op order; and
+    each _NET op's planes, by its index, as the range of its net's slots
+    that its drivers write. Kept in prog.cones."""
+    reach = {s: 1 << k for k, (_, s) in enumerate(prog.config)}
+    cones: list[list[int]] = [[] for _ in prog.config]
+    planes = {}
+    for i, (op, y, a, b) in enumerate(prog.ops):
+        if op == _NET:
+            ins = [s for c, _, d in a for s in (c, *d)]
+            outs = planes[i] = range(min(y0 for _, y0, _ in a),
+                                     max(y0 + len(d) for _, y0, d in a))
+        elif op == _FLOAT:
+            ins, outs = a, ()
+        else:
+            ins, outs = (a, *b), (y,)
+        hit = 0
+        for s in ins:
+            hit |= reach.get(s, 0)
+        if not hit:
+            continue
+        for s in outs:
+            reach[s] = reach.get(s, 0) | hit
+        while hit:
+            low = hit & -hit
+            cones[low.bit_length() - 1].append(i)
+            hit ^= low
+    prog.cones = tuple(map(tuple, cones)), planes
+    return prog.cones
 
 
 def eval_combinational(nl: Netlist, inputs: Sequence[int],
@@ -788,20 +937,24 @@ def load_config(nl: Netlist, bits: ConfigBitstream,
 
 def reset_state(nl: Netlist, digits: Sequence[int],
                 state: Optional[SimState] = None) -> SimState:
-    """Set every storage group's latches to its reset digit."""
+    """Set every storage group's latches to its reset digit.
+
+    The groups and their latches' radixes are read off the compiled
+    program, whose validating walk checked them, so compiling refuses a
+    netlist whose groups do not partition its state latches.
+    """
     if state is None:
         state = SimState()
     if len(digits) != len(nl.state_groups):
         raise ValueError(
             f"expected {len(nl.state_groups)} reset digits, got {len(digits)}")
-    resets = [(gid, d) for group, d in zip(nl.state_groups, digits)
-              for gid in group]
-    radixes = _listed_radixes(nl, [gid for gid, _ in resets], _NARY_DLATCH,
-                              _BAD_GROUPS)
+    resets = []
     # every digit is checked before the first write
-    for (gid, d), radix in zip(resets, radixes):
-        if type(d) is not int or not 0 <= d < radix:
-            raise ValueError(f"reset digit {d!r} out of range for radix {radix}")
+    for group, d in zip(_radixes(nl)[1], digits):
+        for gid, radix in group:
+            if type(d) is not int or not 0 <= d < radix:
+                raise ValueError(f"reset digit {d!r} out of range for radix {radix}")
+            resets.append((gid, d))
     state.latches.update(resets)
     return state
 
@@ -844,9 +997,9 @@ class _Stepper:
             sources[prog.clock[1]], sources[prog.clock[0]] = 0, 1
         _settle(nl, prog, vectors, state, sources)
         sources[prog.clock[0]], sources[prog.clock[1]] = 0, 1
-        v, first = _settle(nl, prog, vectors, state, sources)
-        if first:
-            raise _logged(state, first[0])
+        v, masks = _settle(nl, prog, vectors, state, sources)
+        if masks:
+            raise _logged(state, _first(prog, masks, vectors)[0])
         # a clean vector's level is its net's highest set plane: level 0
         # of a binary net is _SINK, which holds no level
         out = []

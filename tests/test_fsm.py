@@ -243,3 +243,38 @@ def test_software_model_refuses_as_table_lookup_does(outputs, state, inputs, mes
     for call in calls:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
+
+
+@pytest.mark.parametrize("change, reset, error, message", [
+    ({"inputs": ["ghost"]}, (0,), NetlistError,
+     "input list entry ghost is not an input port"),
+    ({"state_latches": ["ghost", "dff0/s/lat"]}, (0,), NetlistError,
+     "nary_dlatch ordering list does not match gates"),
+    ({"state_groups": [("ghost",)]}, (0,), NetlistError,
+     "state_groups do not partition the state latches"),
+    ({}, (0, 0), ValueError, "expected 1 reset digits, got 2"),
+    ({}, (), ValueError, "expected 1 reset digits, got 0"),
+    ({}, (3,), ValueError, "reset digit 3 out of range for radix 3"),
+    ({}, (True,), ValueError, "reset digit True out of range for radix 3"),
+    ({}, ("1",), ValueError, "reset digit '1' out of range for radix 3"),
+], ids=["inputs", "state-latches", "groups", "two-digits", "no-digit",
+        "digit-3", "digit-True", "digit-str"])
+def test_fsm_check_and_reset_refusals(change, reset, error, message):
+    # each refusal keeps its type and message whether or not the netlist
+    # has been simulated (and its program compiled) before
+    spec = _accumulator3()
+    nl = compile_fsm(spec, Strategy.DECODER)
+    assert nl.state_latches == ["dff0/m/lat", "dff0/s/lat"]
+    assert check_fsm_equivalence(nl, spec, (0,), [[(1,)]]).passed
+    for fresh in (False, True):
+        bad = dataclasses.replace(nl, **change) if fresh or change else nl
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as got:
+            check_fsm_equivalence(bad, spec, reset, [[(1,)]])
+        assert type(got.value) is error
+        if "inputs" in change or "state_latches" in change:
+            continue  # reset_state reads only the groups
+        state = SimState()
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as got:
+            reset_state(bad, reset, state)
+        assert type(got.value) is error
+        assert state.latches == {}

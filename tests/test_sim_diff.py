@@ -544,3 +544,86 @@ def test_kept_rows_still_check_the_configuration():
             with pytest.raises(ValueError, match=re.escape(str(refused.value))):
                 sim.eval_vectors(nl, vectors, state)
             assert state.faults == []
+
+
+def _streams(rng, nbits):
+    """A random sequence of bitstreams for one fabric: a random start, then
+    one-bit flips, a flip and back, the same stream twice (as one object
+    and as an equal one), many-bit changes and the all-zero stream."""
+    bits = tuple(rng.randrange(2) for _ in range(nbits))
+    streams = [ConfigBitstream(bits)]
+    for _ in range(10):
+        kind = rng.choice(["flip", "flip and back", "same", "equal", "many",
+                           "zero"])
+        last = streams[-1]
+        if kind == "same":
+            streams.append(last)
+        elif kind == "equal":
+            streams.append(ConfigBitstream(last.bits))
+        elif kind == "zero":
+            streams.append(ConfigBitstream((0,) * nbits))
+        elif kind == "many":
+            streams.append(ConfigBitstream(
+                tuple(rng.randrange(2) for _ in range(nbits))))
+        elif nbits:
+            k = rng.randrange(nbits)
+            streams.append(last.flipped(k))
+            if kind == "flip and back":
+                streams.append(streams[-1].flipped(k))
+    return streams
+
+
+def _kept_sweeps_match(nl, streams, states=1):
+    """Evaluate nl's kept rows under each stream in turn, round-robin over
+    states SimStates, against the checked walk over an equal list of the
+    rows and against the reference, each with its own states: results
+    and each state's fault log, in order, must agree. Returns the faults."""
+    rows = sim._exhaustive(nl)
+    walked = list(rows)
+    kept, full, want = ([SimState() for _ in range(states)] for _ in range(3))
+    for i, stream in enumerate(streams):
+        j = i % states
+        for s in (kept[j], full[j], want[j]):
+            s.config = stream
+        got = _outcome(lambda s: sim.eval_vectors(nl, rows, s), kept[j])
+        assert nl._program.kept is not None
+        assert _outcome(lambda s: sim.eval_vectors(nl, walked, s), full[j]) == got
+        assert _outcome(lambda s: ref.eval_vectors(nl, walked, s), want[j]) == got
+    return [f for s in kept for f in s.faults]
+
+
+def test_kept_sweeps_of_switch_meshes_across_streams():
+    rng = random.Random(17)
+    kinds = set()
+    for _ in range(150):
+        nl = _random_mesh(rng)
+        streams = _streams(rng, len(nl.latch_order))
+        kinds.update(f.kind for f in _kept_sweeps_match(nl, streams))
+    assert kinds == {FaultKind.CONTENTION, FaultKind.FLOATING_NET}
+
+
+@pytest.mark.parametrize("kind", sorted(FABRICS))
+def test_kept_sweeps_of_fabrics_across_streams(kind):
+    rng = random.Random(len(kind) + 1)
+    kinds = set()
+    for n, m in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)):
+        nl = FABRICS[kind](n, m)
+        derived = derive_config(random_table(n, m, rng), nl)
+        flips = [derived]
+        for k in rng.sample(range(len(derived.bits)), 4):
+            flips += [derived.flipped(k), derived]
+        streams = flips + _streams(rng, len(derived.bits))
+        kinds.update(f.kind for f in _kept_sweeps_match(nl, streams))
+    assert kinds == {FaultKind.CONTENTION, FaultKind.FLOATING_NET}
+
+
+@pytest.mark.parametrize("kind", sorted(FABRICS))
+def test_two_states_alternating_on_one_fabric(kind):
+    # each state's stream differs from the kept sweep, which the other
+    # state's last check left, in bits the state never changed itself
+    rng = random.Random(len(kind) + 2)
+    for n, m in ((2, 2), (3, 2)):
+        nl = FABRICS[kind](n, m)
+        ours, theirs = (_streams(rng, len(nl.latch_order)) for _ in range(2))
+        _kept_sweeps_match(nl, [s for pair in zip(ours, theirs) for s in pair],
+                           states=2)

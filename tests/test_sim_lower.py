@@ -9,13 +9,14 @@ import random
 import pytest
 
 from mvlsynth import sim
-from mvlsynth.netlist import GateType, NetlistBuilder, levelized
-from mvlsynth.oracle import random_table
-from mvlsynth.sim import eval_vectors, load_config, reset_state
+from mvlsynth.netlist import (GateType, NetlistBuilder, fingerprint, levelized,
+                              validate)
+from mvlsynth.oracle import check_equivalence, random_table
+from mvlsynth.sim import SimState, eval_vectors, load_config, reset_state
 from mvlsynth.synth import (GateStats, Strategy, build_decoder_1,
-                            build_fabric_mux, build_mux_m, derive_config,
-                            gate_stats, synth_tables)
-from mvlsynth.tables import TruthTable
+                            build_fabric_decoder, build_fabric_mux, build_mux_m,
+                            derive_config, gate_stats, synth_tables)
+from mvlsynth.tables import ConfigBitstream, TruthTable
 import test_sim_diff
 from test_sim_diff import _all_vectors, _batch, _random_config, _steps
 
@@ -187,3 +188,63 @@ def test_one_op_per_switch_net():
         controls = [c for c, _, _ in op[2]]
         assert len(controls) == len(set(controls))
 
+
+
+@pytest.mark.parametrize("build, n, m, ops, flip", [
+    (build_fabric_decoder, 5, 2, 157, 4),
+    (build_fabric_mux, 3, 3, 41, 5),
+], ids=["decoder", "mux"])
+def test_a_fabric_check_reruns_only_the_cone_of_its_changed_bits(
+        monkeypatch, build, n, m, ops, flip):
+    runs = []
+    run = sim._run
+
+    def counted(op_list, v, masks):
+        runs.append(len(op_list))
+        return run(op_list, v, masks)
+
+    monkeypatch.setattr(sim, "_run", counted)
+    nl = build(n, m)
+    tt = random_table(n, m, random.Random(n))
+    derived = derive_config(tt, nl)
+    assert check_equivalence(nl, tt, derived).passed
+    prog = sim._compiled(nl)
+    assert runs == [len(prog.ops)] == [ops]  # the first sweep runs them all
+    # each flip, and each return to the derived stream, runs its bit's cone
+    runs.clear()
+    for k in range(len(derived.bits)):
+        assert not check_equivalence(nl, tt, derived.flipped(k)).passed
+        assert check_equivalence(nl, tt, derived).passed
+    cones = sim._cones(prog)[0]
+    assert runs == [len(cones[k]) for k in range(len(derived.bits)) for _ in "ab"]
+    assert runs[0] == flip and max(runs) < ops // 4
+    # the same stream again runs no op
+    runs.clear()
+    kept = prog.kept
+    assert check_equivalence(nl, tt, derived).passed
+    assert runs == [] and prog.kept is not kept and prog.kept[0] == kept[0]
+
+    # a sampled check and a caller's list run the whole program, and keep
+    # nothing
+    kept = prog.kept
+    rows = sim._exhaustive(nl)
+    check_equivalence(nl, tt, derived.flipped(0), cap=len(rows) - 1)
+    eval_vectors(nl, list(rows), load_config(nl, derived.flipped(1)))
+    assert runs == [ops, ops] and prog.kept is kept
+
+    # a stream the checks refuse runs nothing and leaves the kept sweep
+    other = build_fabric_mux(n, m) if build is build_fabric_decoder else \
+        build_fabric_decoder(n, m)
+    for stream in (ConfigBitstream(derived.bits[:-1]),
+                   ConfigBitstream(derived.bits, fingerprint(other)),
+                   derived.bits):
+        with pytest.raises(ValueError):
+            eval_vectors(nl, rows, SimState(config=stream))
+    assert runs == [ops, ops] and prog.kept is kept
+
+    # validate drops the kept sweep with the program: the next check runs
+    # every op again
+    validate(nl)
+    assert nl._program is None
+    assert not check_equivalence(nl, tt, derived.flipped(0)).passed
+    assert runs == [ops, ops, ops] and sim._compiled(nl).kept is not None
