@@ -66,6 +66,8 @@ def check_equivalence(nl: Netlist, tt: TruthTable,
                       seed: int = DEFAULT_SEED) -> EquivalenceReport:
     """Compare a single-output netlist against a table on its full domain.
 
+    The input radixes are read off the compiled program, so a netlist
+    that validate refuses raises its NetlistError before they are checked.
     A configuration bitstream is required exactly when the netlist has
     configuration latches; it is loaded by load_config, with its checks.
     A space over cap vectors is sampled from random.Random(seed), so the
@@ -83,9 +85,10 @@ def check_equivalence(nl: Netlist, tt: TruthTable,
         raise ValueError("equivalence sweep needs a combinational netlist")
     if len(nl.outputs) != 1:
         raise ValueError("netlist must have exactly one output")
-    if nl.input_radixes() != [n] * tt.arity:
+    inputs = _radixes(nl)[0]
+    if inputs != (n,) * tt.arity:
         raise ValueError(
-            f"netlist inputs {nl.input_radixes()} do not match a radix-{n} "
+            f"netlist inputs {list(inputs)} do not match a radix-{n} "
             f"arity-{tt.arity} table")
     if bool(nl.latch_order) != (config is not None):
         if config is None:
@@ -143,7 +146,8 @@ def check_fsm_equivalence(nl: Netlist, spec: FsmSpec, reset: Sequence[int],
         raise ValueError("netlist ports do not match the machine spec")
     n = spec.radix.n
     # the clock may take any radix
-    for gid, r in _radixes(nl)[0]:
+    inputs, states, _ = _radixes(nl)
+    for gid, r in zip(nl.inputs + nl.state_latches, inputs + states):
         if r != n:
             raise ValueError(f"{gid} has radix {r}, not the machine radix {n}")
     reset_latches = reset_state(nl, reset).latches

@@ -42,7 +42,8 @@ raw fault mask), and the next starts from a copy of those slots, sets
 only the configuration planes whose bits changed and reruns only the ops
 they reach, in op order (selective re-evaluation, after Ulrich,
 "Exclusive simulation of activity in digital networks", CACM 1969). So a
-one-bit flip of a fabric's stream reruns a handful of ops. Sampled or
+fabric checked with each bit of its stream flipped in turn, each check
+two bits from the last, reruns a handful of ops per check. Sampled or
 caller-given vectors, a netlist with state latches or a clock, a sweep
 with no bitstream and a program's first sweep of its rows take the load
 and settle loop below.
@@ -191,10 +192,10 @@ class _Program:
     # Per configuration latch, the indices of the ops its plane reaches,
     # and each _NET op's planes; built by _cones on first need.
     cones: Optional[tuple] = field(default=None, repr=False, compare=False)
-    # ((gid, radix) per nl.inputs entry, then per nl.state_latches entry;
-    # per nl.state_groups entry, its latches' (gid, radix) pairs), built by
+    # (the radix per nl.inputs entry, per nl.state_latches entry, and per
+    # nl.state_groups entry its latches' (gid, radix) pairs), built by
     # _radixes on first need.
-    radixes: Optional[tuple[tuple, tuple]] = field(
+    radixes: Optional[tuple[tuple, tuple, tuple]] = field(
         default=None, repr=False, compare=False)
     # The netlist's fingerprint, hashed by _stream_bits at the first check
     # of a stream that carries one.
@@ -427,17 +428,19 @@ def _compiled(nl: Netlist) -> _Program:
     return program
 
 
-def _radixes(nl: Netlist) -> tuple[tuple, tuple]:
-    """The port and state radixes and the state groups of nl, as
+def _radixes(nl: Netlist) -> tuple[tuple, tuple, tuple]:
+    """The input and state latch radixes and the state groups of nl, as
     prog.radixes holds them, read off the compiled program: the walk that
-    compiled it checked every list they come from."""
+    compiled it checked every list they come from. The simulator's callers
+    read port radixes here, not by Netlist.input_radixes' walk."""
     prog = _compiled(nl)
     if prog.radixes is None:
         gates = nl.gates
         prog.radixes = (
-            tuple((gid, gates[gid].radix) for gid in nl.inputs + nl.state_latches),
-            tuple(tuple((gid, gates[gid].radix) for gid in group)
-                  for group in nl.state_groups))
+            tuple([gates[gid].radix for gid in nl.inputs]),
+            tuple([gates[gid].radix for gid in nl.state_latches]),
+            tuple([tuple([(gid, gates[gid].radix) for gid in group])
+                   for group in nl.state_groups]))
     return prog.radixes
 
 
@@ -810,41 +813,38 @@ def _resweep(nl: Netlist, prog: _Program, rows: tuple,
     the ops those planes reach, in op order, clearing each _NET op's planes
     first. Every other slot, and every other op's raw fault mask, is a
     function of planes that did not change, so it holds what a full sweep
-    would give it.
+    would give it. A stream with the kept bits returns the kept sweep.
     """
     kept = prog.kept
     if kept is None:
         v, masks = _settle(nl, prog, rows, state, _load(nl, prog, rows, state))
-        key = _key(state.config.bits)
-    else:
-        bits = _stream_bits(nl, prog, state.config)
-        key = _key(bits)
-        old, v, masks = kept
-        v = v.copy()
-        diff = key ^ old
-        if diff:
-            cones, planes = prog.cones or _cones(prog)
-            changed = []
-            while diff:  # bit 8k of diff is set when bit k changed
-                low = diff & -diff
-                changed.append(low.bit_length() >> 3)
-                diff ^= low
-            if len(changed) == 1:
-                reach = cones[changed[0]]
-            else:
-                reach = sorted({i for k in changed for i in cones[k]})
-            full, masks = v[_FULL], masks.copy()
-            for k in changed:
-                v[prog.config[k][1]] = full if bits[k] else 0
-            ops = [prog.ops[i] for i in reach]
-            for op, _, _, b in ops:
-                if op == _NET:
-                    masks.pop(b, None)
-                    for s in planes[b]:
-                        v[s] = 0
-                elif op == _FLOAT:
-                    masks.pop(b, None)
-            _run(ops, v, masks)
+        prog.kept = (_key(state.config.bits), v, masks)
+        return v, masks
+    bits = _stream_bits(nl, prog, state.config)
+    key = _key(bits)
+    old, v, masks = kept
+    diff = key ^ old
+    if not diff:  # the kept sweep is this stream's
+        return v, masks
+    cones, planes = prog.cones or _cones(prog)
+    changed = []
+    while diff:  # bit 8k of diff is set when bit k changed
+        low = diff & -diff
+        changed.append(low.bit_length() >> 3)
+        diff ^= low
+    v, masks = v.copy(), masks.copy()
+    full = v[_FULL]
+    for k in changed:
+        v[prog.config[k][1]] = full if bits[k] else 0
+    ops = [prog.ops[i] for i in sorted({i for k in changed for i in cones[k]})]
+    for op, _, _, b in ops:
+        if op == _NET:
+            masks.pop(b, None)
+            for s in planes[b]:
+                v[s] = 0
+        elif op == _FLOAT:
+            masks.pop(b, None)
+    _run(ops, v, masks)
     prog.kept = (key, v, masks)
     return v, masks
 
@@ -940,8 +940,9 @@ def reset_state(nl: Netlist, digits: Sequence[int],
     """Set every storage group's latches to its reset digit.
 
     The groups and their latches' radixes are read off the compiled
-    program, whose validating walk checked them, so compiling refuses a
-    netlist whose groups do not partition its state latches.
+    program, whose validating walk checked them. So after the digit count,
+    and before any digit, compiling refuses a netlist that validate
+    refuses, whichever of its lists is at fault.
     """
     if state is None:
         state = SimState()
@@ -950,7 +951,7 @@ def reset_state(nl: Netlist, digits: Sequence[int],
             f"expected {len(nl.state_groups)} reset digits, got {len(digits)}")
     resets = []
     # every digit is checked before the first write
-    for group, d in zip(_radixes(nl)[1], digits):
+    for group, d in zip(_radixes(nl)[2], digits):
         for gid, radix in group:
             if type(d) is not int or not 0 <= d < radix:
                 raise ValueError(f"reset digit {d!r} out of range for radix {radix}")

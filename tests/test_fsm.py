@@ -261,18 +261,20 @@ def test_software_model_refuses_as_table_lookup_does(outputs, state, inputs, mes
         "digit-3", "digit-True", "digit-str"])
 def test_fsm_check_and_reset_refusals(change, reset, error, message):
     # each refusal keeps its type and message whether or not the netlist
-    # has been simulated (and its program compiled) before
+    # has been simulated (and its program compiled) before. Both functions
+    # read the radixes off the compiled program, so reset_state refuses a
+    # netlist that validate refuses, whatever list is at fault, and the
+    # check refuses a bad reset even with no sequence to run.
     spec = _accumulator3()
     nl = compile_fsm(spec, Strategy.DECODER)
     assert nl.state_latches == ["dff0/m/lat", "dff0/s/lat"]
     assert check_fsm_equivalence(nl, spec, (0,), [[(1,)]]).passed
     for fresh in (False, True):
         bad = dataclasses.replace(nl, **change) if fresh or change else nl
-        with pytest.raises(error, match=f"^{re.escape(message)}$") as got:
-            check_fsm_equivalence(bad, spec, reset, [[(1,)]])
-        assert type(got.value) is error
-        if "inputs" in change or "state_latches" in change:
-            continue  # reset_state reads only the groups
+        for seqs in ([[(1,)]], []):
+            with pytest.raises(error, match=f"^{re.escape(message)}$") as got:
+                check_fsm_equivalence(bad, spec, reset, seqs)
+            assert type(got.value) is error
         state = SimState()
         with pytest.raises(error, match=f"^{re.escape(message)}$") as got:
             reset_state(bad, reset, state)

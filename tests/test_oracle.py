@@ -1,5 +1,6 @@
 """Equivalence checking against table semantics, and the reference tables."""
 
+import dataclasses
 import random
 import re
 
@@ -9,7 +10,7 @@ import reference_sim as ref
 from mvlsynth.oracle import (DEFAULT_CAP, DEFAULT_SEED, EquivalenceReport,
                              Mismatch, check_equivalence, check_fsm_equivalence,
                              oracle_eval, random_table, reference_half_adder)
-from mvlsynth.netlist import Gate, GateType, fingerprint, validate
+from mvlsynth.netlist import Gate, GateType, NetlistError, fingerprint, validate
 from mvlsynth.sim import (Fault, FaultKind, SimState, _exhaustive, eval_vectors,
                           load_config)
 from mvlsynth.synth import (Strategy, build_fabric_decoder, build_fabric_mux,
@@ -221,6 +222,42 @@ def test_rejects_unsuitable_netlists():
     with pytest.raises(ValueError):
         check_equivalence(synth_tables([SUM3], Strategy.DECODER),
                           TruthTable.make(4, 2, (0,) * 16))
+
+
+def test_equivalence_refusals_keep_their_messages_in_order():
+    # the input radixes are read off the compiled program, so a netlist
+    # that validate refuses raises its NetlistError before the radix and
+    # config checks, whichever list is at fault
+    plain = synth_tables([SUM3], Strategy.DECODER)
+    fabric = build_fabric_decoder(3, 2)
+    bits = derive_config(SUM3, fabric)
+    radix4 = TruthTable.make(4, 2, (0,) * 16)
+    cases = [
+        (plain, radix4, None, ValueError,
+         "netlist inputs [3, 3] do not match a radix-4 arity-2 table"),
+        (plain, TruthTable.make(3, 1, (0, 1, 2)), None, ValueError,
+         "netlist inputs [3, 3] do not match a radix-3 arity-1 table"),
+        (fabric, SUM3, None, ValueError,
+         "netlist has configuration latches; config required"),
+        (plain, SUM3, bits, ValueError,
+         "config given for a netlist without latches"),
+        (dataclasses.replace(plain, inputs=["ghost", "x0"]), radix4, None,
+         NetlistError, "input list entry ghost is not an input port"),
+        (dataclasses.replace(plain, outputs=["ghost"]), radix4, None,
+         NetlistError, "output list entry ghost is not an output port"),
+        (dataclasses.replace(fabric, latch_order=["ghost"]), SUM3, None,
+         NetlistError, "config_latch ordering list does not match gates"),
+    ]
+    for simulated in (False, True):
+        if simulated:
+            assert check_equivalence(plain, SUM3).passed
+            assert check_equivalence(fabric, SUM3, config=bits).passed
+        for nl, tt, config, error, message in cases:
+            if not simulated:
+                nl = dataclasses.replace(nl)  # a copy without its program
+            with pytest.raises(error, match=f"^{re.escape(message)}$") as got:
+                check_equivalence(nl, tt, config)
+            assert type(got.value) is error
 
 
 def test_random_table_seeded():

@@ -210,23 +210,42 @@ def test_a_fabric_check_reruns_only_the_cone_of_its_changed_bits(
     assert check_equivalence(nl, tt, derived).passed
     prog = sim._compiled(nl)
     assert runs == [len(prog.ops)] == [ops]  # the first sweep runs them all
+    cones = sim._cones(prog)[0]
+
+    def reach(*bits):
+        return len({i for k in bits for i in cones[k]})
+
     # each flip, and each return to the derived stream, runs its bit's cone
     runs.clear()
-    for k in range(len(derived.bits)):
+    count = len(derived.bits)
+    for k in range(count):
         assert not check_equivalence(nl, tt, derived.flipped(k)).passed
         assert check_equivalence(nl, tt, derived).passed
-    cones = sim._cones(prog)[0]
-    assert runs == [len(cones[k]) for k in range(len(derived.bits)) for _ in "ab"]
+    assert runs == [reach(k) for k in range(count) for _ in "ab"]
     assert runs[0] == flip and max(runs) < ops // 4
-    # the same stream again runs no op
+    # flips in turn, as the fabric benchmark checks them: each after the
+    # first changes two bits and runs the union of their cones
+    runs.clear()
+    for k in range(count):
+        assert not check_equivalence(nl, tt, derived.flipped(k)).passed
+    assert runs == [reach(0)] + [reach(k - 1, k) for k in range(1, count)]
+    assert max(runs) < ops // 4
+    # another table's derived stream after the last flip changes many bits
+    runs.clear()
+    tt = random_table(n, m, random.Random(n + 1))
+    last, derived = derived.flipped(count - 1), derive_config(tt, nl)
+    changed = [k for k in range(count) if last.bits[k] != derived.bits[k]]
+    assert len(changed) > 2
+    assert check_equivalence(nl, tt, derived).passed
+    assert runs == [reach(*changed)]
+    # the same stream again runs no op and keeps the kept sweep
     runs.clear()
     kept = prog.kept
     assert check_equivalence(nl, tt, derived).passed
-    assert runs == [] and prog.kept is not kept and prog.kept[0] == kept[0]
+    assert runs == [] and prog.kept is kept
 
     # a sampled check and a caller's list run the whole program, and keep
     # nothing
-    kept = prog.kept
     rows = sim._exhaustive(nl)
     check_equivalence(nl, tt, derived.flipped(0), cap=len(rows) - 1)
     eval_vectors(nl, list(rows), load_config(nl, derived.flipped(1)))
