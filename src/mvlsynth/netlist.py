@@ -78,9 +78,10 @@ _OWN = -2                           # in a layout: the gate's own radix
 _COMB = (_TLG, _AND, _OR, _NOT, _SWITCH)
 
 
-# Per-signature caches. An entry's size grows with its fan-in, so each
-# cache starts afresh once its entries would hold more than _HELD ports in
-# all; the few small fan-ins that netlists use stay cached.
+# Per-signature caches, and synth's table of block ids. An entry's size
+# grows with its fan-in (or its block's size), so each cache starts afresh
+# once its entries would hold more than _HELD ports (or ids) in all; the
+# few small fan-ins and blocks that netlists use stay cached.
 _HELD = 2048
 _held: dict[int, int] = {}  # ports held, by id() of the cache
 
@@ -198,44 +199,11 @@ class Netlist:
     def net_of_output(self, gid: str) -> str:
         return self.gates[gid].pins["a"]
 
-    def input_radixes(self) -> list[Optional[int]]:
-        """Each listed input port's radix (None = binary). An entry that
-        names no input port raises validate's NetlistError, without its walk."""
-        return _listed_radixes(self, self.inputs, _INPUT, _NOT_A_PORT)
-
-    def state_radixes(self) -> list[Optional[int]]:
-        """Each listed state latch's radix, checked as input_radixes'."""
-        return _listed_radixes(self, self.state_latches, _NARY_DLATCH, _BAD_ORDER)
-
     def eval_order(self) -> list[str]:
         """Topological order of the combinational core, derived afresh by
         the walk validate makes; raises NetlistError if the netlist is
         invalid."""
         return [rec[0].gid for rec in levelized(self) if rec[0].kind in _COMB]
-
-
-# Refusals of a port, storage or state group list entry, shared by
-# levelized and the radix readers, which check their lists without a
-# validating walk.
-_NOT_A_PORT = "{kind} list entry {gid} is not an {kind} port"
-_BAD_ORDER = "{kind} ordering list does not match gates"
-_BAD_GROUPS = "state_groups do not partition the state latches"
-
-
-def _listed_radixes(nl: Netlist, lst: list[str], kind: GateType,
-                    error: str) -> list[Optional[int]]:
-    """The radix of each gate lst names; an entry naming no gate of the
-    given kind raises NetlistError with validate's message for it."""
-    if not isinstance(lst, _LIST):  # a str would name its characters
-        raise NetlistError(error.format(kind=kind.value, gid=repr(lst)))
-    gates = nl.gates
-    radixes = []
-    for gid in lst:
-        g = gates.get(gid) if type(gid) is str else None  # a list is unhashable
-        if g is None or g.kind is not kind:
-            raise NetlistError(error.format(kind=kind.value, gid=gid))
-        radixes.append(g.radix)
-    return radixes
 
 
 def fingerprint(nl: Netlist) -> str:
@@ -462,21 +430,22 @@ def levelized(nl: Netlist) -> _Records:
         if not isinstance(lst, _LIST) or (lst or actual) and (
                 any(type(gid) is not str for gid in lst)
                 or len(set(lst)) != len(lst) or set(lst) != set(actual)):
-            raise NetlistError(_BAD_ORDER.format(kind=kind.value))
+            raise NetlistError(f"{kind.value} ordering list does not match gates")
     groups = nl.state_groups
     if not isinstance(groups, _LIST) or (groups or state) and (
             not all(isinstance(grp, _LIST) and grp for grp in groups)
             or any(type(gid) is not str for grp in groups for gid in grp)
             or sum(map(len, groups)) != len(state)
             or {gid for grp in groups for gid in grp} != set(state)):
-        raise NetlistError(_BAD_GROUPS)
+        raise NetlistError("state_groups do not partition the state latches")
 
     for lst, kind in ((nl.inputs, _INPUT), (nl.outputs, _OUTPUT)):
         if not isinstance(lst, _LIST):
             raise NetlistError(f"{kind.value} list {lst!r} is not a list")
         for gid in lst:
             if type(gid) is not str or gid not in gates or gates[gid].kind is not kind:
-                raise NetlistError(_NOT_A_PORT.format(kind=kind.value, gid=gid))
+                raise NetlistError(
+                    f"{kind.value} list entry {gid} is not an {kind.value} port")
         if len(set(lst)) != len(lst):
             raise NetlistError(f"{kind.value} list repeats an entry")
     listed = set(nl.inputs)

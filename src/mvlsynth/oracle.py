@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 
 from .netlist import Netlist
 from .sim import Fault, SimFaultError, SimState, _exhaustive, _radixes, \
-    _Stepper, eval_vectors, load_config, reset_state
+    _Stepper, eval_vectors, reset_state
 from .tables import ConfigBitstream, FsmSpec, TruthTable, _check_arity
 from .values import RadixLike, as_radix
 
@@ -69,7 +69,7 @@ def check_equivalence(nl: Netlist, tt: TruthTable,
     The input radixes are read off the compiled program, so a netlist
     that validate refuses raises its NetlistError before they are checked.
     A configuration bitstream is required exactly when the netlist has
-    configuration latches; it is loaded by load_config, with its checks.
+    configuration latches; the sweep's load checks it as load_config does.
     A space over cap vectors is sampled from random.Random(seed), so the
     seed must be an int: the report records it. Simulator faults count as
     mismatches.
@@ -95,8 +95,7 @@ def check_equivalence(nl: Netlist, tt: TruthTable,
             raise ValueError("netlist has configuration latches; config required")
         raise ValueError("config given for a netlist without latches")
 
-    state = SimState() if config is None else load_config(nl, config)
-
+    state = SimState(config=config)
     exhaustive = n**tt.arity <= cap
     if exhaustive:
         # every row in row order (MS-first digits): vector k is row k; the

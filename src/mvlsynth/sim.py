@@ -432,7 +432,7 @@ def _radixes(nl: Netlist) -> tuple[tuple, tuple, tuple]:
     """The input and state latch radixes and the state groups of nl, as
     prog.radixes holds them, read off the compiled program: the walk that
     compiled it checked every list they come from. The simulator's callers
-    read port radixes here, not by Netlist.input_radixes' walk."""
+    read port radixes here."""
     prog = _compiled(nl)
     if prog.radixes is None:
         gates = nl.gates
@@ -554,6 +554,15 @@ def _levels(v: list[int], planes: tuple[int, ...], nb: int) -> list[int]:
     return col
 
 
+def _level(v: list[int], planes: tuple[int, ...]) -> int:
+    """One clean vector's level: its net's highest set plane. Level 0 of a
+    binary net is _SINK, which holds no level, so plane 0 is never read."""
+    lvl = len(planes) - 1
+    while lvl and not v[planes[lvl]]:
+        lvl -= 1
+    return lvl
+
+
 def _results(prog: _Program, v: list[int], first: dict[int, Fault],
              nb: int) -> list[Union[tuple[int, ...], Fault]]:
     cols = [_levels(v, planes, nb) for planes in prog.outputs]
@@ -633,11 +642,11 @@ class _Cone:
             got = next((x for x in map(self.consume, ins)
                         if isinstance(x, Fault)), None)
             if got is None:
-                got = self._level(g, [self.memo[x] for x in ins], i)
+                got = self._gate_level(g, [self.memo[x] for x in ins], i)
         self.memo[i] = got
         return got
 
-    def _level(self, g, ins: list[int], i: int) -> int:
+    def _gate_level(self, g, ins: list[int], i: int) -> int:
         """The level gate g drives onto net i from its clean input levels."""
         kind = g.kind
         if kind is GateType.TLG:
@@ -650,7 +659,7 @@ class _Cone:
             return int(any(ins))
         if kind is GateType.CONST:
             return g.param
-        return _levels(self.v, self.sources[i], 1)[0]  # an input or storage
+        return _level(self.v, self.sources[i])  # an input or storage
 
 
 def _load_inputs(nl: Netlist, prog: _Program, vectors: Sequence,
@@ -752,7 +761,7 @@ def _settle(nl: Netlist, prog: _Program, vectors: Sequence, state: SimState,
             if cone is None:  # a clean sweep of one vector: one plane is 1
                 if v[d[old]]:
                     continue  # it holds
-                new = [v[s] for s in d].index(1)
+                new = _level(v, d)
             else:
                 new = cone.consume(cone.number[nl.gates[gid].pins["d"]])
                 if isinstance(new, Fault):
@@ -1001,15 +1010,7 @@ class _Stepper:
         v, masks = _settle(nl, prog, vectors, state, sources)
         if masks:
             raise _logged(state, _first(prog, masks, vectors)[0])
-        # a clean vector's level is its net's highest set plane: level 0
-        # of a binary net is _SINK, which holds no level
-        out = []
-        for planes in prog.outputs:
-            lvl = len(planes) - 1
-            while lvl and not v[planes[lvl]]:
-                lvl -= 1
-            out.append(lvl)
-        return tuple(out)
+        return tuple([_level(v, planes) for planes in prog.outputs])
 
 
 def step_sequential(nl: Netlist, inputs: Sequence[int],

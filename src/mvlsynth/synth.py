@@ -10,12 +10,12 @@ as switch wiring onto a shared net, never as arithmetic.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .netlist import GateType, Netlist, NetlistBuilder, _driver_map
+from .netlist import GateType, Netlist, NetlistBuilder, _driver_map, _keep
+from .sim import _radixes
 from .tables import ConfigBitstream, FsmSpec, TruthTable
 from .values import RadixLike, as_radix
 
@@ -31,12 +31,22 @@ class Strategy(enum.Enum):
 # -- primitive blocks (emitted into a shared builder) -------------------------
 
 
-@functools.lru_cache(maxsize=1024)
-def _ids(prefix: str, stem: str, count: int, end: str = "") -> tuple[str, ...]:
-    """The ids f"{prefix}{stem}{k}{end}" for k < count. A block's gate ids
-    are a pure function of (prefix, radix, digits), so they are formatted
-    once per block shape and read back after that."""
-    return tuple(f"{prefix}{stem}{k}{end}" for k in range(count))
+class _Ids(dict):
+    """Block gate ids: _ids[prefix, stem, count, end] is the tuple of ids
+    f"{prefix}{stem}{k}{end}" for k < count. A block's gate ids are a pure
+    function of (prefix, radix, digits), so they are formatted at their
+    first read and read back after that, from a table bounded by the ids
+    it holds, as the port tables are."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple) -> tuple[str, ...]:
+        prefix, stem, count, end = key
+        ids = tuple(f"{prefix}{stem}{k}{end}" for k in range(count))
+        return _keep(self, key, ids, count)
+
+
+_ids = _Ids()
 
 
 def _emit_decoder_1(b: NetlistBuilder, prefix: str, x: str, n: int) -> list[str]:
@@ -45,8 +55,9 @@ def _emit_decoder_1(b: NetlistBuilder, prefix: str, x: str, n: int) -> list[str]
     y_t = (x > t) for thresholds n-2 down to 0; the boundary lines collapse
     to a plain inverter (b_0) and a direct wire (b_{n-1}).
     """
-    tlgs, nots, ands = (_ids(prefix, "tlg", n - 1), _ids(prefix, "not", n - 1),
-                        _ids(prefix, "and", n - 1))
+    tlgs = _ids[prefix, "tlg", n - 1, ""]
+    nots = _ids[prefix, "not", n - 1, ""]
+    ands = _ids[prefix, "and", n - 1, ""]
     y = [b.tlg(tlgs[t], x, t) for t in range(n - 2, -1, -1)][::-1]  # y[t]
     outs = [b.not_(nots[0], y[0])]
     for v in range(1, n - 1):
@@ -67,11 +78,11 @@ def _emit_decoder_m(b: NetlistBuilder, prefix: str, xs: Sequence[str],
     if m == 1:
         return _emit_decoder_1(b, prefix, xs[0], n)
     per = [_emit_decoder_1(b, p, xs[m - 1 - j], n)
-           for j, p in enumerate(_ids(prefix, "d", m, "/"))]  # j = positional weight
+           for j, p in enumerate(_ids[prefix, "d", m, "/"])]  # j = positional weight
     per.reverse()  # MS-first, as each row's digits
     rows = itertools.product(range(n), repeat=m)  # line k's digits are row k's
     return [b.and_(gid, [p[d] for p, d in zip(per, digits)])
-            for gid, digits in zip(_ids(prefix, "and", n**m), rows)]
+            for gid, digits in zip(_ids[prefix, "and", n**m, ""], rows)]
 
 
 def _emit_mux_m(b: NetlistBuilder, prefix: str, data: Sequence[str],
@@ -87,13 +98,13 @@ def _emit_mux_m(b: NetlistBuilder, prefix: str, data: Sequence[str],
         layer = list(data)
         for j in range(m):
             s = sels[m - 1 - j]  # stage j consumes digit of weight j
-            groups = _ids(prefix, f"s{j}m", len(layer) // n, "/")
+            groups = _ids[prefix, f"s{j}m", len(layer) // n, "/"]
             layer = [_emit_mux_m(b, group, layer[q * n:(q + 1) * n], [s], n, tree=False)
                      for q, group in enumerate(groups)]
         return layer[0]
     ctl = _emit_decoder_m(b, f"{prefix}dec/", sels, n)
     y = b.net(n)
-    for k, gid in enumerate(_ids(prefix, "sw", n**m)):
+    for k, gid in enumerate(_ids[prefix, "sw", n**m, ""]):
         b.switch(gid, data[k], ctl[k], y)
     return y
 
@@ -121,7 +132,7 @@ def _emit_table(b: NetlistBuilder, prefix: str, ins: Sequence[str],
     groups: list[list[str]] = [[] for _ in range(n)]  # each level's rows' lines
     for line, e in zip(lines, tt.entries):
         groups[e].append(line)
-    ors, switches = _ids(prefix, "or", n), _ids(prefix, "sw", n)
+    ors, switches = _ids[prefix, "or", n, ""], _ids[prefix, "sw", n, ""]
     for level, rows in enumerate(groups):
         if not rows:
             continue
@@ -269,7 +280,9 @@ def derive_config(tt: TruthTable, fabric: Netlist) -> ConfigBitstream:
 
     Decoder fabric: level k's latch for line i is 1 iff tt maps row i to k.
     Mux fabric: input k's latch for level v is 1 iff tt's row k equals v.
-    The fabric's latch count and inputs must match the table.
+    The fabric's latch count and inputs must match the table; its input
+    radixes are read off its compiled program, so a fabric that validate
+    refuses raises its NetlistError there.
     """
     n = tt.radix.n
     rows = n**tt.arity
@@ -279,7 +292,7 @@ def derive_config(tt: TruthTable, fabric: Netlist) -> ConfigBitstream:
     if len(fabric.latch_order) != n * rows:
         raise ValueError(
             f"table needs {n * rows} latches; fabric has {len(fabric.latch_order)}")
-    if fabric.input_radixes() != [n] * tt.arity:
+    if _radixes(fabric)[0] != (n,) * tt.arity:
         raise ValueError("table radix/arity do not match fabric inputs")
     if kind == "decoder":
         bits = [1 if tt.entries[i] == k else 0

@@ -6,6 +6,7 @@ their fixed bounds however many netlists are built."""
 
 import gc
 import hashlib
+import random
 import tracemalloc
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from mvlsynth import netlist, synth
 from mvlsynth.fileio import netlist_to_text
 from mvlsynth.netlist import NetlistBuilder
+from mvlsynth.oracle import random_table
 from mvlsynth.synth import (Strategy, build_decoder_m, build_fabric_decoder,
                             build_fabric_mux, build_mux_m, build_nary_dff,
                             compile_fsm, synth_tables)
@@ -79,21 +81,20 @@ def test_a_builder_writes_its_pinned_bytes(case):
 
 
 def test_name_tables_stay_within_their_bounds():
-    # 300 one-digit tables as one netlist: each has its own prefix, so the
-    # block ids overflow their table, and its wires run past the names
+    # 400 one-digit tables as one netlist: each has its own prefix, so their
+    # 2400 block ids overflow their table, and its wires run past the names
     # formatted in advance
-    tts = [_table(2, 1, t) for t in range(300)]
+    tts = [_table(2, 1, t) for t in range(400)]
     nl = synth_tables(tts, Strategy.MUX_TREE)
     wires = [nid for nid in nl.nets if nid.startswith("w")]
     assert len(wires) > len(netlist._WIRES) == 256
     assert wires == [f"w{k}" for k in range(len(wires))]
-    assert nl.gates["f299/s0m0/dec/tlg0"].pins["d"] == "x"
-    info = synth._ids.cache_info()
-    assert info.maxsize is not None and info.currsize == info.maxsize
+    assert nl.gates["f399/s0m0/dec/tlg0"].pins["d"] == "x"
+    assert ("f0/", "s0m", 1, "/") not in synth._ids  # the table started afresh
     # more distinct AND/OR fan-ins than the port-name and plan tables hold
     assert _fan_ins().gates["or299"].pins["a298"] == "x"
     for table, ports in ((netlist._PORTS, lambda plan: len(plan[0])),
-                         (netlist._NAMES, len)):
+                         (netlist._NAMES, len), (synth._ids, len)):
         held = sum(map(ports, table.values()))
         assert held == netlist._held[id(table)] <= netlist._HELD
 
@@ -115,6 +116,26 @@ def test_dropped_fan_ins_leave_their_plans_and_names_bounded():
     try:
         before = tracemalloc.get_traced_memory()[0]
         _fan_ins()
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left < 1_000_000
+
+
+def test_dropped_multi_table_netlists_leave_their_ids_bounded():
+    # each table's blocks have their own prefix, so a table bounded by its
+    # entries (1024 id tuples) once left about 1.9 MB after 40 random 3^5
+    # tables per strategy; bounded by the ids it holds, it keeps 2048
+    rng = random.Random(5)
+    tts = [random_table(3, 5, rng) for _ in range(40)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for strategy in Strategy:
+            synth_tables(tts, strategy)
+            assert netlist._held[id(synth._ids)] <= netlist._HELD
         gc.collect()
         left = tracemalloc.get_traced_memory()[0] - before
     finally:

@@ -425,16 +425,6 @@ def test_a_field_of_the_wrong_type_is_named(build, edit, message):
         validate(nl)
 
 
-@pytest.mark.parametrize("inputs, named", [([["x"]], r"\['x'\]"), ("x", "'x'"),
-                                           (None, "None")])
-def test_radix_readers_refuse_a_port_list_of_the_wrong_type(inputs, named):
-    # an unhashable entry raised TypeError; a str read its characters
-    nl = build_decoder_1(2)
-    nl.inputs = inputs
-    with pytest.raises(NetlistError, match=f"^input list entry {named} is not an input port$"):
-        nl.input_radixes()
-
-
 def test_validate_rechecks_cycles_after_an_edit():
     b = NetlistBuilder()
     x = b.add_input("x", 3)

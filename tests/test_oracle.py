@@ -7,6 +7,7 @@ import re
 import pytest
 
 import reference_sim as ref
+from mvlsynth import sim
 from mvlsynth.oracle import (DEFAULT_CAP, DEFAULT_SEED, EquivalenceReport,
                              Mismatch, check_equivalence, check_fsm_equivalence,
                              oracle_eval, random_table, reference_half_adder)
@@ -258,6 +259,24 @@ def test_equivalence_refusals_keep_their_messages_in_order():
             with pytest.raises(error, match=f"^{re.escape(message)}$") as got:
                 check_equivalence(nl, tt, config)
             assert type(got.value) is error
+
+
+def test_a_fabric_check_checks_its_stream_once(monkeypatch):
+    # the sweep's load (or its rerun from the kept sweep) is the one check
+    # of the stream: check_equivalence no longer runs it first itself
+    calls = []
+    check = sim._stream_bits
+    monkeypatch.setattr(sim, "_stream_bits",
+                        lambda *args: calls.append(1) or check(*args))
+    fabric = build_fabric_decoder(3, 2)
+    bits = derive_config(SUM3, fabric)
+    for config, cap, passed in ((bits, DEFAULT_CAP, True),
+                                (bits.flipped(3), DEFAULT_CAP, False),
+                                (bits.flipped(3), DEFAULT_CAP, False),
+                                (bits, 5, True)):
+        calls.clear()
+        assert check_equivalence(fabric, SUM3, config, cap=cap).passed is passed
+        assert len(calls) == 1
 
 
 def test_random_table_seeded():

@@ -62,7 +62,7 @@ def _same(call_new, call_ref, new_state, ref_state):
 
 
 def _all_vectors(nl, rng, cap=64):
-    spans = [2 if r is None else r for r in nl.input_radixes()]
+    spans = [nl.gates[g].radix or 2 for g in nl.inputs]
     space = list(itertools.product(*(range(s) for s in spans)))
     return space if len(space) <= cap else rng.sample(space, cap)
 
@@ -251,7 +251,7 @@ def _latch_mesh_steps(rng, banks=None):
     if rng.random() < 0.9:
         reset_state(nl, [rng.randrange(nl.gates[g[0]].radix)
                          for g in nl.state_groups], state)
-    spans = [2 if r is None else r for r in nl.input_radixes()]
+    spans = [nl.gates[g].radix or 2 for g in nl.inputs]
     vectors = [tuple(rng.randrange(s) for s in spans) for _ in range(4)]
     return _steps(nl, state, vectors)
 
@@ -467,7 +467,7 @@ def _rows_match_the_walk(nl, state=None):
     the kept planes must be left as they were. Returns the fault log."""
     state = state or SimState()
     rows = sim._exhaustive(nl)
-    spans = [2 if r is None else r for r in nl.input_radixes()]
+    spans = [nl.gates[g].radix or 2 for g in nl.inputs]
     walked = list(itertools.product(*(range(s) for s in spans)))
     assert list(rows) == walked
     kept = list(nl._program.domain[1])

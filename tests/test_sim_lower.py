@@ -98,8 +98,8 @@ def test_twin_gates_share_a_slot_and_match_the_reference(latches, monkeypatch):
         if rng.random() < 0.9:
             reset_state(nl, [rng.randrange(nl.gates[g[0]].radix)
                              for g in nl.state_groups], state)
-        _steps(nl, state, [tuple(rng.randrange(2 if r is None else r)
-                                 for r in nl.input_radixes())
+        _steps(nl, state, [tuple(rng.randrange(nl.gates[g].radix or 2)
+                                 for g in nl.inputs)
                            for _ in range(4)])
         faults += len(state.faults)
     # twins were emitted, cousins were level sets, the fault paths reached

@@ -263,4 +263,4 @@ def test_radixes_from_2_to_256_are_accepted():
         assert radix_problem(n) == "" and Radix(n).n == n
         b = NetlistBuilder()
         b.add_output("y", b.add_input("x", n))
-        assert b.finish().input_radixes() == [n]
+        assert b.finish().gates["x"].radix == n
