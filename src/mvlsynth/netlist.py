@@ -80,14 +80,18 @@ _COMB = (_TLG, _AND, _OR, _NOT, _SWITCH)
 
 # Per-signature caches, and synth's table of block ids. An entry's size
 # grows with its fan-in (or its block's size), so each cache starts afresh
-# once its entries would hold more than _HELD ports (or ids) in all; the
-# few small fan-ins and blocks that netlists use stay cached.
+# once its entries would hold more than _HELD ports (or ids) in all, and an
+# entry larger than that is not stored; the few small fan-ins and blocks
+# that netlists use stay cached.
 _HELD = 2048
 _held: dict[int, int] = {}  # ports held, by id() of the cache
 
 
 def _keep(cache: dict, key, value, ports: int):
-    """Store value, an entry of ports ports, in cache; returns value."""
+    """Store value, an entry of ports ports, in cache unless it alone
+    would hold more than _HELD; returns value."""
+    if ports > _HELD:
+        return value
     held = _held.get(id(cache), 0) + ports
     if held > _HELD:
         cache.clear()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .netlist import Netlist
-from .sim import Fault, SimFaultError, SimState, _exhaustive, _radixes, \
+from .sim import Fault, SimFaultError, SimState, _compiled, _exhaustive, \
     _Stepper, eval_vectors, reset_state
 from .tables import ConfigBitstream, FsmSpec, TruthTable, _check_arity
 from .values import RadixLike, as_radix
@@ -69,7 +69,7 @@ def check_equivalence(nl: Netlist, tt: TruthTable,
     The input radixes are read off the compiled program, so a netlist
     that validate refuses raises its NetlistError before they are checked.
     A configuration bitstream is required exactly when the netlist has
-    configuration latches; the sweep's load checks it as load_config does.
+    configuration latches; the sweep checks it as load_config does.
     A space over cap vectors is sampled from random.Random(seed), so the
     seed must be an int: the report records it. Simulator faults count as
     mismatches.
@@ -85,7 +85,7 @@ def check_equivalence(nl: Netlist, tt: TruthTable,
         raise ValueError("equivalence sweep needs a combinational netlist")
     if len(nl.outputs) != 1:
         raise ValueError("netlist must have exactly one output")
-    inputs = _radixes(nl)[0]
+    inputs = _compiled(nl).radixes[0]
     if inputs != (n,) * tt.arity:
         raise ValueError(
             f"netlist inputs {list(inputs)} do not match a radix-{n} "
@@ -99,7 +99,8 @@ def check_equivalence(nl: Netlist, tt: TruthTable,
     exhaustive = n**tt.arity <= cap
     if exhaustive:
         # every row in row order (MS-first digits): vector k is row k; the
-        # program keeps them, with their input planes, across bitstreams
+        # program keeps them across bitstreams, and its sweep of them under
+        # the last one
         vectors = _exhaustive(nl)
         wants = tt.entries
     else:
@@ -145,7 +146,7 @@ def check_fsm_equivalence(nl: Netlist, spec: FsmSpec, reset: Sequence[int],
         raise ValueError("netlist ports do not match the machine spec")
     n = spec.radix.n
     # the clock may take any radix
-    inputs, states, _ = _radixes(nl)
+    inputs, states, _ = _compiled(nl).radixes
     for gid, r in zip(nl.inputs + nl.state_latches, inputs + states):
         if r != n:
             raise ValueError(f"{gid} has radix {r}, not the machine radix {n}")

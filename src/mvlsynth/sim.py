@@ -21,32 +21,29 @@ it needs no op either. A mux block on constants and a one-digit table are
 such nets. Other gates that compute the same op on the same slots share
 one op and one slot.
 
-A load sets every source once, checking each value where it sets its
-plane: the inputs, the clock phase, the latch contents and the
-configuration bitstream held in SimState.config. A bitstream is checked
-once when it is made (ConfigBitstream refuses any bit but 0 and 1, and
-keeps a tuple), and by one check (its type, its fingerprint, its length)
-wherever it enters: load_config, every load and every sweep that starts
-from a kept one (below), so a stream assigned by hand is refused as
-load_config would refuse it. The load then sets the
-plane of each 1 bit with no per-bit test. An exhaustive sweep's inputs
-enter another way: the program builds its rows on first use and keeps
-them, with every input level's plane set in closed form, and a load
-handed those very rows starts from a copy of the kept planes with no
-per-value check, since the program generated every value; so a fabric
-checked under many bitstreams loads its inputs once.
+A load sets every source but the clock once, checking each value where
+it sets its plane: the inputs, the latch contents and the configuration
+bitstream held in SimState.config. A bitstream is checked once when it is
+made (ConfigBitstream refuses any bit but 0 and 1, and keeps a tuple), and
+by one check (its type, its fingerprint, its length) wherever it enters:
+load_config, every load and every sweep of a program's own rows (below),
+so a stream assigned by hand is refused as load_config would refuse it.
+The load then sets the plane of each 1 bit with no per-bit test.
 
-A latch-free sweep of those rows under a bitstream goes further: the
-program keeps the last one (its bits, its slots and each faulting op's
-raw fault mask), and the next starts from a copy of those slots, sets
-only the configuration planes whose bits changed and reruns only the ops
-they reach, in op order (selective re-evaluation, after Ulrich,
-"Exclusive simulation of activity in digital networks", CACM 1969). So a
-fabric checked with each bit of its stream flipped in turn, each check
-two bits from the last, reruns a handful of ops per check. Sampled or
-caller-given vectors, a netlist with state latches or a clock, a sweep
-with no bitstream and a program's first sweep of its rows take the load
-and settle loop below.
+A latch-free program's own exhaustive rows, built on first use and kept,
+take one path and no load: the sweep runs the stream check, and the first
+sweep sets every input level's plane in closed form, with no per-value
+check since the program generated every value, and runs every op. Under a
+bitstream the program keeps that sweep (its bits, its slots and each
+faulting op's raw fault mask), and the next starts from a copy of those
+slots, sets only the configuration planes whose bits changed and reruns
+only the ops they reach, in op order (selective re-evaluation, after
+Ulrich, "Exclusive simulation of activity in digital networks", CACM
+1969). So a fabric checked with each bit of its stream flipped in turn,
+each check two bits from the last, reruns a handful of ops per check. A
+sweep with no bitstream keeps only the rows. Sampled or caller-given
+vectors and a netlist with state latches or a clock take the load and
+settle loop below.
 
 On that load runs one settle loop: sweep, commit the latch inputs, repeat
 until the latch contents stop changing. Each sweep copies the loaded
@@ -54,7 +51,7 @@ slots and runs the op list; a commit moves a changed latch's plane among
 them, so they stay the load of the latch contents. A latch-free batch
 settles in one sweep. Radix-N storage elements are sources whose contents
 live in a SimState; a netlist with them settles a batch of one. A clock
-step settles twice on one load, with the clock at level 0 and then 1, and
+step settles twice on one load, setting the clock at level 0 and then 1, and
 check_fsm_equivalence carries that load through a whole sequence: each
 later step clears and reloads only the input planes. The sweep that would
 confirm a commit is skipped when every latch that changed is read only as
@@ -178,11 +175,11 @@ class _Program:
                                     # slots of the switches reading q as
                                     # data, None if anything else reads q
     outputs: tuple                  # planes per nl.outputs entry
-    # (rows, sources) of the exhaustive sweep, built by _exhaustive on
-    # first use: every input vector in row order, and the slots with their
-    # planes loaded. Never written after it is built.
-    domain: Optional[tuple[tuple, list[int]]] = field(
-        default=None, repr=False, compare=False)
+    # the radix per nl.inputs entry, per nl.state_latches entry, and per
+    # nl.state_groups entry its latches' (gid, radix) pairs
+    radixes: tuple[tuple, tuple, tuple]
+    # Every input vector in row order, built by _exhaustive on first use.
+    rows: Optional[tuple] = field(default=None, repr=False, compare=False)
     # (bits, slots, masks) of the last sweep of those rows under a
     # bitstream: its bits as _key packs them, the sweep's own slot list
     # (never written after it is kept) and each faulting op's raw fault
@@ -192,11 +189,6 @@ class _Program:
     # Per configuration latch, the indices of the ops its plane reaches,
     # and each _NET op's planes; built by _cones on first need.
     cones: Optional[tuple] = field(default=None, repr=False, compare=False)
-    # (the radix per nl.inputs entry, per nl.state_latches entry, and per
-    # nl.state_groups entry its latches' (gid, radix) pairs), built by
-    # _radixes on first need.
-    radixes: Optional[tuple[tuple, tuple, tuple]] = field(
-        default=None, repr=False, compare=False)
     # The netlist's fingerprint, hashed by _stream_bits at the first check
     # of a stream that carries one.
     fingerprint: Optional[str] = field(default=None, repr=False, compare=False)
@@ -413,6 +405,10 @@ def _lower(nl: Netlist, records: list[tuple]
         config=tuple((gid, net(gid, "q")[1]) for gid in nl.latch_order),
         latches=latches,
         outputs=outputs,
+        radixes=(tuple([gates[gid].radix for gid in nl.inputs]),
+                 tuple([gates[gid].radix for gid in nl.state_latches]),
+                 tuple([tuple([(gid, gates[gid].radix) for gid in group])
+                        for group in nl.state_groups])),
     )
     return program, planes, sets
 
@@ -420,7 +416,9 @@ def _lower(nl: Netlist, records: list[tuple]
 def _compiled(nl: Netlist) -> _Program:
     """The netlist's program, lowered on first use from the records its
     validate handed over; a netlist without them is levelized first, which
-    raises NetlistError if it is invalid."""
+    raises NetlistError if it is invalid. The simulator's callers read port
+    radixes off it: the walk that compiled it checked every list they come
+    from."""
     program = nl._program
     if program is None:
         records, nl._records = nl._records or levelized(nl), None
@@ -428,46 +426,13 @@ def _compiled(nl: Netlist) -> _Program:
     return program
 
 
-def _radixes(nl: Netlist) -> tuple[tuple, tuple, tuple]:
-    """The input and state latch radixes and the state groups of nl, as
-    prog.radixes holds them, read off the compiled program: the walk that
-    compiled it checked every list they come from. The simulator's callers
-    read port radixes here."""
-    prog = _compiled(nl)
-    if prog.radixes is None:
-        gates = nl.gates
-        prog.radixes = (
-            tuple([gates[gid].radix for gid in nl.inputs]),
-            tuple([gates[gid].radix for gid in nl.state_latches]),
-            tuple([tuple([(gid, gates[gid].radix) for gid in group])
-                   for group in nl.state_groups]))
-    return prog.radixes
-
-
 def _exhaustive(nl: Netlist) -> tuple[tuple[int, ...], ...]:
     """Every input vector of nl in row order (MS-first digits: vector k is
-    row k), built on first use and kept with the compiled program.
-
-    The sources for the whole sweep are kept beside the rows, each input
-    level's plane set in closed form: for a port of radix r whose later
-    ports span w rows, bit k of level l's plane is set iff
-    (k // w) % r == l. _load starts a batch that is this very tuple from a
-    copy of them, with no per-value check: the program made every value.
-    """
+    row k), built on first use and kept with the compiled program."""
     prog = _compiled(nl)
-    if prog.domain is None:
-        rows = tuple(itertools.product(*(range(len(p)) for p in prog.inputs)))
-        sources = [0] * prog.nslots
-        full = sources[_FULL] = (1 << len(rows)) - 1
-        w = len(rows)
-        for planes in prog.inputs:
-            repeat = full // ((1 << w) - 1)  # a 1 every r * (w // r) bits
-            w //= len(planes)
-            block = (1 << w) - 1
-            for lvl, s in enumerate(planes):  # _SINK is shared: OR into it
-                sources[s] |= (block << (lvl * w)) * repeat
-        prog.domain = (rows, sources)
-    return prog.domain[0]
+    if prog.rows is None:
+        prog.rows = tuple(itertools.product(*(range(len(p)) for p in prog.inputs)))
+    return prog.rows
 
 
 def _logged(state: SimState, fault: Fault) -> SimFaultError:
@@ -680,31 +645,16 @@ def _load_inputs(nl: Netlist, prog: _Program, vectors: Sequence,
     return bit - 1
 
 
-def _load(nl: Netlist, prog: _Program, vectors: Sequence, state: SimState,
-          phase: Optional[int] = None) -> list[int]:
-    """Every source of a settle, loaded once; phase, if given, is the
-    clock's level in every vector.
+def _load(nl: Netlist, prog: _Program, vectors: Sequence,
+          state: SimState) -> list[int]:
+    """Every source of a settle but the clock, loaded once.
 
     Each value is checked in the walk that sets its plane: the inputs
-    vector by vector and the clock phase, then the stored latch levels,
-    then the bitstream in state.config. A batch that is the program's own
-    exhaustive rows (the very tuple _exhaustive returned) starts instead
-    from a copy of the input planes kept with them. The bitstream gets
-    load_config's one check, whoever stored it, and then each 1 bit's plane
-    is set in prog.config order with no per-bit test: ConfigBitstream
-    checked every bit when it was made. A program with configuration
-    latches and no bitstream is an uninitialized-latch fault on the first
-    of them.
+    vector by vector, then the stored latch levels, then the bitstream in
+    state.config, by _config_bits.
     """
-    domain = prog.domain
-    if domain is not None and vectors is domain[0]:  # no value to check
-        sources = domain[1].copy()
-        full = sources[_FULL]
-    else:
-        sources = [0] * prog.nslots
-        full = sources[_FULL] = _load_inputs(nl, prog, vectors, sources)
-    if phase is not None:
-        sources[prog.clock[phase]] = full
+    sources = [0] * prog.nslots
+    full = sources[_FULL] = _load_inputs(nl, prog, vectors, sources)
     latches = state.latches
     for gid, q, _, _ in prog.latches:
         level = latches.get(gid)
@@ -714,13 +664,26 @@ def _load(nl: Netlist, prog: _Program, vectors: Sequence, state: SimState,
             raise ValueError(
                 f"latch {gid}: stored level {level!r} not in 0..{len(q) - 1}")
         sources[q[level]] = full
-    if state.config is not None:
-        for _, s in itertools.compress(
-                prog.config, _stream_bits(nl, prog, state.config)):
+    # with neither, no call: step_sequential loads on every step
+    if state.config is not None or prog.config:
+        for _, s in itertools.compress(prog.config, _config_bits(nl, prog, state)):
             sources[s] = full
-    elif prog.config:
-        raise _logged(state, Fault(FaultKind.UNINITIALIZED_LATCH, prog.config[0][0]))
     return sources
+
+
+def _config_bits(nl: Netlist, prog: _Program,
+                 state: SimState) -> tuple[int, ...]:
+    """The bits of the bitstream in state.config, after load_config's one
+    check, whoever stored it; each 1 bit's plane is then set in
+    prog.config order with no per-bit test, since ConfigBitstream checked
+    every bit when it was made. A program with configuration latches and
+    no bitstream is an uninitialized-latch fault on the first of them; one
+    with neither has no bits."""
+    if state.config is not None:
+        return _stream_bits(nl, prog, state.config)
+    if prog.config:
+        raise _logged(state, Fault(FaultKind.UNINITIALIZED_LATCH, prog.config[0][0]))
+    return ()
 
 
 def _settle(nl: Netlist, prog: _Program, vectors: Sequence, state: SimState,
@@ -799,9 +762,7 @@ def eval_vectors(nl: Netlist, vectors: Sequence[Sequence[int]],
     if nl.clock is not None:
         raise ValueError("netlist has a clock pin; drive it with step_sequential")
     prog = _compiled(nl)
-    domain = prog.domain
-    if (state.config is not None and domain is not None
-            and vectors is domain[0] and not prog.latches):
+    if vectors is prog.rows and vectors is not None and not prog.latches:
         v, masks = _resweep(nl, prog, vectors, state)
     else:
         v, masks = _settle(nl, prog, vectors, state,
@@ -813,23 +774,39 @@ def eval_vectors(nl: Netlist, vectors: Sequence[Sequence[int]],
 
 def _resweep(nl: Netlist, prog: _Program, rows: tuple,
              state: SimState) -> tuple[list[int], dict[int, int]]:
-    """Sweep a latch-free program's own exhaustive rows under the
-    bitstream in state.config, and keep the sweep in prog.kept.
+    """Sweep a latch-free program's own exhaustive rows, after the one
+    stream check; a sweep under a bitstream is kept in prog.kept.
 
-    The first such sweep is a load and settle. A later one checks the
-    stream as every load does, then starts from a copy of the kept slots,
-    sets only the configuration planes whose bits changed, and runs only
-    the ops those planes reach, in op order, clearing each _NET op's planes
-    first. Every other slot, and every other op's raw fault mask, is a
-    function of planes that did not change, so it holds what a full sweep
-    would give it. A stream with the kept bits returns the kept sweep.
+    The first sweep sets every input level's plane in closed form, in a
+    fresh slot list: for a port of radix r whose later ports span w rows,
+    bit k of level l's plane is set iff (k // w) % r == l. It sets the
+    stream's planes and runs every op. A later one starts from a copy of
+    the kept slots, sets only the configuration planes whose bits changed,
+    and runs only the ops those planes reach, in op order, clearing each
+    _NET op's planes first. Every other slot, and every other op's raw
+    fault mask, is a function of planes that did not change, so it holds
+    what a full sweep would give it. A stream with the kept bits returns
+    the kept sweep.
     """
+    bits = _config_bits(nl, prog, state)
     kept = prog.kept
     if kept is None:
-        v, masks = _settle(nl, prog, rows, state, _load(nl, prog, rows, state))
-        prog.kept = (_key(state.config.bits), v, masks)
+        v = [0] * prog.nslots
+        full = v[_FULL] = (1 << len(rows)) - 1
+        w = len(rows)
+        for planes in prog.inputs:
+            repeat = full // ((1 << w) - 1)  # a 1 every r * (w // r) bits
+            w //= len(planes)
+            block = (1 << w) - 1
+            for lvl, s in enumerate(planes):  # _SINK is shared: OR into it
+                v[s] |= (block << (lvl * w)) * repeat
+        for _, s in itertools.compress(prog.config, bits):
+            v[s] = full
+        masks: dict[int, int] = {}
+        _run(prog.ops, v, masks)
+        if state.config is not None:
+            prog.kept = (_key(bits), v, masks)
         return v, masks
-    bits = _stream_bits(nl, prog, state.config)
     key = _key(bits)
     old, v, masks = kept
     diff = key ^ old
@@ -960,7 +937,7 @@ def reset_state(nl: Netlist, digits: Sequence[int],
             f"expected {len(nl.state_groups)} reset digits, got {len(digits)}")
     resets = []
     # every digit is checked before the first write
-    for group, d in zip(_radixes(nl)[2], digits):
+    for group, d in zip(_compiled(nl).radixes[2], digits):
         for gid, radix in group:
             if type(d) is not int or not 0 <= d < radix:
                 raise ValueError(f"reset digit {d!r} out of range for radix {radix}")
@@ -973,11 +950,12 @@ class _Stepper:
     """Clocks one netlist a cycle at a time on one load of its sources.
 
     The first step refuses a netlist without a clock, then loads every
-    source from state, clock at level 0. Each later step clears and reloads
-    only the input planes and moves the clock back to 0: the last commit
-    left the latch planes in the list as it left state.latches, and the
-    bitstream in state.config was checked by the first load. So the
-    stepper must own state: nothing else may write it between steps.
+    source but the clock from state. Each later step clears and reloads
+    only the input planes: the last commit left the latch planes in the
+    list as it left state.latches, and the bitstream in state.config was
+    checked by the first load. So the stepper must own state: nothing else
+    may write it between steps. Every step sets the clock at level 0, then
+    at level 1.
     """
 
     __slots__ = ("nl", "state", "prog", "sources")
@@ -996,15 +974,15 @@ class _Stepper:
             if nl.clock is None:
                 raise ValueError("netlist has no clock; use eval_combinational")
             prog = self.prog = _compiled(nl)
-            sources = self.sources = _load(nl, prog, vectors, state, 0)
+            sources = self.sources = _load(nl, prog, vectors, state)
         else:
             prog = self.prog
             for planes in prog.inputs:
                 for s in planes:
                     sources[s] = 0
             _load_inputs(nl, prog, vectors, sources)
-            # a batch of one: a set plane is 1
-            sources[prog.clock[1]], sources[prog.clock[0]] = 0, 1
+        # a batch of one: a set plane is 1
+        sources[prog.clock[1]], sources[prog.clock[0]] = 0, 1
         _settle(nl, prog, vectors, state, sources)
         sources[prog.clock[0]], sources[prog.clock[1]] = 0, 1
         v, masks = _settle(nl, prog, vectors, state, sources)

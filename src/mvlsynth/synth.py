@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .netlist import GateType, Netlist, NetlistBuilder, _driver_map, _keep
-from .sim import _radixes
+from .sim import _compiled
 from .tables import ConfigBitstream, FsmSpec, TruthTable
 from .values import RadixLike, as_radix
 
@@ -292,7 +292,7 @@ def derive_config(tt: TruthTable, fabric: Netlist) -> ConfigBitstream:
     if len(fabric.latch_order) != n * rows:
         raise ValueError(
             f"table needs {n * rows} latches; fabric has {len(fabric.latch_order)}")
-    if _radixes(fabric)[0] != (n,) * tt.arity:
+    if _compiled(fabric).radixes[0] != (n,) * tt.arity:
         raise ValueError("table radix/arity do not match fabric inputs")
     if kind == "decoder":
         bits = [1 if tt.entries[i] == k else 0

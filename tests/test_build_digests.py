@@ -93,6 +93,19 @@ def test_name_tables_stay_within_their_bounds():
     assert ("f0/", "s0m", 1, "/") not in synth._ids  # the table started afresh
     # more distinct AND/OR fan-ins than the port-name and plan tables hold
     assert _fan_ins().gates["or299"].pins["a298"] == "x"
+    # an entry larger than a table's bound is returned unstored, so it
+    # evicts none of the small ones: the 2187 AND ids of a 3^7 decoder, and
+    # the port names of an OR of fan-in 2100 built after one of fan-in 2
+    for _ in range(2):  # the second build stores what a clear dropped
+        build_decoder_m(3, 7)
+    assert ("dec/d0/", "tlg", 2, "") in synth._ids
+    assert ("dec/", "and", 2187, "") not in synth._ids
+    b = NetlistBuilder()
+    x = b.add_input("x", None)
+    b.add_output("y2", b.or_("or2", [x, x]))
+    b.add_output("y", b.or_("or2100", [x] * 2100))
+    assert b.finish().gates["or2100"].pins["a2099"] == "x"
+    assert 2 in netlist._NAMES and 2100 not in netlist._NAMES
     for table, ports in ((netlist._PORTS, lambda plan: len(plan[0])),
                          (netlist._NAMES, len), (synth._ids, len)):
         held = sum(map(ports, table.values()))

@@ -7,9 +7,9 @@ order, and the latch contents after every step. The reference's bare
 RuntimeError for latches that never settle is the new OSCILLATION fault,
 which the new simulator also appends to the log.
 
-The exhaustive rows a compiled program keeps, whose input planes are
-loaded in closed form, are checked the same way against the checked walk
-over an equal list of the same rows.
+The exhaustive rows a compiled program keeps, whose input planes are set
+in closed form, are checked the same way against the checked walk over an
+equal list of the same rows.
 """
 
 import copy
@@ -24,11 +24,11 @@ import reference_sim as ref
 from mvlsynth import sim
 from mvlsynth.netlist import (GateType, NetlistBuilder, fingerprint, levelized,
                               validate)
-from mvlsynth.oracle import (EquivalenceReport, Mismatch, check_fsm_equivalence,
-                             random_table)
+from mvlsynth.oracle import (EquivalenceReport, Mismatch, check_equivalence,
+                             check_fsm_equivalence, random_table)
 from mvlsynth.sim import (Fault, FaultKind, SimFaultError, SimState, load_config,
                           reset_state)
-from mvlsynth.synth import (Strategy, _emit_decoder_1, _emit_table, build_decoder_1,
+from mvlsynth.synth import (Strategy, _emit_decoder_1, _emit_table,
                             build_fabric_decoder, build_fabric_mux,
                             build_nary_dff, build_nary_dlatch, compile_fsm,
                             derive_config, synth_tables)
@@ -464,17 +464,19 @@ FABRICS = {
 def _rows_match_the_walk(nl, state=None):
     """Evaluate nl's kept rows and a fresh list of the same rows, each from
     a copy of state; both must give the same results and fault log, and
-    the kept planes must be left as they were. Returns the fault log."""
+    the walk must leave the kept sweep as the rows left it. Returns the
+    fault log."""
     state = state or SimState()
     rows = sim._exhaustive(nl)
     spans = [nl.gates[g].radix or 2 for g in nl.inputs]
     walked = list(itertools.product(*(range(s) for s in spans)))
     assert list(rows) == walked
-    kept = list(nl._program.domain[1])
     got = _outcome(lambda s: sim.eval_vectors(nl, rows, s), copy.deepcopy(state))
+    kept = nl._program.kept
+    left = copy.deepcopy(kept)
     want = _outcome(lambda s: sim.eval_vectors(nl, walked, s), copy.deepcopy(state))
     assert got == want
-    assert nl._program.domain[1] == kept
+    assert nl._program.kept is kept and kept == left
     return got[1]
 
 
@@ -516,16 +518,39 @@ def test_kept_rows_of_switch_meshes():
     assert faults  # the meshes do reach the fault paths
 
 
-def test_kept_rows_load_from_the_kept_planes():
-    # the batch that is the kept tuple is loaded from the kept planes, not
-    # walked: swapping two levels' planes there swaps their results
-    nl = build_decoder_1(3)
+def test_the_programs_own_rows_are_never_walked(monkeypatch):
+    # the batch that is the kept tuple gets its input planes in closed form,
+    # with and without a stream, on a first sweep and on later ones; an
+    # equal list of the rows is walked value by value
+    walks = []
+    walk = sim._load_inputs
+
+    def counted(nl, prog, vectors, sources):
+        walks.append(len(vectors))
+        return walk(nl, prog, vectors, sources)
+
+    monkeypatch.setattr(sim, "_load_inputs", counted)
+    nl = synth_tables([TruthTable.make(3, 2, [k % 3 for k in range(9)])],
+                      Strategy.DECODER)
     rows = sim._exhaustive(nl)
-    sources = nl._program.domain[1]
-    (x0, x1, _), = nl._program.inputs
-    sources[x0], sources[x1] = sources[x1], sources[x0]
-    assert sim.eval_vectors(nl, rows) == [(0, 1, 0), (1, 0, 0), (0, 0, 1)]
-    assert sim.eval_vectors(nl, list(rows)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    want = [(k % 3,) for k in range(9)]
+    assert sim.eval_vectors(nl, rows) == sim.eval_vectors(nl, rows) == want
+    assert walks == [] and nl._program.kept is None
+    assert sim.eval_vectors(nl, list(rows)) == want
+    assert walks == [9]
+    fab = build_fabric_decoder(3, 2)
+    tt = random_table(3, 2, random.Random(3))
+    rows, derived = sim._exhaustive(fab), derive_config(tt, fab)
+    walks.clear()
+    for bits in (derived, derived.flipped(0), derived.flipped(0), derived):
+        sim.eval_vectors(fab, rows, SimState(config=bits))
+    assert walks == [] and fab._program.kept is not None
+    sim.eval_vectors(fab, list(rows), SimState(config=derived))
+    assert walks == [9]
+    # a check without a bitstream keeps only the rows
+    nl = synth_tables([tt], Strategy.MUX_TREE)
+    assert check_equivalence(nl, tt).passed
+    assert sim._compiled(nl).rows is not None and nl._program.kept is None
 
 
 def test_kept_rows_still_check_the_configuration():

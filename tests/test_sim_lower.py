@@ -12,7 +12,8 @@ from mvlsynth import sim
 from mvlsynth.netlist import (GateType, NetlistBuilder, fingerprint, levelized,
                               validate)
 from mvlsynth.oracle import check_equivalence, random_table
-from mvlsynth.sim import SimState, eval_vectors, load_config, reset_state
+from mvlsynth.sim import (Fault, FaultKind, SimFaultError, SimState, eval_vectors,
+                          load_config, reset_state)
 from mvlsynth.synth import (GateStats, Strategy, build_decoder_1,
                             build_fabric_decoder, build_fabric_mux, build_mux_m,
                             derive_config, gate_stats, synth_tables)
@@ -267,3 +268,34 @@ def test_a_fabric_check_reruns_only_the_cone_of_its_changed_bits(
     assert nl._program is None
     assert not check_equivalence(nl, tt, derived.flipped(0)).passed
     assert runs == [ops, ops, ops] and sim._compiled(nl).kept is not None
+
+
+@pytest.mark.parametrize("build", [build_fabric_decoder, build_fabric_mux],
+                         ids=["decoder", "mux"])
+def test_a_fabric_with_no_stream_faults_before_its_kept_sweep(monkeypatch, build):
+    # after a passing check keeps a sweep, the rows with no stream are an
+    # uninitialized-latch fault on the first configuration latch, logged
+    # once, and run no op; the kept sweep still serves the same stream
+    runs = []
+    run = sim._run
+
+    def counted(op_list, v, masks):
+        runs.append(len(op_list))
+        return run(op_list, v, masks)
+
+    monkeypatch.setattr(sim, "_run", counted)
+    fab = build(3, 2)
+    tt = random_table(3, 2, random.Random(4))
+    derived = derive_config(tt, fab)
+    assert check_equivalence(fab, tt, derived).passed
+    prog = sim._compiled(fab)
+    kept = prog.kept
+    runs.clear()
+    state = SimState()
+    with pytest.raises(SimFaultError) as raised:
+        eval_vectors(fab, sim._exhaustive(fab), state)
+    fault = Fault(FaultKind.UNINITIALIZED_LATCH, fab.latch_order[0])
+    assert raised.value.fault == fault and state.faults == [fault]
+    assert runs == [] and prog.kept is kept
+    assert check_equivalence(fab, tt, derived).passed
+    assert runs == [] and prog.kept is kept
