@@ -4,6 +4,8 @@ Nothing here looks inside a netlist: tables are evaluated by lookup,
 machines by software iteration, and netlists only through the simulator.
 Exhaustive sweeps are used whenever the input space fits under a cap;
 otherwise seeded random sampling with the seed recorded in the report.
+A combinational verdict compares the sweep's output planes with the planes
+of the wanted levels, and decodes only the vectors that fail.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 from .netlist import Netlist
 from .sim import Fault, SimFaultError, SimState, _compiled, _exhaustive, \
-    _Stepper, eval_vectors, reset_state
+    _misses, _Stepper, _sweep, reset_state
 from .tables import ConfigBitstream, FsmSpec, TruthTable, _check_arity
 from .values import RadixLike, as_radix
 
@@ -72,7 +74,8 @@ def check_equivalence(nl: Netlist, tt: TruthTable,
     configuration latches; the sweep checks it as load_config does.
     A space over cap vectors is sampled from random.Random(seed), so the
     seed must be an int: the report records it. Simulator faults count as
-    mismatches.
+    mismatches. The verdict compares the output planes of one sweep with
+    the wanted levels' planes, and only failing vectors are decoded.
     """
     n = tt.radix.n
     if type(cap) is not int:  # a bool is no cap
@@ -110,10 +113,9 @@ def check_equivalence(nl: Netlist, tt: TruthTable,
         vectors = sorted(tuple(rng.randrange(n) for _ in range(tt.arity))
                          for _ in range(cap))
         wants = [tt.lookup(vec) for vec in vectors]
-    results = eval_vectors(nl, vectors, state)
-    mismatches = [Mismatch(vec, (want,), got) for vec, want, got
-                  in zip(vectors, wants, results) if got != (want,)]
-    return EquivalenceReport(len(vectors), tuple(mismatches), exhaustive,
+    mismatches = tuple([Mismatch(vectors[b], (wants[b],), got)
+                        for b, got in _misses(*_sweep(nl, vectors, state), wants)])
+    return EquivalenceReport(len(vectors), mismatches, exhaustive,
                              None if exhaustive else seed)
 
 

@@ -519,11 +519,12 @@ def _levels(v: list[int], planes: tuple[int, ...], nb: int) -> list[int]:
     return col
 
 
-def _level(v: list[int], planes: tuple[int, ...]) -> int:
-    """One clean vector's level: its net's highest set plane. Level 0 of a
-    binary net is _SINK, which holds no level, so plane 0 is never read."""
+def _level(v: list[int], planes: tuple[int, ...], bit: int = 1) -> int:
+    """One clean vector's level: its net's highest plane set at the
+    vector's bit, the only bit of a batch of one. Level 0 of a binary net
+    is _SINK, which holds no level, so plane 0 is never read."""
     lvl = len(planes) - 1
-    while lvl and not v[planes[lvl]]:
+    while lvl and not v[planes[lvl]] & bit:
         lvl -= 1
     return lvl
 
@@ -750,7 +751,8 @@ def _settle(nl: Netlist, prog: _Program, vectors: Sequence, state: SimState,
 def eval_vectors(nl: Netlist, vectors: Sequence[Sequence[int]],
                  state: Optional[SimState] = None,
                  ) -> list[Union[tuple[int, ...], Fault]]:
-    """Batch-evaluate a combinational netlist, one result per input vector.
+    """Batch-evaluate a combinational netlist, one result per input vector:
+    the sweep of _sweep, read by _results.
 
     Each result is the output tuple, or the first Fault the vector hit.
     Faults are also appended to the state's log.
@@ -761,6 +763,16 @@ def eval_vectors(nl: Netlist, vectors: Sequence[Sequence[int]],
         raise ValueError("batch evaluation needs a latch-free netlist")
     if nl.clock is not None:
         raise ValueError("netlist has a clock pin; drive it with step_sequential")
+    prog, v, first = _sweep(nl, vectors, state)
+    return _results(prog, v, first, len(vectors))
+
+
+def _sweep(nl: Netlist, vectors: Sequence, state: SimState
+           ) -> tuple[_Program, list[int], dict[int, Fault]]:
+    """Sweep a batch of a clock-free netlist and log its faults in vector
+    order; returns its program, the sweep's slots and each faulted vector's
+    first fault. The program's own rows take _resweep, any other batch a
+    load and the settle loop."""
     prog = _compiled(nl)
     if vectors is prog.rows and vectors is not None and not prog.latches:
         v, masks = _resweep(nl, prog, vectors, state)
@@ -769,7 +781,42 @@ def eval_vectors(nl: Netlist, vectors: Sequence[Sequence[int]],
                            _load(nl, prog, vectors, state))
     first = _first(prog, masks, vectors)
     state.faults.extend(first[b] for b in sorted(first))
-    return _results(prog, v, first, len(vectors))
+    return prog, v, first
+
+
+# Per level l, the table translating byte l to b"1" and others to b"0".
+_WANTED: dict[int, bytes] = {}
+
+
+def _misses(prog: _Program, v: list[int], first: dict[int, Fault],
+            wants: Sequence[int]) -> list[tuple[int, Union[tuple[int, ...], Fault]]]:
+    """The vectors b of a one-output sweep whose result is not (wants[b],),
+    in ascending order, each with its result: its first fault, or its level
+    decoded off the planes at bit b. A clean vector is right when its plane
+    at its wanted level is set; each level's wanted plane is the wants, as
+    bytes in reverse, translated into a binary numeral in C. Level 0 is the
+    clean vectors with no higher plane set, as a binary net's plane 0 is
+    _SINK, and a want the output cannot carry meets no plane."""
+    planes = prog.outputs[0]
+    live = v[_FULL] ^ sum(map((1).__lshift__, first))  # the clean vectors
+    code = bytes(wants)[::-1]
+    ok = rest = 0
+    for lvl in range(len(planes) - 1, -1, -1):
+        got = v[planes[lvl]] & live if lvl else live ^ rest
+        if got:
+            rest |= got
+            table = _WANTED.get(lvl)
+            if table is None:
+                table = _WANTED[lvl] = b"0" * lvl + b"1" + b"0" * (255 - lvl)
+            ok |= got & int(code.translate(table), 2)
+    bad = live ^ ok
+    out = list(first.items())
+    while bad:
+        low = bad & -bad
+        bad ^= low
+        out.append((low.bit_length() - 1, (_level(v, planes, low),)))
+    out.sort()  # by vector; no two pairs share one, so no result is compared
+    return out
 
 
 def _resweep(nl: Netlist, prog: _Program, rows: tuple,
