@@ -30,6 +30,12 @@ class Mismatch:
     expected: tuple[int, ...]
     got: Union[tuple[int, ...], Fault]
 
+    def __init__(self, inputs: tuple, expected: tuple[int, ...],
+                 got: Union[tuple[int, ...], Fault]):
+        # as Fault's: one dict fill, not a frozen setattr per field
+        d = self.__dict__
+        d["inputs"], d["expected"], d["got"] = inputs, expected, got
+
     def describe(self) -> str:
         got = self.got.describe() if isinstance(self.got, Fault) else self.got
         return f"inputs {self.inputs}: expected {self.expected}, got {got}"
@@ -41,6 +47,12 @@ class EquivalenceReport:
     mismatches: tuple[Mismatch, ...]
     exhaustive: bool = True
     seed: Optional[int] = None
+
+    def __init__(self, total_vectors: int, mismatches: tuple[Mismatch, ...],
+                 exhaustive: bool = True, seed: Optional[int] = None):
+        d = self.__dict__
+        d["total_vectors"], d["mismatches"] = total_vectors, mismatches
+        d["exhaustive"], d["seed"] = exhaustive, seed
 
     @property
     def passed(self) -> bool:
@@ -114,7 +126,7 @@ def check_equivalence(nl: Netlist, tt: TruthTable,
                          for _ in range(cap))
         wants = [tt.lookup(vec) for vec in vectors]
     mismatches = tuple([Mismatch(vectors[b], (wants[b],), got)
-                        for b, got in _misses(*_sweep(nl, vectors, state), wants)])
+                        for b, got in _sweep(nl, vectors, state, _misses, wants)])
     return EquivalenceReport(len(vectors), mismatches, exhaustive,
                              None if exhaustive else seed)
 

@@ -35,15 +35,19 @@ take one path and no load: the sweep runs the stream check, and the first
 sweep sets every input level's plane in closed form, with no per-value
 check since the program generated every value, and runs every op. Under a
 bitstream the program keeps that sweep (its bits, its slots and each
-faulting op's raw fault mask), and the next starts from a copy of those
-slots, sets only the configuration planes whose bits changed and reruns
-only the ops they reach, in op order (selective re-evaluation, after
-Ulrich, "Exclusive simulation of activity in digital networks", CACM
-1969). So a fabric checked with each bit of its stream flipped in turn,
-each check two bits from the last, reruns a handful of ops per check. A
-sweep with no bitstream keeps only the rows. Sampled or caller-given
-vectors and a netlist with state latches or a clock take the load and
-settle loop below.
+faulting op's raw fault mask). The next sweep takes it, leaving nothing
+kept, sets only the configuration planes whose bits changed and reruns
+only the ops they reach, in op order and in place (selective
+re-evaluation, after Ulrich, "Exclusive simulation of activity in digital
+networks", CACM 1969), then keeps it again once read. So a fabric checked
+with each bit of its stream flipped in turn, each check two bits from the
+last, reruns a handful of ops per check and copies no slot, and a check
+that overlaps another on one program finds nothing kept and sweeps
+afresh. The program also keeps the last check's wanted planes, as
+concurrent fault simulation keeps the good machine's response (Ulrich and
+Baker, IEEE Computer 1974). A sweep with no bitstream keeps only the rows.
+Sampled or caller-given vectors and a netlist with state latches or a
+clock take the load and settle loop below.
 
 On that load runs one settle loop: sweep, commit the latch inputs, repeat
 until the latch contents stop changing. Each sweep copies the loaded
@@ -86,6 +90,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -108,6 +113,13 @@ class Fault:
     kind: FaultKind
     ref: str                                  # net or gate id
     vector: Optional[tuple[int, ...]] = None  # inputs that triggered it
+
+    def __init__(self, kind: FaultKind, ref: str,
+                 vector: Optional[tuple[int, ...]] = None):
+        # fill the fields' dict once, not through the frozen class's
+        # object.__setattr__ per field: a check builds one per failing vector
+        d = self.__dict__
+        d["kind"], d["ref"], d["vector"] = kind, ref, vector
 
     def describe(self) -> str:
         at = f" at inputs {self.vector}" if self.vector is not None else ""
@@ -181,11 +193,16 @@ class _Program:
     # Every input vector in row order, built by _exhaustive on first use.
     rows: Optional[tuple] = field(default=None, repr=False, compare=False)
     # (bits, slots, masks) of the last sweep of those rows under a
-    # bitstream: its bits as _key packs them, the sweep's own slot list
-    # (never written after it is kept) and each faulting op's raw fault
-    # mask, by op index.
+    # bitstream: its bits as _key packs them, the sweep's slot list and
+    # each faulting op's raw fault mask, by op index. A check takes it
+    # (None is left) and keeps it again once read, so no two checks share
+    # the lists that _resweep rewrites in place.
     kept: Optional[tuple[int, list[int], dict[int, int]]] = field(
         default=None, repr=False, compare=False)
+    # (wants, code, planes) of the last check: its wanted levels as a
+    # tuple, their bytes as _misses translates them, and each level's
+    # wanted plane built so far.
+    wanted: Optional[tuple] = field(default=None, repr=False, compare=False)
     # Per configuration latch, the indices of the ops its plane reaches,
     # and each _NET op's planes; built by _cones on first need.
     cones: Optional[tuple] = field(default=None, repr=False, compare=False)
@@ -763,25 +780,30 @@ def eval_vectors(nl: Netlist, vectors: Sequence[Sequence[int]],
         raise ValueError("batch evaluation needs a latch-free netlist")
     if nl.clock is not None:
         raise ValueError("netlist has a clock pin; drive it with step_sequential")
-    prog, v, first = _sweep(nl, vectors, state)
-    return _results(prog, v, first, len(vectors))
+    return _sweep(nl, vectors, state, _results, len(vectors))
 
 
-def _sweep(nl: Netlist, vectors: Sequence, state: SimState
-           ) -> tuple[_Program, list[int], dict[int, Fault]]:
-    """Sweep a batch of a clock-free netlist and log its faults in vector
-    order; returns its program, the sweep's slots and each faulted vector's
-    first fault. The program's own rows take _resweep, any other batch a
-    load and the settle loop."""
+def _sweep(nl: Netlist, vectors: Sequence, state: SimState, read, arg):
+    """Sweep a batch of a clock-free netlist, log its faults in vector
+    order, and return read(prog, v, first, arg): the program, the sweep's
+    slots, each faulted vector's first fault and the reader's argument.
+    The program's own rows take _resweep, whose sweep under a bitstream is
+    kept only once it has been read, so no other check rewrites the slots
+    while they are read; any other batch takes a load and the settle loop."""
     prog = _compiled(nl)
+    swept = None
     if vectors is prog.rows and vectors is not None and not prog.latches:
-        v, masks = _resweep(nl, prog, vectors, state)
+        swept = _resweep(nl, prog, vectors, state)
+        _, v, masks = swept
     else:
         v, masks = _settle(nl, prog, vectors, state,
                            _load(nl, prog, vectors, state))
     first = _first(prog, masks, vectors)
     state.faults.extend(first[b] for b in sorted(first))
-    return prog, v, first
+    got = read(prog, v, first, arg)
+    if swept is not None and state.config is not None:
+        prog.kept = swept
+    return got
 
 
 # Per level l, the table translating byte l to b"1" and others to b"0".
@@ -793,22 +815,33 @@ def _misses(prog: _Program, v: list[int], first: dict[int, Fault],
     """The vectors b of a one-output sweep whose result is not (wants[b],),
     in ascending order, each with its result: its first fault, or its level
     decoded off the planes at bit b. A clean vector is right when its plane
-    at its wanted level is set; each level's wanted plane is the wants, as
-    bytes in reverse, translated into a binary numeral in C. Level 0 is the
-    clean vectors with no higher plane set, as a binary net's plane 0 is
-    _SINK, and a want the output cannot carry meets no plane."""
+    at its wanted level is set; a level's wanted plane is the wants, as
+    bytes in reverse, translated into a binary numeral in C, and is built
+    only when a clean vector sits at that level. The program keeps the last
+    wants, as a tuple, and the planes built from them, which a check whose
+    wants are that tuple, or equal to it, reuses. Level 0 is the clean
+    vectors with no higher plane set, as a binary net's plane 0 is _SINK,
+    and a want the output cannot carry meets no plane."""
     planes = prog.outputs[0]
     live = v[_FULL] ^ sum(map((1).__lshift__, first))  # the clean vectors
-    code = bytes(wants)[::-1]
+    wanted = prog.wanted
+    if wanted is None or wanted[0] is not wants:
+        wants = tuple(wants)  # what is kept is what no caller can change
+        if wanted is None or wanted[0] != wants:
+            wanted = prog.wanted = (wants, bytes(wants)[::-1], {})
+    _, code, made = wanted
     ok = rest = 0
     for lvl in range(len(planes) - 1, -1, -1):
         got = v[planes[lvl]] & live if lvl else live ^ rest
         if got:
             rest |= got
-            table = _WANTED.get(lvl)
-            if table is None:
-                table = _WANTED[lvl] = b"0" * lvl + b"1" + b"0" * (255 - lvl)
-            ok |= got & int(code.translate(table), 2)
+            want = made.get(lvl)
+            if want is None:
+                table = _WANTED.get(lvl)
+                if table is None:
+                    table = _WANTED[lvl] = b"0" * lvl + b"1" + b"0" * (255 - lvl)
+                want = made[lvl] = int(code.translate(table), 2)
+            ok |= got & want
     bad = live ^ ok
     out = list(first.items())
     while bad:
@@ -819,24 +852,33 @@ def _misses(prog: _Program, v: list[int], first: dict[int, Fault],
     return out
 
 
-def _resweep(nl: Netlist, prog: _Program, rows: tuple,
-             state: SimState) -> tuple[list[int], dict[int, int]]:
+# Held by a check while it takes a program's kept sweep.
+_TAKE = threading.Lock()
+
+
+def _resweep(nl: Netlist, prog: _Program, rows: tuple, state: SimState
+             ) -> tuple[int, list[int], dict[int, int]]:
     """Sweep a latch-free program's own exhaustive rows, after the one
-    stream check; a sweep under a bitstream is kept in prog.kept.
+    stream check; returns the sweep as prog.kept holds it, (bits, slots,
+    masks), which _sweep keeps under a bitstream once it is read.
 
     The first sweep sets every input level's plane in closed form, in a
     fresh slot list: for a port of radix r whose later ports span w rows,
     bit k of level l's plane is set iff (k // w) % r == l. It sets the
-    stream's planes and runs every op. A later one starts from a copy of
-    the kept slots, sets only the configuration planes whose bits changed,
-    and runs only the ops those planes reach, in op order, clearing each
-    _NET op's planes first. Every other slot, and every other op's raw
-    fault mask, is a function of planes that did not change, so it holds
-    what a full sweep would give it. A stream with the kept bits returns
-    the kept sweep.
+    stream's planes and runs every op. A later one takes the kept sweep,
+    leaving None, so a check that overlaps it (another thread, or a call
+    from within _run) sweeps afresh, and an exception keeps nothing
+    half-written. In place, it sets only the configuration planes whose
+    bits changed and reruns only the ops they reach, in op order, first
+    clearing each _NET op's planes and each rerun op's mask. Every other
+    slot, and every other op's raw fault mask, is a function of planes
+    that did not change, so it holds what a full sweep would give it. A
+    stream with the kept bits returns the kept sweep as it is.
     """
     bits = _config_bits(nl, prog, state)
-    kept = prog.kept
+    key = _key(bits)
+    with _TAKE:  # a read then a write: no two checks take one sweep
+        kept, prog.kept = prog.kept, None
     if kept is None:
         v = [0] * prog.nslots
         full = v[_FULL] = (1 << len(rows)) - 1
@@ -851,21 +893,17 @@ def _resweep(nl: Netlist, prog: _Program, rows: tuple,
             v[s] = full
         masks: dict[int, int] = {}
         _run(prog.ops, v, masks)
-        if state.config is not None:
-            prog.kept = (_key(bits), v, masks)
-        return v, masks
-    key = _key(bits)
+        return key, v, masks
     old, v, masks = kept
     diff = key ^ old
     if not diff:  # the kept sweep is this stream's
-        return v, masks
+        return kept
     cones, planes = prog.cones or _cones(prog)
     changed = []
     while diff:  # bit 8k of diff is set when bit k changed
         low = diff & -diff
         changed.append(low.bit_length() >> 3)
         diff ^= low
-    v, masks = v.copy(), masks.copy()
     full = v[_FULL]
     for k in changed:
         v[prog.config[k][1]] = full if bits[k] else 0
@@ -878,8 +916,7 @@ def _resweep(nl: Netlist, prog: _Program, rows: tuple,
         elif op == _FLOAT:
             masks.pop(b, None)
     _run(ops, v, masks)
-    prog.kept = (key, v, masks)
-    return v, masks
+    return key, v, masks
 
 
 def _key(bits: tuple[int, ...]) -> int:
