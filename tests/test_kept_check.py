@@ -318,11 +318,3 @@ def test_records_keep_every_dataclass_behaviour(cls, args, other):
     with pytest.raises(dataclasses.FrozenInstanceError):
         delattr(obj, names[0])
     assert obj == cls(*args)
-
-
-def test_records_take_their_defaults():
-    fault = Fault(FaultKind.OSCILLATION, "q")
-    assert fault.vector is None and fault.describe() == "oscillation on q"
-    report = EquivalenceReport(3, ())
-    assert report.exhaustive is True and report.seed is None
-    assert report.summary() == "3/3 vectors, PASS"
