@@ -34,16 +34,20 @@ A latch-free program's own exhaustive rows, built on first use and kept,
 take one path and no load: the sweep runs the stream check, and the first
 sweep sets every input level's plane in closed form, with no per-value
 check since the program generated every value, and runs every op. Under a
-bitstream the program keeps that sweep (its bits, its slots and each
-faulting op's raw fault mask). The next sweep takes it, leaving nothing
-kept, sets only the configuration planes whose bits changed and reruns
-only the ops they reach, in op order and in place (selective
+bitstream the program keeps that sweep (its stream's key, its slots and
+each faulting op's raw fault mask). The next sweep takes it, leaving
+nothing kept, sets only the configuration planes whose bits changed and
+reruns only the ops they reach, in op order and in place (selective
 re-evaluation, after Ulrich, "Exclusive simulation of activity in digital
-networks", CACM 1969), then keeps it again once read. So a fabric checked
-with each bit of its stream flipped in turn, each check two bits from the
-last, reruns a handful of ops per check and copies no slot, and a check
-that overlaps another on one program finds nothing kept and sweeps
-afresh. The program also keeps the last check's wanted planes, as
+networks", CACM 1969), then keeps it again once read. The changed bits are
+the XOR of two keys, each packed by ConfigBitstream as it checks its bits,
+and what to rerun for them is a plan: the slots to set, the ops, the
+planes to clear and the masks to drop. The program keeps the plan of each
+change of one or two bits, up to two per latch. So a fabric checked with
+each bit of its stream flipped in turn, each check two bits from the last,
+reruns a handful of ops per check from a kept plan and copies no slot, and
+a check that overlaps another on one program finds nothing kept and
+sweeps afresh. The program also keeps the last check's wanted planes, as
 concurrent fault simulation keeps the good machine's response (Ulrich and
 Baker, IEEE Computer 1974). A sweep with no bitstream keeps only the rows.
 Sampled or caller-given vectors and a netlist with state latches or a
@@ -192,11 +196,11 @@ class _Program:
     radixes: tuple[tuple, tuple, tuple]
     # Every input vector in row order, built by _exhaustive on first use.
     rows: Optional[tuple] = field(default=None, repr=False, compare=False)
-    # (bits, slots, masks) of the last sweep of those rows under a
-    # bitstream: its bits as _key packs them, the sweep's slot list and
-    # each faulting op's raw fault mask, by op index. A check takes it
-    # (None is left) and keeps it again once read, so no two checks share
-    # the lists that _resweep rewrites in place.
+    # (key, slots, masks) of the last sweep of those rows under a
+    # bitstream: its bits as ConfigBitstream packs them (byte k is bit k),
+    # the sweep's slot list and each faulting op's raw fault mask, by op
+    # index. A check takes it (None is left) and keeps it again once read,
+    # so no two checks share the lists that _resweep rewrites in place.
     kept: Optional[tuple[int, list[int], dict[int, int]]] = field(
         default=None, repr=False, compare=False)
     # (wants, code, planes) of the last check: its wanted levels as a
@@ -206,6 +210,10 @@ class _Program:
     # Per configuration latch, the indices of the ops its plane reaches,
     # and each _NET op's planes; built by _cones on first need.
     cones: Optional[tuple] = field(default=None, repr=False, compare=False)
+    # The rerun of each change of one or two bits to the kept stream, by
+    # the two keys XORed, as _plan builds it: at most two per latch.
+    plans: dict[int, tuple] = field(default_factory=dict, repr=False,
+                                    compare=False)
     # The netlist's fingerprint, hashed by _stream_bits at the first check
     # of a stream that carries one.
     fingerprint: Optional[str] = field(default=None, repr=False, compare=False)
@@ -498,12 +506,14 @@ def _run(ops: Sequence[tuple], v: list[int], masks: dict[int, int]) -> None:
 
 
 def _first(prog: _Program, masks: dict[int, int],
-           vectors: Sequence) -> dict[int, Fault]:
-    """Each faulted vector's first fault, in evaluation order: the earliest
-    op whose raw mask holds the vector."""
-    first: dict[int, Fault] = {}
+           vectors: Sequence) -> list[tuple[int, Fault]]:
+    """Each faulted vector's first fault, the earliest op whose raw mask
+    holds the vector, as (vector, Fault) pairs in vector order. One
+    faulting op's mask is read in that order, so only the faults of
+    several ops are sorted."""
+    first: list[tuple[int, Fault]] = []
     already = 0
-    for i in sorted(masks):
+    for i in sorted(masks) if len(masks) > 1 else masks:
         new = masks[i] & ~already
         already |= new
         op, ref = prog.ops[i][:2]
@@ -511,8 +521,10 @@ def _first(prog: _Program, masks: dict[int, int],
         while new:
             low = new & -new
             b = low.bit_length() - 1
-            first[b] = Fault(kind, ref, tuple(vectors[b]))
+            first.append((b, Fault(kind, ref, tuple(vectors[b]))))
             new ^= low
+    if len(masks) > 1:
+        first.sort()  # no two pairs share a vector, so no Fault is compared
     return first
 
 
@@ -546,11 +558,11 @@ def _level(v: list[int], planes: tuple[int, ...], bit: int = 1) -> int:
     return lvl
 
 
-def _results(prog: _Program, v: list[int], first: dict[int, Fault],
+def _results(prog: _Program, v: list[int], first: list[tuple[int, Fault]],
              nb: int) -> list[Union[tuple[int, ...], Fault]]:
     cols = [_levels(v, planes, nb) for planes in prog.outputs]
     results: list = list(zip(*cols)) if cols else [()] * nb
-    for b, fault in first.items():
+    for b, fault in first:
         results[b] = fault
     return results
 
@@ -786,7 +798,9 @@ def eval_vectors(nl: Netlist, vectors: Sequence[Sequence[int]],
 def _sweep(nl: Netlist, vectors: Sequence, state: SimState, read, arg):
     """Sweep a batch of a clock-free netlist, log its faults in vector
     order, and return read(prog, v, first, arg): the program, the sweep's
-    slots, each faulted vector's first fault and the reader's argument.
+    slots, the (vector, first fault) pairs _first gives in vector order,
+    which both the log and the reader take as they are, and the reader's
+    argument.
     The program's own rows take _resweep, whose sweep under a bitstream is
     kept only once it has been read, so no other check rewrites the slots
     while they are read; any other batch takes a load and the settle loop."""
@@ -799,7 +813,7 @@ def _sweep(nl: Netlist, vectors: Sequence, state: SimState, read, arg):
         v, masks = _settle(nl, prog, vectors, state,
                            _load(nl, prog, vectors, state))
     first = _first(prog, masks, vectors)
-    state.faults.extend(first[b] for b in sorted(first))
+    state.faults.extend([fault for _, fault in first])
     got = read(prog, v, first, arg)
     if swept is not None and state.config is not None:
         prog.kept = swept
@@ -810,7 +824,7 @@ def _sweep(nl: Netlist, vectors: Sequence, state: SimState, read, arg):
 _WANTED: dict[int, bytes] = {}
 
 
-def _misses(prog: _Program, v: list[int], first: dict[int, Fault],
+def _misses(prog: _Program, v: list[int], first: list[tuple[int, Fault]],
             wants: Sequence[int]) -> list[tuple[int, Union[tuple[int, ...], Fault]]]:
     """The vectors b of a one-output sweep whose result is not (wants[b],),
     in ascending order, each with its result: its first fault, or its level
@@ -823,7 +837,9 @@ def _misses(prog: _Program, v: list[int], first: dict[int, Fault],
     vectors with no higher plane set, as a binary net's plane 0 is _SINK,
     and a want the output cannot carry meets no plane."""
     planes = prog.outputs[0]
-    live = v[_FULL] ^ sum(map((1).__lshift__, first))  # the clean vectors
+    live = v[_FULL]  # the clean vectors
+    for b, _ in first:
+        live ^= 1 << b
     wanted = prog.wanted
     if wanted is None or wanted[0] is not wants:
         wants = tuple(wants)  # what is kept is what no caller can change
@@ -843,23 +859,27 @@ def _misses(prog: _Program, v: list[int], first: dict[int, Fault],
                 want = made[lvl] = int(code.translate(table), 2)
             ok |= got & want
     bad = live ^ ok
-    out = list(first.items())
+    if not bad:
+        return first
+    out = []
     while bad:
         low = bad & -bad
         bad ^= low
         out.append((low.bit_length() - 1, (_level(v, planes, low),)))
-    out.sort()  # by vector; no two pairs share one, so no result is compared
+    if first:
+        out += first
+        out.sort()  # by vector; no two pairs share one, so no result is compared
     return out
 
 
-# Held by a check while it takes a program's kept sweep.
+# Held by a check while it takes a program's kept sweep, or stores a plan.
 _TAKE = threading.Lock()
 
 
 def _resweep(nl: Netlist, prog: _Program, rows: tuple, state: SimState
              ) -> tuple[int, list[int], dict[int, int]]:
     """Sweep a latch-free program's own exhaustive rows, after the one
-    stream check; returns the sweep as prog.kept holds it, (bits, slots,
+    stream check; returns the sweep as prog.kept holds it, (key, slots,
     masks), which _sweep keeps under a bitstream once it is read.
 
     The first sweep sets every input level's plane in closed form, in a
@@ -868,15 +888,16 @@ def _resweep(nl: Netlist, prog: _Program, rows: tuple, state: SimState
     stream's planes and runs every op. A later one takes the kept sweep,
     leaving None, so a check that overlaps it (another thread, or a call
     from within _run) sweeps afresh, and an exception keeps nothing
-    half-written. In place, it sets only the configuration planes whose
-    bits changed and reruns only the ops they reach, in op order, first
-    clearing each _NET op's planes and each rerun op's mask. Every other
+    half-written. In place, it follows the plan of the bits that changed,
+    found by XORing the two streams' keys: it sets their configuration
+    planes, clears each rerun _NET op's planes and each rerun op's mask,
+    and reruns only the ops those planes reach, in op order. Every other
     slot, and every other op's raw fault mask, is a function of planes
     that did not change, so it holds what a full sweep would give it. A
-    stream with the kept bits returns the kept sweep as it is.
+    stream with the kept key returns the kept sweep as it is.
     """
     bits = _config_bits(nl, prog, state)
-    key = _key(bits)
+    key = state.config._key if bits else 0
     with _TAKE:  # a read then a write: no two checks take one sweep
         kept, prog.kept = prog.kept, None
     if kept is None:
@@ -898,30 +919,43 @@ def _resweep(nl: Netlist, prog: _Program, rows: tuple, state: SimState
     diff = key ^ old
     if not diff:  # the kept sweep is this stream's
         return kept
-    cones, planes = prog.cones or _cones(prog)
-    changed = []
-    while diff:  # bit 8k of diff is set when bit k changed
-        low = diff & -diff
-        changed.append(low.bit_length() >> 3)
-        diff ^= low
+    sets, ops, clear, drop = prog.plans.get(diff) or _plan(prog, diff)
     full = v[_FULL]
-    for k in changed:
-        v[prog.config[k][1]] = full if bits[k] else 0
-    ops = [prog.ops[i] for i in sorted({i for k in changed for i in cones[k]})]
-    for op, _, _, b in ops:
-        if op == _NET:
-            masks.pop(b, None)
-            for s in planes[b]:
-                v[s] = 0
-        elif op == _FLOAT:
-            masks.pop(b, None)
+    for k, s in sets:
+        v[s] = full if bits[k] else 0
+    for s in clear:
+        v[s] = 0
+    for i in drop:
+        masks.pop(i, None)
     _run(ops, v, masks)
     return key, v, masks
 
 
-def _key(bits: tuple[int, ...]) -> int:
-    """A stream's bits as one int whose byte k is bit k, made in C."""
-    return int.from_bytes(bytes(bits), "little")
+def _plan(prog: _Program, diff: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """The rerun of a change to the kept stream, diff being the two keys
+    XORed (bit 8k is set when bit k changed): each changed bit's index and
+    configuration slot, the ops their cones reach in op order, the planes
+    of those that are _NET ops, and the indices of those that record a
+    fault mask. A change of one or two bits, as a flip makes, is kept in
+    prog.plans, which is emptied when it holds two plans per latch; a
+    wider one, such as another table's stream, is built for its check."""
+    cones, planes = prog.cones or _cones(prog)
+    changed = []
+    rest = diff
+    while rest:
+        low = rest & -rest
+        changed.append(low.bit_length() >> 3)
+        rest ^= low
+    ops = tuple(prog.ops[i] for i in sorted({i for k in changed for i in cones[k]}))
+    plan = (tuple((k, prog.config[k][1]) for k in changed), ops,
+            tuple(s for op, _, _, b in ops if op == _NET for s in planes[b]),
+            tuple(b for op, _, _, b in ops if op == _NET or op == _FLOAT))
+    if len(changed) <= 2:
+        with _TAKE:  # emptied and filled by one check at a time
+            if len(prog.plans) >= 2 * len(prog.config):
+                prog.plans.clear()
+            prog.plans[diff] = plan
+    return plan
 
 
 def _cones(prog: _Program) -> tuple[tuple, dict[int, range]]:
@@ -1071,7 +1105,7 @@ class _Stepper:
         sources[prog.clock[0]], sources[prog.clock[1]] = 0, 1
         v, masks = _settle(nl, prog, vectors, state, sources)
         if masks:
-            raise _logged(state, _first(prog, masks, vectors)[0])
+            raise _logged(state, _first(prog, masks, vectors)[0][1])
         return tuple([_level(v, planes) for planes in prog.outputs])
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import countOf
 from typing import Callable, Optional, Sequence
 
 from .values import Radix, RadixLike, as_radix, tt_digits, tt_index
@@ -134,23 +135,42 @@ class ConfigBitstream:
     """Binary values for a fabric's configuration latches, in latch_order.
 
     The bits are kept as a tuple, so the values checked here cannot change
-    afterwards: the simulator loads them with no per-bit check.
+    afterwards: the simulator loads them with no per-bit check. The check
+    also packs them into one int whose byte k is bit k, which the
+    simulator XORs with the last stream's to find the bits that changed.
+    It is no field: a stream pickles and copies as its fields alone, and
+    is packed again when loaded.
     """
 
     bits: tuple[int, ...]
     fingerprint: Optional[str] = None
 
-    def __post_init__(self):
-        if type(self.bits) is not tuple:
+    def __init__(self, bits: tuple[int, ...], fingerprint: Optional[str] = None):
+        if type(bits) is not tuple:
             try:
-                bits = tuple(self.bits)
+                bits = tuple(bits)
             except TypeError:  # not iterable
                 raise ValueError(
-                    f"bitstream bits must be a sequence, got {self.bits!r}") from None
-            object.__setattr__(self, "bits", bits)
-        for b in self.bits:
-            if type(b) is not int or not 0 <= b <= 1:  # a bool is no bit
-                raise ValueError(f"bitstream values must be 0 or 1, got {b!r}")
+                    f"bitstream bits must be a sequence, got {bits!r}") from None
+        # every bit checked in C: each is an int (a bool is no bit), 0 or 1
+        packed = None
+        if countOf(map(type, bits), int) == len(bits):
+            try:
+                packed = bytes(bits)
+            except ValueError:  # a value outside 0..255
+                pass
+        if packed is None or packed.translate(None, b"\0\1"):
+            bad = next(b for b in bits if type(b) is not int or not 0 <= b <= 1)
+            raise ValueError(f"bitstream values must be 0 or 1, got {bad!r}")
+        d = self.__dict__  # one dict fill, as Fault's
+        d["bits"], d["fingerprint"] = bits, fingerprint
+        d["_key"] = int.from_bytes(packed, "little")
+
+    def __getstate__(self) -> dict:
+        return {"bits": self.bits, "fingerprint": self.fingerprint}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
 
     def flipped(self, index: int) -> "ConfigBitstream":
         """Copy with one bit inverted (mutation testing helper)."""

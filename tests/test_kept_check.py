@@ -1,12 +1,14 @@
 """What a compiled program keeps from one check for the next: its kept sweep,
-which a rerun takes and rewrites in place, and the wanted planes of the
-last table it was checked against.
+which a rerun takes and rewrites in place, the plan of each rerun of one or
+two changed bits, and the wanted planes of the last table it was checked
+against.
 
-A check that overlaps a rerun on the same program, or follows one that was
-interrupted, must report what a freshly built fabric reports; reused wanted
-planes must give the reports and fault logs of test_verdict's per-row
-reference. The records a check builds per failing vector fill their fields
-in one step and keep every dataclass behaviour.
+A rerun from a kept plan, a check that overlaps a rerun on the same
+program, and one that follows an interrupted rerun must report, and log,
+what a freshly built fabric does; reused wanted planes must give the
+reports and fault logs of test_verdict's per-row reference. The records a
+check builds per failing vector fill their fields in one step and keep
+every dataclass behaviour, and a bitstream keeps its own.
 """
 
 import copy
@@ -22,7 +24,7 @@ import pytest
 from mvlsynth import oracle, sim
 from mvlsynth.oracle import (EquivalenceReport, Mismatch, check_equivalence,
                              random_table)
-from mvlsynth.sim import Fault, FaultKind
+from mvlsynth.sim import Fault, FaultKind, SimState
 from mvlsynth.synth import (Strategy, build_decoder_1, derive_config,
                             synth_tables)
 from mvlsynth.tables import ConfigBitstream, TruthTable
@@ -35,6 +37,74 @@ from test_verdict import FABRICS, _edited, compare  # noqa: F401 (a fixture)
 def _fresh(kind, n, m, tt, stream):
     """The report of a freshly built fabric's first check, a full sweep."""
     return check_equivalence(FABRICS[kind](n, m), tt, stream)
+
+
+def _changed(a, b):
+    """The key of the bits in which streams a and b differ: bit 8k for bit k."""
+    return sum(1 << 8 * k for k, (x, y) in enumerate(zip(a.bits, b.bits)) if x != y)
+
+
+def _plans_in_bound(prog):
+    """The plan store holds at most two plans per latch, each of a change of
+    one or two bits."""
+    plans = dict(prog.plans)
+    return len(plans) <= 2 * len(prog.config) and all(
+        0 < bin(key).count("1") <= 2 for key in plans)
+
+
+@pytest.fixture
+def logged(monkeypatch):
+    """logged(nl, tt, stream): a check's report and its state's fault log."""
+    states = []
+
+    def kept(**fields):
+        states.append(SimState(**fields))
+        return states[-1]
+
+    monkeypatch.setattr(oracle, "SimState", kept)
+
+    def run(nl, tt, stream):
+        report = check_equivalence(nl, tt, stream)
+        return report, states[-1].faults
+    return run
+
+
+@pytest.mark.parametrize("kind", sorted(FABRICS))
+def test_reruns_from_kept_plans_match_a_fresh_fabric(logged, kind):
+    n, m = 3, 2
+    rng = random.Random(len(kind) + 41)
+    fab = FABRICS[kind](n, m)
+    prog = sim._compiled(fab)
+    tt, other = random_table(n, m, rng), random_table(n, m, rng)
+    derived, theirs = derive_config(tt, fab), derive_config(other, fab)
+    size = len(derived.bits)
+    zero = ConfigBitstream((0,) * size)
+    shuffled = rng.sample(range(size), size)
+    cases = [(tt, derived)]
+    for _ in range(2):  # the second pass reruns from the first one's plans
+        cases += [(tt, derived.flipped(k)) for k in range(size)]
+    for _ in range(2):  # new pairs of bits, past the store's bound
+        cases += [(tt, derived.flipped(k)) for k in rng.sample(range(size), size)]
+    cases += [(tt, derived.flipped(j).flipped(k))  # two bits from derived
+              for j, k in (rng.sample(range(size), 2) for _ in range(6))]
+    cases += [(tt, ConfigBitstream(tuple(rng.randrange(2) for _ in range(size))))
+              for _ in range(4)]
+    cases += [(tt, derived), (tt, derived), (tt, zero), (tt, zero.flipped(3)),
+              (tt, zero)]
+    for k in shuffled[:6]:  # two tables in turn, each with its flips
+        cases += [(other, theirs), (tt, derived.flipped(k)),
+                  (other, theirs.flipped(k)), (tt, derived)]
+    last, sizes = None, []
+    for want, stream in cases:
+        got = logged(fab, want, stream)
+        assert got == logged(FABRICS[kind](n, m), want, stream), stream
+        key = 0 if last is None else _changed(last, stream)
+        # a change of one or two bits keeps its plan, a wider one none
+        assert (key in prog.plans) == (0 < bin(key).count("1") <= 2)
+        assert _plans_in_bound(prog)
+        last = stream
+        sizes.append(len(prog.plans))
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the store was emptied
 
 
 @pytest.mark.parametrize("where", ["run", "read"])
@@ -131,12 +201,18 @@ def test_threads_checking_one_fabric_get_a_fresh_fabrics_reports(kind):
     n, m = 3, 2
     rng = random.Random(len(kind) + 40)
     fab = FABRICS[kind](n, m)
+    prog = sim._compiled(fab)
     jobs = []
     for _ in range(4):
         tt = random_table(n, m, rng)
         derived = derive_config(tt, fab)
-        streams = [derived] + [derived.flipped(k) for k in
-                               rng.sample(range(len(derived.bits)), 8)]
+        size = len(derived.bits)
+        flips = rng.sample(range(size), 10)
+        streams = [derived] + [derived.flipped(k) for k in flips[:8]]
+        streams += [derived.flipped(k).flipped((k + 1) % size)
+                    for k in flips[8:]]
+        streams += [ConfigBitstream(tuple(rng.randrange(2) for _ in range(size))),
+                    ConfigBitstream((0,) * size)]
         jobs.append([(tt, s, _fresh(kind, n, m, tt, s)) for s in streams])
     wrong = []
 
@@ -145,6 +221,8 @@ def test_threads_checking_one_fabric_get_a_fresh_fabrics_reports(kind):
             for tt, stream, want in job:
                 if check_equivalence(fab, tt, stream) != want:
                     wrong.append((tt, stream))
+                if not _plans_in_bound(prog):
+                    wrong.append(dict(prog.plans))
 
     threads = [threading.Thread(target=work, args=(job,)) for job in jobs]
     interval = sys.getswitchinterval()
@@ -318,3 +396,31 @@ def test_records_keep_every_dataclass_behaviour(cls, args, other):
     with pytest.raises(dataclasses.FrozenInstanceError):
         delattr(obj, names[0])
     assert obj == cls(*args)
+
+
+def test_a_bitstream_keeps_every_dataclass_behaviour_and_packs_its_bits():
+    # the packed key is no field: it takes no part in eq, hash, repr or
+    # pickle, and every way of making a stream packs its bits again
+    names = [f.name for f in dataclasses.fields(ConfigBitstream)]
+    assert names == ["bits", "fingerprint"]
+    params = inspect.signature(ConfigBitstream).parameters
+    assert list(params) == names and params["fingerprint"].default is None
+    stream = ConfigBitstream([1, 0, 1, 1], "fp")
+    fields = {"bits": (1, 0, 1, 1), "fingerprint": "fp"}
+    assert dataclasses.asdict(stream) == fields
+    assert dataclasses.astuple(stream) == ((1, 0, 1, 1), "fp")
+    assert repr(stream) == "ConfigBitstream(bits=(1, 0, 1, 1), fingerprint='fp')"
+    assert stream == ConfigBitstream((1, 0, 1, 1), "fp") != ConfigBitstream((1, 0, 1, 1))
+    assert hash(stream) == hash(((1, 0, 1, 1), "fp"))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert stream.__reduce_ex__(protocol)[2] == fields
+        twin = pickle.loads(pickle.dumps(stream, protocol))
+        assert twin == stream and twin._key == stream._key == 0x01010001
+    for twin in (copy.copy(stream), copy.deepcopy(stream),
+                 dataclasses.replace(stream, fingerprint=None)):
+        assert twin.bits == stream.bits and twin._key == stream._key
+    assert dataclasses.replace(stream, bits=(0, 1))._key == 0x0100
+    assert stream.flipped(3)._key == 0x00010001
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stream.bits = (0,)
+    assert ConfigBitstream(())._key == 0

@@ -153,6 +153,51 @@ def test_floating_data_is_fine_until_selected():
     assert err.value.fault.kind is FaultKind.FLOATING_NET
 
 
+def _two_faulting_ops(clocked=False):
+    """Switch net p contends at x == 2; switch net q, which reads p as data
+    and whose op comes later, contends at x == 0 and x == 2 and floats at
+    x == 1."""
+    b = NetlistBuilder()
+    x = b.add_input("x", 3)
+    if clocked:
+        b.clock = b.net(None, nid="clk")
+        b.add_gate("clk", GateType.INPUT, {"y": b.clock})
+    two, low = b.tlg("two", x, 1), b.not_("low", b.tlg("pos", x, 0))
+    p, q = b.net(3, nid="p"), b.net(3, nid="q")
+    b.switch("p1", b.const(1, 3), two, p)
+    b.switch("p2", b.const(2, 3), b.tlg("pos2", x, 0), p)
+    b.switch("q1", p, two, q)
+    b.switch("q2", b.const(2, 3), two, q)
+    b.switch("q3", b.const(0, 3), low, q)
+    b.switch("q4", b.const(1, 3), low, q)
+    b.add_output("y", q)
+    return b.finish()
+
+
+def test_each_vector_gets_its_earliest_ops_fault_in_vector_order():
+    # p's op faults vector 2 first; q's op, later, also faults 0 and 2
+    nl = _two_faulting_ops()
+    ops = [op[1] for op in sim._compiled(nl).ops if op[0] == sim._NET]
+    assert ops == ["p", "q"]
+    want = [Fault(FaultKind.CONTENTION, "q", (0,)),
+            Fault(FaultKind.FLOATING_NET, "q", (1,)),
+            Fault(FaultKind.CONTENTION, "p", (2,))]
+    for vectors in ([(0,), (1,), (2,)], sim._exhaustive(nl)):
+        state = SimState()
+        assert eval_vectors(nl, vectors, state) == want
+        assert state.faults == want
+    report = check_equivalence(nl, TruthTable.make(3, 1, (0, 1, 2)))
+    assert [(mm.inputs, mm.got) for mm in report.mismatches] == [
+        (f.vector, f) for f in want]
+    # a clock step's fault is the first its one vector hits
+    clocked = _two_faulting_ops(clocked=True)
+    for x, fault in zip(range(3), want):
+        state = SimState()
+        with pytest.raises(SimFaultError) as err:
+            step_sequential(clocked, [x], state)
+        assert err.value.fault == fault and state.faults == [fault]
+
+
 def test_batch_reports_faults_per_vector():
     nl = _contention_netlist(False)
     results = eval_vectors(nl, [(1,), (0,)])

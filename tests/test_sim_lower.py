@@ -231,6 +231,23 @@ def test_a_fabric_check_reruns_only_the_cone_of_its_changed_bits(
         assert not check_equivalence(nl, tt, derived.flipped(k)).passed
     assert runs == [reach(0)] + [reach(k - 1, k) for k in range(1, count)]
     assert max(runs) < ops // 4
+    # a second sweep of those flips, after the derived stream, reruns the
+    # same ops from the plans the first sweep kept, and builds none
+    runs.clear()
+    built = []
+    plan = sim._plan
+
+    def planned(*args):
+        built.append(args)
+        return plan(*args)
+
+    monkeypatch.setattr(sim, "_plan", planned)
+    assert check_equivalence(nl, tt, derived).passed
+    for k in range(count):
+        assert not check_equivalence(nl, tt, derived.flipped(k)).passed
+    assert runs == [reach(count - 1), reach(0)] + [
+        reach(k - 1, k) for k in range(1, count)]
+    assert built == [] and len(prog.plans) <= 2 * count
     # another table's derived stream after the last flip changes many bits
     runs.clear()
     tt = random_table(n, m, random.Random(n + 1))

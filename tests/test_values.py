@@ -179,7 +179,13 @@ def test_fsm_spec_output_tables():
     assert spec.observe((0,), ()) == (2,)
 
 
-@pytest.mark.parametrize("bit", [True, False, 1.0, 0.0])
+class _Bit(enum.IntEnum):
+    ONE = 1
+
+
+# an int outside 0..255 fails the packing's bytes(), an int subclass its
+# type count
+@pytest.mark.parametrize("bit", [True, False, 1.0, 0.0, 256, -2**70, _Bit.ONE])
 def test_bitstream_refuses_all_but_the_ints_0_and_1(bit):
     # such a stream would save as text its own loader refuses
     with pytest.raises(ValueError, match=f"must be 0 or 1, got {bit!r}"):
