@@ -3,7 +3,7 @@
 On first simulation each netlist is lowered into a compiled program,
 cached on the netlist: every net gets integer slots, and one flat op list
 follows the levelized order of the acyclic core. The lowering consumes, in
-one pass, the one record list that the netlist's validate handed over (the
+one pass, the one record list handed over by finish() or validate (the
 sources first, then the combinational gates in eval order) with the net
 numbering it carries, so it never walks the gates again. A run evaluates a
 whole batch of input vectors at once, bit-parallel: a slot holds one
@@ -440,10 +440,10 @@ def _lower(nl: Netlist, records: list[tuple]
 
 def _compiled(nl: Netlist) -> _Program:
     """The netlist's program, lowered on first use from the records its
-    validate handed over; a netlist without them is levelized first, which
-    raises NetlistError if it is invalid. The simulator's callers read port
-    radixes off it: the walk that compiled it checked every list they come
-    from."""
+    builder or validate handed over; a netlist without them is levelized
+    first, which raises NetlistError if it is invalid. The simulator's
+    callers read port radixes off it: the walk that compiled it checked
+    every list they come from."""
     program = nl._program
     if program is None:
         records, nl._records = nl._records or levelized(nl), None

@@ -310,31 +310,32 @@ def derive_config(tt: TruthTable, fabric: Netlist) -> ConfigBitstream:
 
 def _emit_dlatch(b: NetlistBuilder, prefix: str, d: str, load: str,
                  hold: str, n: int, out: Optional[str] = None,
-                 ) -> tuple[str, tuple[str]]:
+                 ) -> tuple[str, str, tuple[str]]:
     """Level-sensitive store: transparent while `load`=1, holding while
     `hold`=1 (callers pass complementary controls). Returns (output net,
-    (storage gate id,))."""
+    storage net, (storage gate id,))."""
     m = out if out is not None else b.net(n)
     q = b.nary_dlatch(f"{prefix}lat", m, n)
     b.switch(f"{prefix}sw_d", d, load, m)
     b.switch(f"{prefix}sw_h", q, hold, m)
-    return m, (f"{prefix}lat",)
+    return m, q, (f"{prefix}lat",)
 
 
 def _emit_dff(b: NetlistBuilder, prefix: str, d: str, en: str, enb: str,
-              n: int, out: Optional[str] = None) -> tuple[str, tuple[str, str]]:
+              n: int, out: Optional[str] = None,
+              ) -> tuple[str, str, tuple[str, str]]:
     """Master-slave store capturing d when the gate leaves 0.
 
     Master is transparent while the gate is 0, slave while it is nonzero;
     en/enb are the shared binary gate and its complement. The slave reads
     the master's stored value (identical to its transparent node whenever
     the slave conducts), which keeps feedback paths through the committed
-    element rather than through a combinational switch chain.
+    element rather than through a combinational switch chain. Returns
+    (output net, the slave's storage net, (master id, slave id)).
     """
-    _, (mlat,) = _emit_dlatch(b, f"{prefix}m/", d, enb, en, n)
-    qm = b.gates[mlat].pins["q"]
-    m2, (slat,) = _emit_dlatch(b, f"{prefix}s/", qm, en, enb, n, out)
-    return m2, (mlat, slat)
+    _, qm, (mlat,) = _emit_dlatch(b, f"{prefix}m/", d, enb, en, n)
+    m2, qs, (slat,) = _emit_dlatch(b, f"{prefix}s/", qm, en, enb, n, out)
+    return m2, qs, (mlat, slat)
 
 
 def _build_storage(radix: RadixLike, emit) -> Netlist:
@@ -346,7 +347,7 @@ def _build_storage(radix: RadixLike, emit) -> Netlist:
     g = b.add_input("g", n)
     en = b.tlg("en_tlg", g, 0)         # binary enable: g > 0
     enb = b.not_("en_not", en)
-    q, lats = emit(b, "", d, en, enb, n)
+    q, _, lats = emit(b, "", d, en, enb, n)
     b.add_state_group(lats)
     b.add_output("q", q)
     return b.finish()
@@ -395,7 +396,7 @@ def compile_fsm(spec: FsmSpec, strategy: Strategy) -> Netlist:
 
     for i, tt in enumerate(spec.transition):
         d = _emit_table(b, f"f{i}/", combined, tt, strategy, shared)
-        _, lats = _emit_dff(b, f"dff{i}/", d, en, enb, n, out=state_nets[i])
+        _, _, lats = _emit_dff(b, f"dff{i}/", d, en, enb, n, out=state_nets[i])
         b.add_state_group(lats)
 
     if spec.output is None:

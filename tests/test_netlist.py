@@ -312,6 +312,24 @@ def test_const_deduplication():
     assert sum(1 for g in b.gates.values() if g.kind is GateType.CONST) == 2
 
 
+@pytest.mark.parametrize("int_call, call, message", [
+    ((1, None), (True, None), "const_b_True: constant True is not an integer"),
+    ((1, None), (1.0, None), "const_b_1.0: constant 1.0 is not an integer"),
+    ((1, 3), (1, 3.0), "net const_r3.0_1_w: radix 3.0 is not an integer"),
+], ids=["bool", "float", "radix-float"])
+@pytest.mark.parametrize("int_first", [True, False])
+def test_const_refuses_a_non_int_whichever_call_came_first(int_call, call, message,
+                                                           int_first):
+    # True == 1 and 3.0 == 3, so the non-int call once found the int's
+    # entry, and was accepted, if the int call came first
+    b = NetlistBuilder()
+    for value, radix in (int_call, call) if int_first else (call, int_call):
+        b.add_output(f"y{len(b.outputs)}", b.const(value, radix))
+    with pytest.raises(NetlistError) as info:
+        b.finish()
+    assert str(info.value) == message
+
+
 def test_eval_order_is_topological():
     b = NetlistBuilder()
     x = b.add_input("x", 3)

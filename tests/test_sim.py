@@ -456,8 +456,9 @@ def test_a_replaced_copy_compiles_its_own_program():
 
 
 def _two_programs(nl):
-    """The program compiled from the records validate handed over, and the
-    one compiled from records derived afresh, as the fault path does."""
+    """The program compiled from the records finish() or validate handed
+    over, and the one compiled from records derived afresh, as the fault
+    path does."""
     handed = sim._compiled(nl)
     assert nl._records is None      # consumed by the lowering, not kept
     return repr(handed), repr(sim._lower(nl, levelized(nl))[0])
